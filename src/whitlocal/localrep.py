@@ -32,6 +32,10 @@ SYMBOLIC_Q = RESIDUE_CARDINALITY_VAR
 
 ENUMERATION_LIMIT = 2 ** 24
 
+# numeric residue cardinalities are tested for primality by trial division,
+# which takes up to sqrt(p) steps, so they are bounded
+MAX_RESIDUE_CARDINALITY = 2 ** 40
+
 
 class ZeroSatakeParameter(ValueError):
     """A Satake parameter is zero, so its inverse does not exist."""
@@ -209,15 +213,46 @@ def central_substitution(rep: UnramifiedRep) -> dict[str, LaurentPoly]:
     return {names[-1]: inv}
 
 
+def _smallest_prime_factor(p) -> int:
+    if not isinstance(p, int) or p < 2:
+        raise ValueError(f"residue cardinality must be an integer >= 2, got {p!r}")
+    if p > MAX_RESIDUE_CARDINALITY:
+        raise ValueError(
+            f"residue cardinality {p} exceeds the bound {MAX_RESIDUE_CARDINALITY} "
+            f"of the trial-division prime test"
+        )
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return d
+        d += 1
+    return p
+
+
+def require_prime_power(p) -> None:
+    """Raise ValueError unless p is a prime power."""
+    rest = p
+    r = _smallest_prime_factor(p)
+    while rest % r == 0:
+        rest //= r
+    if rest != 1:
+        raise ValueError(f"residue cardinality must be a prime power, got {p}")
+
+
+def require_prime(p) -> None:
+    """Raise ValueError unless p is prime."""
+    if _smallest_prime_factor(p) != p:
+        raise ValueError(f"residue cardinality must be prime, got {p}")
+
+
 def congruence_index(n: int, p: int, m: int) -> int:
     """Index of the level-m bottom-row congruence subgroup in GL_n(o).
 
-    m = 0 gives the full group, index 1.
+    m = 0 gives the full group, index 1.  p must be a prime power.
     """
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"matrix size must be an integer >= 2, got {n!r}")
-    if not isinstance(p, int) or p < 2:
-        raise ValueError(f"residue cardinality must be a numeric prime power, got {p!r}")
+    require_prime_power(p)
     if not isinstance(m, int) or m < 0:
         raise ValueError(f"level exponent must be a nonnegative int, got {m!r}")
     if m == 0:
@@ -250,10 +285,13 @@ def congruence_index_bruteforce(n: int, p: int, m: int) -> int:
     Both the full unit group and the congruence subgroup reduce faithfully
     modulo p^m, so the index is the ratio of the two counts.  Guarded by a
     hard size bound; p must be prime here so that invertibility is just
-    det != 0 mod p.
+    det != 0 mod p, and a p that is not prime raises ValueError.
     """
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"matrix size must be an integer >= 2, got {n!r}")
+    require_prime(p)
+    if not isinstance(m, int) or m < 0:
+        raise ValueError(f"level exponent must be a nonnegative int, got {m!r}")
     if m == 0:
         return 1
     if p ** (m * n * n) > ENUMERATION_LIMIT:

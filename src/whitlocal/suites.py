@@ -22,6 +22,7 @@ from .localrep import (
     congruence_index,
     congruence_index_bruteforce,
     contragredient,
+    require_prime_power,
 )
 from .report import CheckResult, SuiteReport, run_check
 from .symfunc import Partition, partitions_up_to, schur, schur_bialternant_oracle
@@ -37,15 +38,23 @@ class SuiteConfig:
     p: int = 2
     seed: int = 0
 
+    def __post_init__(self):
+        # weight-q feeds p to the congruence index, which needs a prime power
+        require_prime_power(self.p)
+
 
 def _fold(report: SuiteReport, check_id: str, description: str, sub: SuiteReport) -> None:
-    """Collapse a whole sub-report into a single pass/fail check."""
+    """Collapse a whole sub-report into a single pass/fail check.
+
+    The folded check's time is the sum of its sub-checks' times.
+    """
     fails = sub.failures()
     witness = None
     if fails:
         first = fails[0]
         witness = f"{first.id}: {first.witness}"
-    report.add(CheckResult(check_id, description, sub.status, witness))
+    millis = sum(c.millis for c in sub.checks)
+    report.add(CheckResult(check_id, description, sub.status, witness, millis))
 
 
 def _concat(name: str, reports: list[SuiteReport]) -> SuiteReport:
@@ -122,10 +131,10 @@ def suite_schur(cfg: SuiteConfig) -> SuiteReport:
 
         def check_oracle(n=n, names=names, values=values):
             for lam in partitions_up_to(6, n):
-                jt = schur(lam, values)
+                got = schur(lam, values)
                 bi = schur_bialternant_oracle(lam, names)
-                if jt != bi:
-                    return False, f"lambda={lam}: {jt.to_text()} != {bi.to_text()}"
+                if got != bi:
+                    return False, f"lambda={lam}: {got.to_text()} != {bi.to_text()}"
             return True, None
 
         def check_dimension(n=n, values=values):

@@ -1,11 +1,13 @@
 """Partitions and symmetric function values.
 
-Schur polynomials are computed by the Jacobi-Trudi determinant in complete
-homogeneous symmetric polynomials, which works at arbitrary LaurentPoly
-argument values (rationals, variables, inverted variables).  A second,
-independent route through the bialternant quotient of alternants is kept
-for cross-checking; it requires distinct variable names because it divides
-by the Vandermonde determinant exactly.
+Schur polynomials are computed by the branching rule over interlacing
+partitions (the Gelfand-Tsetlin recursion, Macdonald, Symmetric Functions
+and Hall Polynomials, I 5), which works at arbitrary LaurentPoly argument
+values (rationals, zero, variables, inverted variables) and builds no
+terms that later cancel.  A second, independent route through the
+bialternant quotient of alternants is kept for cross-checking; it requires
+distinct variable names because it divides by the Vandermonde determinant
+exactly.
 
 A Schur value at fewer variables than the partition has parts is zero; the
 library returns that zero rather than raising, matching the support
@@ -15,6 +17,7 @@ convention used by the spherical Whittaker values built on top.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .exactalg import InexactDivision, LaurentPoly
@@ -131,7 +134,8 @@ def complete_homogeneous(k: int, xs: Sequence) -> LaurentPoly:
 def _det(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
     """Determinant by cofactor expansion with memoized column subsets.
 
-    Matrices here are at most partition-length sized, so this stays small.
+    Only the bialternant oracle uses it, on n x n matrices for n variables,
+    so this stays small.
     """
     n = len(matrix)
     if n == 0:
@@ -160,30 +164,63 @@ def _det(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
     return minor(0, tuple(range(n)))
 
 
+def _interlacing(nu: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Every mu of length len(nu) - 1 with nu_1 >= mu_1 >= nu_2 >= ... >= mu_(k-1) >= nu_k."""
+    return product(*(range(nu[i + 1], nu[i] + 1) for i in range(len(nu) - 1)))
+
+
 def schur(lam: Partition, xs: Sequence) -> LaurentPoly:
-    """Schur polynomial value s_lam(xs) via the Jacobi-Trudi determinant.
+    """Schur polynomial value s_lam(xs) by the branching rule.
+
+    s_nu(x_1..x_k) = sum over mu interlacing nu of
+    s_mu(x_1..x_(k-1)) * x_k^(|nu| - |mu|), down to s_(a)(x_1) = x_1^a.
+    Intermediate values are memoized within the call on the padded
+    partition, whose length names the variable count.
 
     Returns zero when the partition has more parts than there are values.
     """
     if not isinstance(lam, Partition):
         lam = Partition(lam)
     values = _coerce_values(xs)
-    ell = lam.length
-    if ell > len(values):
+    n = len(values)
+    if lam.length > n:
         return LaurentPoly.zero()
-    if ell == 0:
+    if lam.length == 0:
         return LaurentPoly.one()
-    kmax = lam.parts[0] + ell - 1
-    h = homogeneous_list(kmax, values)
+    # |nu| - |mu| never exceeds nu_1 <= lam_1
+    top = lam.parts[0]
+    powers = []
+    for x in values:
+        row = [LaurentPoly.one()]
+        for _ in range(top):
+            row.append(row[-1] * x)
+        powers.append(row)
+    memo: dict[tuple[int, ...], LaurentPoly] = {}
 
-    def h_at(k: int) -> LaurentPoly:
-        return h[k] if 0 <= k <= kmax else LaurentPoly.zero()
+    def branch(nu: tuple[int, ...]) -> LaurentPoly:
+        if nu[0] == 0:
+            return LaurentPoly.one()
+        k = len(nu)
+        if k == 1:
+            return powers[0][nu[0]]
+        got = memo.get(nu)
+        if got is not None:
+            return got
+        x_pow = powers[k - 1]
+        weight = sum(nu)
+        # sum the s_mu that share a power of x_k, then multiply once per power
+        by_degree = [LaurentPoly.zero()] * len(x_pow)
+        for mu in _interlacing(nu):
+            d = weight - sum(mu)
+            by_degree[d] = by_degree[d] + branch(mu)
+        total = LaurentPoly.zero()
+        for acc, x_d in zip(by_degree, x_pow):
+            if acc:
+                total = total + acc * x_d
+        memo[nu] = total
+        return total
 
-    matrix = [
-        [h_at(lam.part(i + 1) - (i + 1) + (j + 1)) for j in range(ell)]
-        for i in range(ell)
-    ]
-    return _det(matrix)
+    return branch(lam.padded(n))
 
 
 def _divide_by_difference(f: LaurentPoly, a: str, b: str) -> LaurentPoly:

@@ -43,7 +43,13 @@ from .exactalg import (
     series_equal,
     series_expand,
 )
-from .localrep import RankMismatch, UnramifiedRep, congruence_index, contragredient
+from .localrep import (
+    RankMismatch,
+    UnramifiedRep,
+    congruence_index,
+    contragredient,
+    require_prime_power,
+)
 from .report import SuiteReport, run_check
 from .symfunc import Partition, partitions_of, schur
 from .whittaker import TorusCocharacter, delta_half, spherical_value, twist_constants, twisted_value
@@ -385,6 +391,7 @@ def weight_at_q_structural(n0: int, m: int, n: int, p: int) -> WeightResult:
     of the congruence subgroup index.  The published approximation for that
     volume is p^(-(n-1)m); both are returned with their exact ratio.
     Below the boundary (n0 < m) only the index set is determined here.
+    p must be a prime power.
     """
     if not isinstance(n0, int) or n0 < 0:
         raise ValueError(f"conductor exponent must be a nonnegative int, got {n0!r}")
@@ -392,8 +399,7 @@ def weight_at_q_structural(n0: int, m: int, n: int, p: int) -> WeightResult:
         raise ValueError(f"level exponent must be a nonnegative int, got {m!r}")
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"rank must be an integer >= 2, got {n!r}")
-    if not isinstance(p, int) or p < 2:
-        raise ValueError(f"residue cardinality must be numeric >= 2, got {p!r}")
+    require_prime_power(p)
     index_set = tuple(
         (a1, m - a1, j)
         for a1 in range(0, m + 1)

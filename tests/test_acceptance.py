@@ -132,7 +132,7 @@ def test_criterion_06_schur_oracles():
                 if all(a >= b for a, b in zip(grown, grown[1:])):
                     rhs = rhs + schur(Partition(grown), values)
             ok = ok and schur(lam, values) * h1 == rhs
-    _verdict(6, ok, "Jacobi-Trudi vs bialternant, dimension formula, Pieri rule")
+    _verdict(6, ok, "branching rule vs bialternant, dimension formula, Pieri rule")
 
 
 def test_criterion_07_unramified_weight_is_one():

@@ -70,6 +70,28 @@ class TestExitCodes:
         proc = run_process("whittaker", "--n", "2", "--mu", "a,b")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("index", "--n", "2", "--p", "4", "--level", "1", "--bruteforce"),
+        ("index", "--n", "2", "--p", "6", "--level", "1", "--bruteforce"),
+        ("index", "--n", "2", "--p", "6", "--level", "1"),
+        ("index", "--n", "3", "--p", "12", "--level", "0"),
+        ("verify", "--suite", "weight-q", "--p", "6"),
+        ("verify", "--suite", "all", "--p", "1"),
+    ])
+    def test_residue_cardinality_contract(self, argv, capsys):
+        code, out, err = run_cli(*argv, capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_contract_holds_in_a_process(self):
+        proc = run_process("index", "--n", "2", "--p", "4", "--level", "1", "--bruteforce")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
 
 class TestEmitFormats:
     def test_json_parses(self, capsys):
@@ -184,6 +206,14 @@ class TestDeterminism:
         _, second, _ = run_cli("verify", "--suite", "contragredient", "--seed", "7",
                                capsys=capsys)
         assert first == second
+
+    def test_folded_checks_carry_timings(self, capsys):
+        code, out, _ = run_cli("verify", "--suite", "involution", "--timings",
+                               "--emit", "json", capsys=capsys)
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert len(checks) == 9
+        assert all(type(c["millis"]) is int for c in checks)
 
     def test_timings_are_opt_in(self, capsys):
         _, out, _ = run_cli("verify", "--suite", "weyl", capsys=capsys)

@@ -25,6 +25,7 @@ from whitlocal import (
     hecke_eigenvalue,
     qpow,
 )
+from whitlocal.localrep import MAX_RESIDUE_CARDINALITY
 
 
 class TestLocalFieldData:
@@ -171,6 +172,25 @@ class TestCongruenceIndex:
             congruence_index(2, 1, 1)
         with pytest.raises(ValueError):
             congruence_index(2, 2, -1)
+
+    @pytest.mark.parametrize("p", [4, 8, 9, 25, 27])
+    def test_prime_powers_accepted(self, p):
+        assert congruence_index(2, p, 1) == p + 1
+
+    @pytest.mark.parametrize("p", [6, 10, 12, 15])
+    def test_not_a_prime_power_refused(self, p):
+        with pytest.raises(ValueError, match="prime power"):
+            congruence_index(2, p, 1)
+
+    @pytest.mark.parametrize("p,m", [(4, 1), (6, 1), (8, 0), (9, 1)])
+    def test_bruteforce_refuses_non_prime(self, p, m):
+        with pytest.raises(ValueError, match="prime"):
+            congruence_index_bruteforce(2, p, m)
+
+    def test_residue_cardinality_bound(self):
+        assert congruence_index(2, 1099511627689, 0) == 1  # the largest prime below 2^40
+        with pytest.raises(ValueError, match="exceeds the bound"):
+            congruence_index(2, MAX_RESIDUE_CARDINALITY + 15, 1)
 
 
 class TestCharacterSum:

@@ -175,6 +175,36 @@ class TestSchur:
         for mon, _ in poly.sorted_terms():
             assert sum(e for _, e in mon.exps) == lam.weight
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_inversion_duality(self, n):
+        # s_lam(1/x) = (x_1...x_n)^(-lam_1) s_lam*(x), lam*_i = lam_1 - lam_(n+1-i)
+        values = _vars(n)
+        inverted = [x ** -1 for x in values]
+        det = LaurentPoly.one()
+        for x in values:
+            det = det * x
+        for lam in partitions_up_to(6, n):
+            padded = lam.padded(n)
+            top = padded[0]
+            dual = Partition(top - part for part in reversed(padded))
+            assert schur(lam, inverted) == det ** -top * schur(dual, values)
+
+    def test_zero_and_rational_values(self):
+        y = LaurentPoly.var("y")
+        want = y * Fraction(1, 4) + y ** 2 * Fraction(1, 2)
+        assert schur(Partition((2, 1)), [0, y, Fraction(1, 2)]) == want
+        assert schur(Partition((1, 1)), [0, y]) == LaurentPoly.zero()
+        assert schur(Partition((3,)), [0, 0]) == LaurentPoly.zero()
+        assert schur(Partition((2,)), [Fraction(1, 2), Fraction(1, 3)]).as_fraction() == Fraction(19, 36)
+
+    @given(st.integers(1, 4).flatmap(
+        lambda n: st.tuples(st.just(n), st.sampled_from(list(partitions_up_to(6, n))))))
+    def test_matches_bialternant_oracle_property(self, case):
+        n, lam = case
+        names = [f"x{i}" for i in range(1, n + 1)]
+        values = [LaurentPoly.var(v) for v in names]
+        assert schur(lam, values) == schur_bialternant_oracle(lam, names)
+
     def test_oracle_needs_distinct_names(self):
         with pytest.raises(ValueError):
             schur_bialternant_oracle(Partition((1,)), ["x", "x"])
