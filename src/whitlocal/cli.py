@@ -16,7 +16,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import LaurentPoly
 from .localrep import (
     UnramifiedRep,
     character_sum,

@@ -28,7 +28,6 @@ order.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from fractions import Fraction
@@ -113,10 +112,6 @@ class Monomial:
             cleaned.append((name, e))
         self.exps: tuple[tuple[str, Scalar], ...] = tuple(cleaned)
         self._hash = hash(self.exps)
-
-    @property
-    def exponents(self) -> dict[str, Scalar]:
-        return dict(self.exps)
 
     def degree_in(self, name: str) -> Scalar:
         for v, e in self.exps:
@@ -259,9 +254,6 @@ class LaurentPoly:
             out.update(mon.variables())
         return frozenset(out)
 
-    def term_count(self) -> int:
-        return len(self.terms)
-
     def min_monomial(self) -> Monomial:
         if not self.terms:
             raise ValueError("the zero polynomial has no monomials")
@@ -278,16 +270,6 @@ class LaurentPoly:
             e = mon.degree_in(name)
             buckets.setdefault(e, {})[mon.without(name)] = c
         return {e: LaurentPoly(b) for e, b in buckets.items()}
-
-    def degree_in(self, name: str) -> Scalar:
-        if not self.terms:
-            raise ValueError("the zero polynomial has no degree")
-        return max(mon.degree_in(name) for mon in self.terms)
-
-    def min_degree_in(self, name: str) -> Scalar:
-        if not self.terms:
-            raise ValueError("the zero polynomial has no degree")
-        return min(mon.degree_in(name) for mon in self.terms)
 
     # -- ring operations -------------------------------------------------
 
@@ -426,46 +408,27 @@ class LaurentPoly:
                 out = out + rest * qpow(new_exp)
         return out
 
-    def rename(self, mapping: Mapping[str, str]) -> "LaurentPoly":
-        out: dict[Monomial, Fraction] = {}
-        for mon, c in self.terms.items():
-            new = Monomial((mapping.get(v, v), e) for v, e in mon.exps)
-            out[new] = out.get(new, Fraction(0)) + c
-        return LaurentPoly(out)
+    def evaluate(self, bindings: Mapping[str, Scalar]) -> Fraction:
+        """Evaluate exactly at a full set of rational variable bindings.
 
-    def evaluate(self, bindings: Mapping[str, object]):
-        """Evaluate at a full set of variable bindings.
-
-        All rational bindings give an exact Fraction; any float or complex
-        binding switches the whole evaluation to floating point.  Half
-        exponents require an exact square root in rational mode and raise
-        InexactSquareRoot otherwise.
+        A binding that is not an int or Fraction raises TypeError.  Half
+        exponents require an exact square root and raise InexactSquareRoot
+        otherwise.
         """
         names = self.variables()
         missing = [v for v in names if v not in bindings]
         if missing:
             raise UnboundVariable(f"no binding for {sorted(missing)!r}")
-        exact = all(isinstance(bindings[v], (int, Fraction)) for v in names)
-        if exact:
-            total = Fraction(0)
-            for mon, c in self.terms.items():
-                acc = c
-                for v, e in mon.exps:
-                    acc = acc * _rational_power(Fraction(bindings[v]), e, v)
-                total += acc
-            return total
-        total_c = complex(0)
+        inexact = sorted(v for v in names if not isinstance(bindings[v], (int, Fraction)))
+        if inexact:
+            raise TypeError(f"bindings for {inexact!r} are not rational")
+        total = Fraction(0)
         for mon, c in self.terms.items():
-            acc_c = complex(c)
+            acc = c
             for v, e in mon.exps:
-                base = complex(bindings[v])
-                if base == 0 and e < 0:
-                    raise DivisionByZero(f"zero binding for {v!r} under negative power")
-                acc_c *= base ** float(e)
-            total_c += acc_c
-        if total_c.imag == 0:
-            return total_c.real
-        return total_c
+                acc = acc * _rational_power(Fraction(bindings[v]), e, v)
+            total += acc
+        return total
 
     # -- serialization ----------------------------------------------------
 
@@ -556,13 +519,6 @@ class LaurentPoly:
             total[mon] = total.get(mon, Fraction(0)) + Fraction(term["coeff"])
         return cls(total)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
-    @classmethod
-    def from_json(cls, s: str) -> "LaurentPoly":
-        return cls.from_json_obj(json.loads(s))
-
 
 def _rational_power(base: Fraction, e: Scalar, name: str) -> Fraction:
     if isinstance(e, int):
@@ -625,17 +581,6 @@ class RationalFunction:
         self.num = num
         self.den = den
 
-    @classmethod
-    def from_poly(cls, p) -> "RationalFunction":
-        return cls(p, 1)
-
-    @classmethod
-    def one(cls) -> "RationalFunction":
-        return cls(1, 1)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
     def reciprocal(self) -> "RationalFunction":
         if self.num.is_zero():
             raise DivisionByZero("reciprocal of the zero function")
@@ -694,12 +639,6 @@ class RationalFunction:
     def to_json_obj(self) -> dict:
         return {"num": self.num.to_json_obj(), "den": self.den.to_json_obj()}
 
-    @classmethod
-    def from_json_obj(cls, obj) -> "RationalFunction":
-        return cls(
-            LaurentPoly.from_json_obj(obj["num"]), LaurentPoly.from_json_obj(obj["den"])
-        )
-
 
 class TruncatedSeries:
     """A power series in one distinguished variable, truncated at a fixed order.
@@ -729,10 +668,6 @@ class TruncatedSeries:
         return len(self.coeffs) - 1
 
     @classmethod
-    def zero(cls, var: str, order: int) -> "TruncatedSeries":
-        return cls(var, [LaurentPoly.zero()] * (order + 1))
-
-    @classmethod
     def one(cls, var: str, order: int) -> "TruncatedSeries":
         return cls(var, [LaurentPoly.one()] + [LaurentPoly.zero()] * order)
 
@@ -749,9 +684,6 @@ class TruncatedSeries:
             if e <= order:
                 coeffs[e] = c
         return cls(var, coeffs)
-
-    def coefficient(self, k: int) -> LaurentPoly:
-        return self.coeffs[k]
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order >= self.order:
@@ -823,9 +755,6 @@ class TruncatedSeries:
     def __hash__(self) -> int:
         return hash((self.var, self.coeffs))
 
-    def evaluate_at_zero(self) -> LaurentPoly:
-        return self.coeffs[0]
-
     def is_one(self) -> bool:
         return self.coeffs[0] == LaurentPoly.one() and all(
             c.is_zero() for c in self.coeffs[1:]
@@ -852,10 +781,6 @@ class TruncatedSeries:
             "order": self.order,
             "coeffs": [c.to_text() for c in self.coeffs],
         }
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "TruncatedSeries":
-        return cls(obj["var"], [LaurentPoly.parse(c) for c in obj["coeffs"]])
 
 
 def series_equal(a: TruncatedSeries, b: TruncatedSeries) -> bool:

@@ -45,10 +45,6 @@ class EnumerationTooLarge(ValueError):
     """A brute-force enumeration would exceed the configured size bound."""
 
 
-class UnsupportedConductor(ValueError):
-    """The additive character has nonzero conductor, which is out of scope."""
-
-
 class RankMismatch(ValueError):
     """Ranks of the supplied data do not line up."""
 
@@ -65,28 +61,6 @@ def _validate_p(p: Union[int, str]) -> Union[int, str]:
     return p
 
 
-@dataclass(frozen=True)
-class LocalFieldData:
-    """Residue cardinality (an integer or the symbol q) and additive conductor."""
-
-    p: Union[int, str] = SYMBOLIC_Q
-    d_v: int = 0
-
-    def __post_init__(self):
-        _validate_p(self.p)
-        if not isinstance(self.d_v, int) or self.d_v < 0:
-            raise ValueError(f"conductor exponent must be a nonnegative int, got {self.d_v!r}")
-
-    def ppow(self, e) -> LaurentPoly:
-        """p^e as an exact LaurentPoly (a q power when symbolic)."""
-        if isinstance(self.p, str):
-            return qpow(e)
-        f = Fraction(e)
-        if f.denominator != 1:
-            raise ValueError(f"numeric residue cardinality cannot carry exponent {e}")
-        return LaurentPoly.const(Fraction(self.p) ** f.numerator)
-
-
 def _coerce_param(x) -> LaurentPoly:
     p = LaurentPoly.coerce(x)
     if p.is_zero() or p.is_unit():
@@ -98,18 +72,12 @@ def _coerce_param(x) -> LaurentPoly:
 
 @dataclass(frozen=True)
 class UnramifiedRep:
-    """An unramified representation given by its Satake parameters.
-
-    trivial_central records that the product of the parameters is 1; it is
-    enforced when all parameters are numeric and is otherwise an annotation
-    that substitution helpers can realize.
-    """
+    """An unramified representation given by its Satake parameters."""
 
     rank: int
     satake: tuple[LaurentPoly, ...]
-    trivial_central: bool = False
 
-    def __init__(self, rank: int, satake: Sequence, trivial_central: bool = False):
+    def __init__(self, rank: int, satake: Sequence):
         if not isinstance(rank, int) or rank < 1:
             raise ValueError(f"rank must be a positive integer, got {rank!r}")
         params = tuple(_coerce_param(x) for x in satake)
@@ -118,25 +86,14 @@ class UnramifiedRep:
                 f"rank {rank} representation needs {rank} Satake parameters, "
                 f"got {len(params)}"
             )
-        if trivial_central and all(p.is_constant() for p in params):
-            prod = Fraction(1)
-            for p in params:
-                prod *= p.as_fraction()
-            if prod != 1:
-                raise ValueError(
-                    f"trivial central character requires the parameters to multiply "
-                    f"to 1, got {prod}"
-                )
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "satake", params)
-        object.__setattr__(self, "trivial_central", trivial_central)
 
     @classmethod
-    def symbolic(cls, rank: int, prefix: str = "a", trivial_central: bool = False) -> "UnramifiedRep":
+    def symbolic(cls, rank: int, prefix: str = "a") -> "UnramifiedRep":
         if prefix == SYMBOLIC_Q:
             raise ValueError(f"{SYMBOLIC_Q!r} is reserved for the residue cardinality")
-        return cls(rank, [LaurentPoly.var(f"{prefix}{i}") for i in range(1, rank + 1)],
-                   trivial_central)
+        return cls(rank, [LaurentPoly.var(f"{prefix}{i}") for i in range(1, rank + 1)])
 
     def variables(self) -> frozenset[str]:
         out: set[str] = set()
@@ -150,35 +107,15 @@ class UnramifiedRep:
             prod = prod * p
         return prod
 
-    def to_json_obj(self) -> dict:
-        return {
-            "rank": self.rank,
-            "satake": [p.to_text() for p in self.satake],
-            "trivialCentral": self.trivial_central,
-        }
 
-    @classmethod
-    def from_json_obj(cls, obj) -> "UnramifiedRep":
-        return cls(
-            obj["rank"],
-            [LaurentPoly.parse(s) for s in obj["satake"]],
-            obj.get("trivialCentral", False),
-        )
-
-
-def hecke_eigenvalue(rep: UnramifiedRep, k: int, classical: bool = False) -> LaurentPoly:
+def hecke_eigenvalue(rep: UnramifiedRep, k: int) -> LaurentPoly:
     """Spherical Hecke eigenvalue at the k-th elementary torus coset.
 
-    In the unitary normalization this is h_k of the Satake parameters; the
-    classical normalization differs by q^(k(n-1)/2) and is exposed through
-    the flag.
+    In the unitary normalization this is h_k of the Satake parameters.
     """
     if k < 0:
         raise ValueError("hecke_eigenvalue needs k >= 0")
-    value = complete_homogeneous(k, rep.satake)
-    if classical:
-        value = value * qpow(Fraction(k * (rep.rank - 1), 2))
-    return value
+    return complete_homogeneous(k, rep.satake)
 
 
 def contragredient(rep: UnramifiedRep) -> UnramifiedRep:
@@ -188,29 +125,7 @@ def contragredient(rep: UnramifiedRep) -> UnramifiedRep:
         if p.is_zero():
             raise ZeroSatakeParameter("cannot invert a zero Satake parameter")
         inverted.append(p ** -1)
-    return UnramifiedRep(rep.rank, inverted, rep.trivial_central)
-
-
-def central_substitution(rep: UnramifiedRep) -> dict[str, LaurentPoly]:
-    """Substitution realizing a trivial central character on symbolic data.
-
-    Maps the last parameter's variable to the inverse of the product of the
-    others.  Requires all parameters to be distinct plain variables.
-    """
-    names = []
-    for p in rep.satake:
-        if not p.is_unit():
-            raise ValueError("central substitution needs nonzero parameters")
-        ((mon, c),) = p.terms.items()
-        if c != 1 or len(mon.exps) != 1 or mon.exps[0][1] != 1:
-            raise ValueError("central substitution needs plain variable parameters")
-        names.append(mon.exps[0][0])
-    if len(set(names)) != len(names):
-        raise ValueError("central substitution needs distinct variables")
-    inv = LaurentPoly.one()
-    for name in names[:-1]:
-        inv = inv * LaurentPoly.var(name, -1)
-    return {names[-1]: inv}
+    return UnramifiedRep(rep.rank, inverted)
 
 
 def _smallest_prime_factor(p) -> int:
@@ -313,21 +228,16 @@ def congruence_index_bruteforce(n: int, p: int, m: int) -> int:
     return full // sub
 
 
-def character_sum(p: Union[int, str], m: int, valuations: Sequence[int],
-                  d_v: int = 0) -> LaurentPoly:
+def character_sum(p: Union[int, str], m: int, valuations: Sequence[int]) -> LaurentPoly:
     """Sum of the additive character over a box of level-m residues.
 
     For each coordinate the character beta -> psi(u_i * beta) is summed
     over beta in m^(-m)o / o, where u_i has the given valuation.  By
     orthogonality the sum is p^m per coordinate when the coordinate
     character is trivial (valuation >= m) and 0 otherwise, hence p^(r*m)
-    or 0 overall.  Requires conductor zero.
+    or 0 overall.  The character psi has conductor zero.
     """
     p = _validate_p(p)
-    if d_v != 0:
-        raise UnsupportedConductor(
-            f"character sums are only implemented for conductor 0, got d_v={d_v}"
-        )
     if not isinstance(m, int) or m < 0:
         raise ValueError(f"level exponent must be a nonnegative int, got {m!r}")
     vals = [int(v) for v in valuations]

@@ -25,8 +25,8 @@ class CheckResult:
     id: str
     description: str
     status: str
-    witness: str | None = None
-    millis: int | None = None
+    witness: str | None
+    millis: int
 
     @property
     def passed(self) -> bool:

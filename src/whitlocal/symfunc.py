@@ -62,13 +62,6 @@ class Partition:
     def __iter__(self) -> Iterator[int]:
         return iter(self.parts)
 
-    def to_json_obj(self) -> list[int]:
-        return list(self.parts)
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "Partition":
-        return cls(obj)
-
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
@@ -281,22 +274,20 @@ def schur_bialternant_oracle(lam: Partition, names: Sequence[str]) -> LaurentPol
     return numerator
 
 
-def cauchy_product_side(n: int, m: int, var: str,
-                        a_prefix: str = "a", b_prefix: str = "b") -> exactalg.RationalFunction:
+def cauchy_product_side(n: int, m: int, var: str) -> exactalg.RationalFunction:
     """The closed product form 1 / prod_{i,j} (1 - a_i b_j t)."""
     t = LaurentPoly.var(var)
     den = LaurentPoly.one()
     for i in range(1, n + 1):
         for j in range(1, m + 1):
-            den = den * (LaurentPoly.one() - LaurentPoly.var(f"{a_prefix}{i}") * LaurentPoly.var(f"{b_prefix}{j}") * t)
+            den = den * (LaurentPoly.one() - LaurentPoly.var(f"a{i}") * LaurentPoly.var(f"b{j}") * t)
     return exactalg.RationalFunction(1, den)
 
 
-def cauchy_schur_side(n: int, m: int, var: str, order: int,
-                      a_prefix: str = "a", b_prefix: str = "b") -> exactalg.TruncatedSeries:
+def cauchy_schur_side(n: int, m: int, var: str, order: int) -> exactalg.TruncatedSeries:
     """The Schur expansion sum_lam s_lam(a) s_lam(b) t^|lam| up to the order."""
-    avals = [LaurentPoly.var(f"{a_prefix}{i}") for i in range(1, n + 1)]
-    bvals = [LaurentPoly.var(f"{b_prefix}{j}") for j in range(1, m + 1)]
+    avals = [LaurentPoly.var(f"a{i}") for i in range(1, n + 1)]
+    bvals = [LaurentPoly.var(f"b{j}") for j in range(1, m + 1)]
     coeffs = [LaurentPoly.zero() for _ in range(order + 1)]
     for w in range(order + 1):
         for lam in partitions_of(w, min(n, m)):

@@ -30,10 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .exactalg import LaurentPoly, qpow
-from .localrep import LocalFieldData, RankMismatch, UnramifiedRep, UnsupportedConductor
+from .localrep import RankMismatch, UnramifiedRep
 from .symfunc import Partition, schur
 
 
@@ -64,9 +64,6 @@ class TorusCocharacter:
     def reversed_negated(self) -> "TorusCocharacter":
         """The exponent vector of w0 * g^(-1) * w0 for diagonal g."""
         return TorusCocharacter(tuple(-e for e in reversed(self.exps)))
-
-    def shifted(self, c: int) -> "TorusCocharacter":
-        return TorusCocharacter(tuple(e + c for e in self.exps))
 
     def __iter__(self):
         return iter(self.exps)
@@ -137,18 +134,14 @@ def twist_constants(rank: int, m: int) -> tuple[LaurentPoly, LaurentPoly]:
     return qpow((rank - 2) * m), qpow((rank - 1) * m)
 
 
-def twisted_value(rep: UnramifiedRep, mu, m: int,
-                  field: LocalFieldData | None = None) -> LaurentPoly:
+def twisted_value(rep: UnramifiedRep, mu, m: int) -> LaurentPoly:
     """Torus value of the level-m twisted Whittaker vector.
 
     mu has length rank-1; the value lives at the embedded point (mu, 0).
     Vanishes unless mu_(rank-1) >= m; otherwise equals the spherical value
-    at (mu, 0) times the orthogonality constant.  Conductor 0 only.
+    at (mu, 0) times the orthogonality constant.  The additive character
+    has conductor 0.
     """
-    if field is not None and field.d_v != 0:
-        raise UnsupportedConductor(
-            f"twisted vectors are only implemented for conductor 0, got d_v={field.d_v}"
-        )
     mu = _coerce_cochar(mu)
     n = rep.rank
     if mu.length != n - 1:
@@ -165,8 +158,4 @@ def twisted_value(rep: UnramifiedRep, mu, m: int,
     base = spherical_value(rep, mu.padded(1))
     if base.is_zero():
         return base
-    if field is not None and isinstance(field.p, int):
-        factor = field.ppow((n - 1) * m)
-    else:
-        factor = qpow((n - 1) * m)
-    return factor * base
+    return qpow((n - 1) * m) * base

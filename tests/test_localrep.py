@@ -11,12 +11,9 @@ from whitlocal import (
     ENUMERATION_LIMIT,
     EnumerationTooLarge,
     LaurentPoly,
-    LocalFieldData,
     RankMismatch,
     UnramifiedRep,
-    UnsupportedConductor,
     ZeroSatakeParameter,
-    central_substitution,
     character_sum,
     character_sum_numeric,
     congruence_index,
@@ -26,26 +23,6 @@ from whitlocal import (
     qpow,
 )
 from whitlocal.localrep import MAX_RESIDUE_CARDINALITY
-
-
-class TestLocalFieldData:
-    def test_defaults_are_symbolic(self):
-        field = LocalFieldData()
-        assert field.ppow(2) == qpow(2)
-        assert field.ppow(Fraction(1, 2)) == qpow(Fraction(1, 2))
-
-    def test_numeric_powers(self):
-        field = LocalFieldData(3)
-        assert field.ppow(2).as_fraction() == 9
-        assert field.ppow(-1).as_fraction() == Fraction(1, 3)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LocalFieldData(1)
-        with pytest.raises(ValueError):
-            LocalFieldData("x")
-        with pytest.raises(ValueError):
-            LocalFieldData(2, d_v=-1)
 
 
 class TestUnramifiedRep:
@@ -67,27 +44,6 @@ class TestUnramifiedRep:
         with pytest.raises(ValueError):
             UnramifiedRep(1, [LaurentPoly.var("a1") + LaurentPoly.one()])
 
-    def test_trivial_central_enforced_numerically(self):
-        UnramifiedRep(2, [2, Fraction(1, 2)], trivial_central=True)
-        with pytest.raises(ValueError):
-            UnramifiedRep(2, [2, 1], trivial_central=True)
-
-    def test_json_round_trip(self):
-        rep = UnramifiedRep(2, [Fraction(3, 2), LaurentPoly.var("a2")], False)
-        assert UnramifiedRep.from_json_obj(rep.to_json_obj()).satake == rep.satake
-
-    def test_central_substitution(self):
-        rep = UnramifiedRep.symbolic(3, "a", trivial_central=True)
-        subst = central_substitution(rep)
-        prod = rep.satake_product()
-        for name, value in subst.items():
-            prod = prod.substitute(name, value)
-        assert prod == LaurentPoly.one()
-
-    def test_central_substitution_needs_plain_variables(self):
-        rep = UnramifiedRep(2, [2, 3])
-        with pytest.raises(ValueError):
-            central_substitution(rep)
 
 
 class TestHeckeEigenvalue:
@@ -107,16 +63,6 @@ class TestHeckeEigenvalue:
                 hecke_eigenvalue(rep, 1) * hecke_eigenvalue(rep, k - 1)
                 - e2 * hecke_eigenvalue(rep, k - 2)
             )
-
-    def test_classical_normalization(self):
-        rep = UnramifiedRep.symbolic(2)
-        assert hecke_eigenvalue(rep, 1, classical=True) == (
-            hecke_eigenvalue(rep, 1) * qpow(Fraction(1, 2))
-        )
-        rep3 = UnramifiedRep.symbolic(3)
-        assert hecke_eigenvalue(rep3, 2, classical=True) == (
-            hecke_eigenvalue(rep3, 2) * qpow(2)
-        )
 
 
 class TestContragredient:
@@ -206,10 +152,6 @@ class TestCharacterSum:
     def test_nonnegative_valuations_required(self):
         with pytest.raises(ValueError):
             character_sum(3, 1, (-1,))
-
-    def test_ramified_character_unsupported(self):
-        with pytest.raises(UnsupportedConductor):
-            character_sum(3, 1, (1,), d_v=1)
 
     @settings(max_examples=60)
     @given(

@@ -43,15 +43,15 @@ def test_suite_status_aggregation():
     assert report.status == "fail"
     assert [c.id for c in report.failures()] == ["bad"]
     all_good = SuiteReport("ok")
-    all_good.add(CheckResult("x", "", "pass"))
+    all_good.add(CheckResult("x", "", "pass", None, 0))
     assert all_good.passed and all_good.status == "pass"
 
 
 def test_merge_prefixes_and_sorts():
     r1 = SuiteReport("beta")
-    r1.add(CheckResult("z", "", "pass"))
+    r1.add(CheckResult("z", "", "pass", None, 0))
     r2 = SuiteReport("alpha")
-    r2.add(CheckResult("y", "", "fail", witness="w"))
+    r2.add(CheckResult("y", "", "fail", "w", 0))
     merged = merge_reports("all", [r1, r2])
     assert [c.id for c in merged.checks] == ["alpha/y", "beta/z"]
     assert merged.status == "fail"

@@ -57,10 +57,6 @@ class TestPartition:
         assert lam.part(9) == 0
         assert lam.padded(5) == (4, 2, 1, 0, 0)
 
-    def test_json_round_trip(self):
-        lam = Partition((3, 3, 1))
-        assert Partition.from_json_obj(lam.to_json_obj()) == lam
-
 
 class TestEnumeration:
     def test_lex_descending_order(self):

@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 
 from whitlocal import (
     LaurentPoly,
-    LocalFieldData,
     Partition,
     RankMismatch,
     TorusCocharacter,
     UnramifiedRep,
-    UnsupportedConductor,
     contragredient,
     contragredient_value,
     delta_half,
@@ -41,9 +39,6 @@ class TestTorusCocharacter:
         mu = TorusCocharacter((2, 1))
         assert mu.padded(1).exps == (2, 1, 0)
         assert mu.reversed_negated().exps == (-1, -2)
-
-    def test_shifted(self):
-        assert TorusCocharacter((2, 1)).shifted(-1).exps == (1, 0)
 
 
 class TestDeltaHalf:
@@ -108,7 +103,7 @@ class TestSphericalValue:
         assert got == want
 
     def test_numeric_parameters(self):
-        rep = UnramifiedRep(2, [2, Fraction(1, 2)], trivial_central=True)
+        rep = UnramifiedRep(2, [2, Fraction(1, 2)])
         got = spherical_value(rep, TorusCocharacter((1, 0)))
         assert got == qpow(Fraction(-1, 2)) * Fraction(5, 2)
 
@@ -171,18 +166,6 @@ class TestTwistedValue:
         mu = TorusCocharacter((2, 1))
         got = twisted_value(rep, mu, 1)
         assert got == qpow(2) * spherical_value(rep, mu.padded(1))
-
-    def test_numeric_field(self):
-        rep = UnramifiedRep.symbolic(2)
-        mu = TorusCocharacter((1,))
-        got = twisted_value(rep, mu, 1, field=LocalFieldData(5))
-        want = LaurentPoly.const(5) * spherical_value(rep, mu.padded(1))
-        assert got == want
-
-    def test_ramified_additive_character_unsupported(self):
-        rep = UnramifiedRep.symbolic(2)
-        with pytest.raises(UnsupportedConductor):
-            twisted_value(rep, TorusCocharacter((1,)), 1, field=LocalFieldData(2, d_v=1))
 
     def test_rank_mismatch(self):
         rep = UnramifiedRep.symbolic(3)
