@@ -52,7 +52,15 @@ from .localrep import (
 )
 from .report import SuiteReport, run_check
 from .symfunc import Partition, partitions_of, schur
-from .whittaker import TorusCocharacter, delta_half, spherical_value, twist_constants, twisted_value
+from .whittaker import (
+    TorusCocharacter,
+    delta_half,
+    shared_schur,
+    shared_schur_values,
+    spherical_value,
+    twist_constants,
+    twisted_value,
+)
 
 PLACE_UNRAMIFIED = "unramified"
 PLACE_DIVIDING_L = "dividing_l"
@@ -190,7 +198,9 @@ def local_zeta_unramified(rep_a: UnramifiedRep, rep_b: UnramifiedRep,
     rep_a has rank one more than rep_b.  Each lattice term is built from
     the two spherical values, the inverse modulus of the smaller group, and
     the measure factor; the collapse of all residue-cardinality powers to a
-    product of Schur values is asserted exactly, term by term.
+    product of Schur values is asserted exactly, term by term.  The spherical
+    values and that product share their Schur values, so each is evaluated
+    once and the assertion tests the modulus bookkeeping.
     """
     n = rep_b.rank
     if rep_a.rank != n + 1:
@@ -202,20 +212,21 @@ def local_zeta_unramified(rep_a: UnramifiedRep, rep_b: UnramifiedRep,
         raise ValueError("series order must be nonnegative")
     coeffs = [LaurentPoly.zero() for _ in range(order + 1)]
     lattice = 0
-    for k in range(order + 1):
-        for lam in partitions_of(k, n):
-            mu = TorusCocharacter(lam.padded(n))
-            wa = spherical_value(rep_a, TorusCocharacter(lam.padded(n + 1)))
-            wb = spherical_value(rep_b, mu)
-            term = wa * wb * delta_half(mu) ** -2 * qpow(Fraction(k, 2))
-            expected = schur(lam, rep_a.satake) * schur(lam, rep_b.satake)
-            if term != expected:
-                raise ArithmeticError(
-                    f"modulus bookkeeping failed to collapse at mu={mu}: "
-                    f"{term.to_text()} != {expected.to_text()}"
-                )
-            coeffs[k] = coeffs[k] + term
-            lattice += 1
+    with shared_schur_values():
+        for k in range(order + 1):
+            for lam in partitions_of(k, n):
+                mu = TorusCocharacter(lam.padded(n))
+                wa = spherical_value(rep_a, TorusCocharacter(lam.padded(n + 1)))
+                wb = spherical_value(rep_b, mu)
+                term = wa * wb * delta_half(mu) ** -2 * qpow(Fraction(k, 2))
+                expected = shared_schur(lam, rep_a.satake) * shared_schur(lam, rep_b.satake)
+                if term != expected:
+                    raise ArithmeticError(
+                        f"modulus bookkeeping failed to collapse at mu={mu}: "
+                        f"{term.to_text()} != {expected.to_text()}"
+                    )
+                coeffs[k] = coeffs[k] + term
+                lattice += 1
     closed = local_l_factor(rep_a, rep_b, var) if build_closed_form else None
     return ZetaResult(TruncatedSeries(var, coeffs), closed, lattice)
 
@@ -326,22 +337,24 @@ def weight_at_l(rep_mid: UnramifiedRep, rep_small: UnramifiedRep, m: int,
     direct = [LaurentPoly.zero() for _ in range(order + 1)]
     lattice = 0
     base_weight = (n - 1) * m
-    for k in range(base_weight, order + 1):
-        for lam in partitions_of(k - base_weight, n - 1):
-            mu = TorusCocharacter(tuple(p + m for p in lam.padded(n - 1)))
-            tv = twisted_value(rep_mid, mu, m)
-            wb = spherical_value(rep_small, mu)
-            term = prefactor * tv * wb * delta_half(mu) ** -2 * qpow(Fraction(k, 2))
-            expected = schur(Partition(mu.exps), rep_mid.satake) * schur(
-                Partition(mu.exps), rep_small.satake
-            )
-            if term != expected:
-                raise ArithmeticError(
-                    f"constants failed to cancel at mu={mu}: "
-                    f"{term.to_text()} != {expected.to_text()}"
+    with shared_schur_values():
+        for k in range(base_weight, order + 1):
+            for lam in partitions_of(k - base_weight, n - 1):
+                mu = TorusCocharacter(tuple(p + m for p in lam.padded(n - 1)))
+                tv = twisted_value(rep_mid, mu, m)
+                wb = spherical_value(rep_small, mu)
+                term = prefactor * tv * wb * delta_half(mu) ** -2 * qpow(Fraction(k, 2))
+                parts = Partition(mu.exps)
+                expected = shared_schur(parts, rep_mid.satake) * shared_schur(
+                    parts, rep_small.satake
                 )
-            direct[k] = direct[k] + term
-            lattice += 1
+                if term != expected:
+                    raise ArithmeticError(
+                        f"constants failed to cancel at mu={mu}: "
+                        f"{term.to_text()} != {expected.to_text()}"
+                    )
+                direct[k] = direct[k] + term
+                lattice += 1
     direct_series = TruncatedSeries(var, direct)
 
     # regrouped enumeration: fix the last coordinate nu >= m, split mu = a + nu*1

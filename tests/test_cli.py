@@ -1,16 +1,21 @@
 """Command line behavior: formats, exit codes, determinism."""
 
+import concurrent.futures
 import csv
 import io
 import json
+import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 
 import pytest
 
-from whitlocal import LaurentPoly, UnramifiedRep, local_zeta_unramified
+from whitlocal import LaurentPoly, UnramifiedRep, cli, local_zeta_unramified
 from whitlocal.cli import main
+from whitlocal.report import CheckResult, SuiteReport, report_to_json
+from whitlocal.suites import SuiteConfig
 
 
 def run_cli(*argv, capsys=None):
@@ -85,12 +90,87 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("params", "--n", "2", "--s", "1/0", "--w", "1"),
+        ("params", "--n", "2", "--s", "1", "--w", "3/0"),
+    ])
+    def test_zero_denominator_is_invalid_input(self, argv, capsys):
+        code, out, err = run_cli(*argv, capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_contract_holds_in_a_process(self):
         proc = run_process("index", "--n", "2", "--p", "4", "--level", "1", "--bruteforce")
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
+
+
+def _stub_suite(cfg):
+    report = SuiteReport("stub")
+    report.add(CheckResult(f"stub/seed={cfg.seed}", "stub check", "pass", None, 0))
+    return report
+
+
+class RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        RecordingExecutor.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+class TestJobs:
+    @pytest.fixture
+    def executor(self, monkeypatch):
+        RecordingExecutor.sizes = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        # five cheap suites stand in for the listed ones
+        monkeypatch.setattr(cli, "SUITES", {f"stub{i}": _stub_suite for i in range(5)})
+        return RecordingExecutor.sizes
+
+    @pytest.mark.parametrize("jobs, workers", [("2", 2), ("5", 5), ("6", 5), ("100000", 5)])
+    def test_worker_count_is_capped_by_the_suites(self, executor, jobs, workers, capsys):
+        code, out, _ = run_cli("verify", "--suite", "all", "--jobs", jobs, capsys=capsys)
+        assert code == 0
+        assert executor == [workers]
+        assert len(json.loads(out)["checks"]) == 5
+
+    @pytest.mark.parametrize("suite, jobs", [("all", "1"), ("stub0", "4")])
+    def test_in_process_runs_construct_no_executor(self, executor, suite, jobs, capsys):
+        code, _, _ = run_cli("verify", "--suite", suite, "--jobs", jobs, capsys=capsys)
+        assert code == 0
+        assert executor == []
+
+    def test_workers_need_no_inherited_state(self):
+        # a spawned worker starts from a fresh import, so this fails if the
+        # task relied on anything a forked worker would inherit
+        cfg = SuiteConfig(n_max=3)
+        ctx = multiprocessing.get_context("spawn")
+        with concurrent.futures.ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
+            report = pool.submit(cli._run_suite, "weyl", cfg).result(timeout=120)
+        assert report_to_json(report) == report_to_json(cli._run_suite("weyl", cfg))
+
+    def test_worker_task_pickles(self):
+        task = (cli._run_suite, "weyl", SuiteConfig(n_max=3, seed=5))
+        fn, name, cfg = pickle.loads(pickle.dumps(task))
+        assert fn is cli._run_suite
+        assert cfg == task[2]
+        report = fn(name, cfg)
+        assert pickle.loads(pickle.dumps(report)) == report
+        assert report.passed
 
 
 class TestEmitFormats:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from whitlocal import symfunc, whittaker, zeta
 from whitlocal import (
     LaurentPoly,
     RankMismatch,
@@ -80,6 +81,55 @@ class TestLocalZeta:
     def test_collision_guard(self):
         with pytest.raises(SymbolCollision):
             local_zeta_unramified(UnramifiedRep.symbolic(2), UnramifiedRep.symbolic(1))
+
+
+def _count_schur(monkeypatch, *modules):
+    """Record the (partition, values) of every schur call made through modules."""
+    seen = []
+
+    def counting(lam, xs):
+        seen.append((lam, tuple(xs)))
+        return symfunc.schur(lam, xs)
+
+    for module in modules:
+        monkeypatch.setattr(module, "schur", counting)
+    return seen
+
+
+class TestSharedSchurValues:
+    def test_zeta_evaluates_each_schur_value_once(self, monkeypatch):
+        seen = _count_schur(monkeypatch, whittaker, zeta)
+        rep_a, rep_b = _reps(1)
+        result = local_zeta_unramified(rep_a, rep_b, order=3)
+        # lattice points (k), k = 0..3, need s_(k)(alpha) and s_(k)(beta);
+        # the spherical value of beta at (k) adds nothing new: s_()(beta) * beta^k
+        assert result.lattice_points == 4
+        assert len(seen) == len(set(seen)) == 8
+
+    def test_weight_at_l_direct_sum_evaluates_each_schur_value_once(self, monkeypatch):
+        # only the direct enumeration goes through whittaker; the regrouped
+        # route keeps its own schur calls as the independent comparison
+        seen = _count_schur(monkeypatch, whittaker)
+        result = weight_at_l(UnramifiedRep.symbolic(3, "b"), UnramifiedRep.symbolic(2, "g"),
+                             1, order=4)
+        assert result.lattice_points == 4
+        assert seen and len(seen) == len(set(seen))
+
+    def test_memo_lives_only_inside_the_lattice_sum(self, monkeypatch):
+        seen = _count_schur(monkeypatch, whittaker)
+        rep_a, rep_b = _reps(1)
+        local_zeta_unramified(rep_a, rep_b, order=2)
+        assert whittaker._SHARED_SCHUR.get() is None
+        seen.clear()
+        for _ in range(2):
+            whittaker.spherical_value(rep_a, (2, 0))
+        assert len(seen) == 2
+
+    def test_check_still_tests_the_modulus_bookkeeping(self, monkeypatch):
+        monkeypatch.setattr(zeta, "qpow", lambda e: qpow(e + Fraction(1, 2)))
+        rep_a, rep_b = _reps(1)
+        with pytest.raises(ArithmeticError, match="modulus bookkeeping"):
+            local_zeta_unramified(rep_a, rep_b, order=2)
 
 
 class TestWeightUnramified:
