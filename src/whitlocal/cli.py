@@ -1,7 +1,10 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 when a verification suite reports a failure
-(the report is still emitted), 2 on invalid input.  All output is
+(the report is still emitted), 2 on invalid input, 3 when an internal
+arithmetic check fails outside ``verify`` (an ``ArithmeticError`` such as a
+lattice term that does not collapse: a fault in the program, not in its
+input; ``verify`` reports such a check as an error and exits 1).  All output is
 deterministic for a fixed command line; timings are opt-in because they
 would break byte-for-byte reproducibility.  ``verify --suite all --jobs N``
 runs the suites in up to N worker processes and merges their reports by
@@ -452,6 +455,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

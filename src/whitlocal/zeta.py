@@ -36,6 +36,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .exactalg import (
+    RESIDUE_CARDINALITY_VAR,
     LaurentPoly,
     RationalFunction,
     TruncatedSeries,
@@ -152,11 +153,16 @@ class WeightResult:
 
 
 def _check_symbols(rep_a: UnramifiedRep, rep_b: UnramifiedRep, var: str) -> None:
+    if var == RESIDUE_CARDINALITY_VAR:
+        raise SymbolCollision(
+            f"{var!r} is the residue cardinality and cannot be the series variable"
+        )
+    LaurentPoly.var(var)  # interning refuses a name outside the identifier grammar
     va, vb = rep_a.variables(), rep_b.variables()
     shared = va & vb
     if shared:
         raise SymbolCollision(f"representations share symbols {sorted(shared)}")
-    for bad in (var, "q"):
+    for bad in (var, RESIDUE_CARDINALITY_VAR):
         if bad in va or bad in vb:
             raise SymbolCollision(
                 f"{bad!r} is reserved and cannot be a Satake symbol here"

@@ -10,10 +10,13 @@ import pickle
 import subprocess
 import sys
 
+from fractions import Fraction
+
 import pytest
 
-from whitlocal import LaurentPoly, UnramifiedRep, cli, local_zeta_unramified
+from whitlocal import LaurentPoly, UnramifiedRep, cli, local_zeta_unramified, qpow, zeta
 from whitlocal.cli import main
+from whitlocal.exactalg import EXPONENT_LIMIT
 from whitlocal.report import CheckResult, SuiteReport, report_to_json
 from whitlocal.suites import SuiteConfig
 
@@ -100,12 +103,60 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [
+        ("zeta", "--n", "1", "--order", "2", "--var", "q"),
+        ("lfactor", "--rank-a", "2", "--rank-b", "1", "--var", "q"),
+        ("weight", "--place", "l", "--n", "2", "--level", "1", "--order", "2", "--var", "q"),
+        ("zeta", "--n", "1", "--order", "2", "--var", "3x"),
+        ("lfactor", "--rank-a", "2", "--rank-b", "1", "--var", "x*y"),
+        # rank product 20 > 16: the path that builds no closed form
+        ("zeta", "--n", "4", "--order", "1", "--var", "x*y"),
+        ("weight", "--place", "l", "--n", "2", "--level", "1", "--order", "2", "--var", "3x"),
+    ])
+    def test_series_variable_contract(self, argv, capsys):
+        code, out, err = run_cli(*argv, capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_exponent_field_bound(self, capsys):
+        code, out, _ = run_cli("whittaker", "--n", "1", "--mu", str(EXPONENT_LIMIT),
+                               capsys=capsys)
+        assert code == 0
+        assert json.loads(out)["value"] == f"a1^{EXPONENT_LIMIT}"
+        code, out, err = run_cli("whittaker", "--n", "1", "--mu", str(EXPONENT_LIMIT + 1),
+                                 capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "'a1'" in err
+
     def test_contract_holds_in_a_process(self):
         proc = run_process("index", "--n", "2", "--p", "4", "--level", "1", "--bruteforce")
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
+
+
+class TestInternalCheckFailure:
+    @pytest.fixture
+    def shifted_qpow(self, monkeypatch):
+        # a kernel fault: every lattice term picks up a stray q^(1/2)
+        monkeypatch.setattr(zeta, "qpow", lambda e: qpow(e + Fraction(1, 2)))
+
+    def test_command_exits_three(self, shifted_qpow, capsys):
+        code, out, err = run_cli("zeta", "--n", "2", "--order", "2", capsys=capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: internal check failed: modulus bookkeeping")
+        assert "Traceback" not in err
+
+    def test_verify_reports_an_error_and_exits_one(self, shifted_qpow, capsys):
+        code, out, _ = run_cli("verify", "--suite", "unramified", "--order", "2",
+                               capsys=capsys)
+        assert code == 1
+        statuses = {c["status"] for c in json.loads(out)["checks"]}
+        assert statuses == {"error"}
 
 
 def _stub_suite(cfg):
