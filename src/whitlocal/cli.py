@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -45,6 +46,11 @@ JOBS_ENV = "WHITLOCAL_JOBS"
 # full polynomial expansion of an L-factor denominator has 2^(rank product)
 # terms, so the closed-form paths are capped
 MAX_CLOSED_FORM_FACTORS = 16
+
+# a Whittaker value at rank n is a Schur value s_lam with lam = mu - min(mu),
+# which has at most C(|lam| + n - 1, n - 1) terms; the cap keeps the worst
+# admitted value under about a second (README "Scope")
+MAX_WHITTAKER_TERMS = 10_000
 
 
 @dataclass(frozen=True)
@@ -180,6 +186,16 @@ def _cmd_lfactor(cfg: RunConfig) -> dict:
 
 
 def _cmd_whittaker(cfg: RunConfig) -> dict:
+    # the point evaluated: mu, its reversed negation for --dual, (mu, 0) for --level
+    point = cfg.mu + (0,) * (cfg.level is not None)
+    if cfg.dual:
+        point = tuple(-e for e in point)
+    degree = sum(point) - len(point) * min(point)
+    terms = math.comb(degree + len(point) - 1, len(point) - 1)
+    if terms > MAX_WHITTAKER_TERMS:
+        raise ValueError(
+            f"the value may have up to {terms} terms, over the cap {MAX_WHITTAKER_TERMS}"
+        )
     rep = UnramifiedRep.symbolic(cfg.n, "a")
     payload: dict = {"rank": cfg.n, "cocharacter": list(cfg.mu)}
     if cfg.level is None:

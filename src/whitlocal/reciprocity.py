@@ -11,23 +11,23 @@ the two linear exponent identities
     s' + w' - 1  = s + w - 1,
 
 which is exactly what makes the two normalized integral sides trade places.
-All of this is verified here over exact polynomials in the symbols s, w,
-never numerically.
+The ``involution`` suite checks all of this over exact polynomials in the
+symbols s, w, never numerically.
 
 The matrix side lives on (n+1) x (n+1) symbolic matrices: the order-two
 Weyl element that swaps the last two coordinates conjugates the column of
 unipotents above coordinate n into the column above coordinate n+1, and a
-cusp-invariance step factors a scaled block diagonal through that element.
+cusp-invariance step factors a scaled block diagonal through that element;
+the ``weyl`` and ``cusp`` suites check both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .exactalg import LaurentPoly
-from .report import SuiteReport, run_check
 
 S_VAR = "s"
 W_VAR = "w"
@@ -72,77 +72,6 @@ def dual_params(pair: ParamPair) -> ParamPair:
     s_new = (one + (n - 1) * w - s) / n
     w_new = ((n + 1) * s + w - one) / n
     return ParamPair(s_new, w_new, n)
-
-
-def verify_involution_and_exponents(
-    n: int, dual: Callable[[ParamPair], ParamPair] = dual_params
-) -> SuiteReport:
-    """Machine-check the transform for one rank parameter, fully symbolically.
-
-    Checks the two exponent identities, the involution property, the fixed
-    point at (1/2, 1/2), and for n = 2 the classical closed form.  The
-    ``dual`` hook exists so tests can feed a perturbed transform and watch
-    the checks fail.
-    """
-    report = SuiteReport("involution")
-    pair = ParamPair.symbolic(n)
-    image = dual(pair)
-    s, w = pair.s, pair.w
-    half = Fraction(1, 2)
-
-    def check_exponent_first() -> tuple[bool, str | None]:
-        lhs = n * (image.s - half)
-        rhs = n * (half - s) + (n - 1) * (s + w - 1)
-        return lhs == rhs, f"{lhs.to_text()} != {rhs.to_text()}"
-
-    def check_exponent_second() -> tuple[bool, str | None]:
-        lhs = image.s + image.w - 1
-        rhs = s + w - 1
-        return lhs == rhs, f"{lhs.to_text()} != {rhs.to_text()}"
-
-    def check_involution() -> tuple[bool, str | None]:
-        twice = dual(image)
-        ok = twice.s == s and twice.w == w
-        return ok, f"double image is {twice}"
-
-    def check_fixed_point() -> tuple[bool, str | None]:
-        fp = dual(ParamPair(half, half, n))
-        ok = fp.s == LaurentPoly.const(half) and fp.w == LaurentPoly.const(half)
-        return ok, f"image of (1/2, 1/2) is {fp}"
-
-    report.add(run_check(
-        f"n={n:02d}/exponent-balance",
-        "first exponent identity n(s'-1/2) = n(1/2-s) + (n-1)(s+w-1)",
-        check_exponent_first,
-    ))
-    report.add(run_check(
-        f"n={n:02d}/exponent-sum",
-        "second exponent identity s'+w'-1 = s+w-1",
-        check_exponent_second,
-    ))
-    report.add(run_check(
-        f"n={n:02d}/involution",
-        "applying the transform twice is the identity",
-        check_involution,
-    ))
-    report.add(run_check(
-        f"n={n:02d}/fixed-point",
-        "(1/2, 1/2) is fixed",
-        check_fixed_point,
-    ))
-    if n == 2:
-        def check_rank2_form() -> tuple[bool, str | None]:
-            want_s = (1 + w - s) / 2
-            want_w = (3 * s + w - 1) / 2
-            ok = image.s == want_s and image.w == want_w
-            return ok, f"got {image}"
-
-        report.add(run_check(
-            "n=02/rank2-closed-form",
-            "n = 2 reproduces s' = (1+w-s)/2, w' = (3s+w-1)/2",
-            check_rank2_form,
-        ))
-    return report
 
 
 class SymbolicMatrix:
@@ -251,97 +180,3 @@ def column_unipotent(size: int, col: int, names: Sequence[str]) -> SymbolicMatri
     for i, name in enumerate(names):
         rows[i][col - 1] = LaurentPoly.var(name)
     return SymbolicMatrix(rows)
-
-
-def weyl_conjugation_identity(n: int) -> SuiteReport:
-    """Check that the swap element carries one unipotent column to the other.
-
-    With u_mid the column of n-1 symbols above coordinate n and u_last the
-    same column above coordinate n+1, conjugation by the swap element sends
-    u_mid to u_last; the element squares to the identity.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    report = SuiteReport("weyl")
-    size = n + 1
-    names = [f"u{i}" for i in range(1, n)]
-    w = swap_last_two(size)
-    u_mid = column_unipotent(size, n, names)
-    u_last = column_unipotent(size, n + 1, names)
-
-    report.add(run_check(
-        f"n={n:02d}/conjugation",
-        "swap element conjugates the middle-column unipotent to the last column",
-        lambda: (w * u_mid * w == u_last, f"{w * u_mid * w} != {u_last}"),
-    ))
-    report.add(run_check(
-        f"n={n:02d}/square",
-        "the swap element squares to the identity",
-        lambda: (w * w == SymbolicMatrix.identity(size), f"{w * w}"),
-    ))
-    return report
-
-
-def cusp_invariance_factorization(n: int) -> SuiteReport:
-    """Check the factorization that moves a central scaling past the swap.
-
-    With H a generic (n-1) x (n-1) symbolic block and u an invertible
-    scalar, the claim is
-
-        diag(u*H, u, 1) = (u * Id) * swap * diag(H, u^(-1), 1) * swap,
-
-    checked entrywise, together with the two intermediate regroupings and
-    the u = 1 specialization.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    report = SuiteReport("cusp")
-    size = n + 1
-    u = LaurentPoly.var("u")
-    u_inv = LaurentPoly.var("u", -1)
-    h_block = SymbolicMatrix([
-        [LaurentPoly.var(f"h{i}_{j}") for j in range(1, n)] for i in range(1, n)
-    ])
-    scaled_h = SymbolicMatrix([[u * e for e in row] for row in h_block.rows])
-    lhs = SymbolicMatrix.block_diag(scaled_h, u, 1)
-    w = swap_last_two(size)
-    central = SymbolicMatrix.scalar(size, u)
-    inner = SymbolicMatrix.block_diag(h_block, u_inv, 1)
-    rhs = central * w * inner * w
-
-    report.add(run_check(
-        f"n={n:02d}/regroup-scaling",
-        "diag(u*H, u, 1) equals u * diag(H, 1, u^(-1))",
-        lambda: (
-            lhs == central * SymbolicMatrix.block_diag(h_block, 1, u_inv),
-            f"{lhs} != {central * SymbolicMatrix.block_diag(h_block, 1, u_inv)}",
-        ),
-    ))
-    report.add(run_check(
-        f"n={n:02d}/swap-conjugation",
-        "conjugation by the swap exchanges the last two diagonal entries",
-        lambda: (
-            SymbolicMatrix.block_diag(h_block, 1, u_inv) == w * inner * w,
-            f"{w * inner * w}",
-        ),
-    ))
-    report.add(run_check(
-        f"n={n:02d}/full-factorization",
-        "diag(u*H, u, 1) = (u*Id) * swap * diag(H, u^(-1), 1) * swap",
-        lambda: (lhs == rhs, f"{lhs} != {rhs}"),
-    ))
-
-    def check_unit_specialization() -> tuple[bool, str | None]:
-        one = LaurentPoly.one()
-        lhs1 = lhs.substitute("u", one)
-        rhs1 = rhs.substitute("u", one)
-        plain = SymbolicMatrix.block_diag(h_block, 1, 1)
-        ok = lhs1 == plain and rhs1 == plain
-        return ok, f"u=1 gives {lhs1} and {rhs1}"
-
-    report.add(run_check(
-        f"n={n:02d}/unit-specialization",
-        "both sides collapse to diag(H, 1, 1) at u = 1",
-        check_unit_specialization,
-    ))
-    return report

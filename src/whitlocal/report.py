@@ -1,4 +1,9 @@
-"""Structured pass/fail reports shared by the verification suites.
+"""Running checks, and the pass/fail reports they produce.
+
+A check is an ``(id, description, body)`` entry.  The body takes no
+arguments and returns ``(ok, witness)``: the witness explains a failure
+and is dropped when ``ok`` holds.  ``run_checks`` runs a list of entries in
+order, through ``run_check`` one at a time, into a SuiteReport.
 
 A SuiteReport is a named list of CheckResults.  A check carries a witness
 string exactly when it did not pass, and a millisecond timing that is
@@ -12,7 +17,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 PASS = "pass"
@@ -36,7 +41,7 @@ class CheckResult:
 @dataclass
 class SuiteReport:
     suite: str
-    checks: list[CheckResult] = field(default_factory=list)
+    checks: list[CheckResult]
 
     @property
     def passed(self) -> bool:
@@ -46,14 +51,12 @@ class SuiteReport:
     def status(self) -> str:
         return PASS if self.passed else FAIL
 
-    def add(self, check: CheckResult) -> None:
-        self.checks.append(check)
 
-    def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.passed]
+Body = Callable[[], tuple[bool, str | None]]
+Check = tuple[str, str, Body]
 
 
-def run_check(check_id: str, description: str, fn: Callable[[], tuple[bool, str | None]]) -> CheckResult:
+def run_check(check_id: str, description: str, fn: Body) -> CheckResult:
     """Run one check body and wrap the outcome.
 
     The body returns (ok, witness); raising is recorded as an error with
@@ -74,20 +77,23 @@ def run_check(check_id: str, description: str, fn: Callable[[], tuple[bool, str 
     return CheckResult(check_id, description, status, witness, millis)
 
 
+def run_checks(suite: str, checks: Iterable[Check]) -> SuiteReport:
+    """Run every entry in order and collect the results under the suite name."""
+    return SuiteReport(suite, [run_check(*check) for check in checks])
+
+
 def merge_reports(name: str, reports: Iterable[SuiteReport]) -> SuiteReport:
     """Combine reports into one, prefixing check ids by their suite.
 
     Checks are sorted by the prefixed id so the merged report does not
     depend on completion order when suites run in parallel.
     """
-    merged = SuiteReport(name)
-    for rep in reports:
-        for c in rep.checks:
-            merged.add(
-                CheckResult(f"{rep.suite}/{c.id}", c.description, c.status, c.witness, c.millis)
-            )
-    merged.checks.sort(key=lambda c: c.id)
-    return merged
+    checks = [
+        CheckResult(f"{rep.suite}/{c.id}", c.description, c.status, c.witness, c.millis)
+        for rep in reports
+        for c in rep.checks
+    ]
+    return SuiteReport(name, sorted(checks, key=lambda c: c.id))
 
 
 def report_to_json(report: SuiteReport, include_timings: bool = False) -> str:

@@ -1,8 +1,20 @@
 """Named verification suites behind the command line ``verify`` command.
 
-Each suite returns a SuiteReport.  Suites are deterministic for a fixed
-configuration: randomized checks draw from a seeded generator, and check
-ids are stable strings, so repeated runs emit identical reports.
+This module is the only place that declares checks.  A check is an
+``(id, description, body)`` entry: the body takes no arguments and returns
+``(ok, witness)``.  Each suite builds its list of entries and hands it to
+``report.run_checks``, which runs them in order.
+
+Building an entry does no arithmetic.  Every polynomial or matrix
+operation runs inside a body, so its time lands in that check's
+``millis`` and its exception in that check's status.  A value that several
+bodies share comes from ``functools.cache`` on a small function defined
+inside the suite call; a call that raises stores nothing, so every body
+that needs the value reports the error.
+
+Suites are deterministic for a fixed configuration: randomized checks draw
+from a seeded generator, and check ids are stable strings, so repeated
+runs emit identical reports.
 """
 
 from __future__ import annotations
@@ -10,10 +22,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
-from . import reciprocity, symfunc, zeta
-from .exactalg import LaurentPoly, RationalFunction, qpow
+from .exactalg import LaurentPoly, RationalFunction, qpow, series_expand
 from .localrep import (
     ENUMERATION_LIMIT,
     UnramifiedRep,
@@ -24,9 +36,19 @@ from .localrep import (
     contragredient,
     require_prime_power,
 )
-from .report import CheckResult, SuiteReport, run_check
-from .symfunc import Partition, partitions_up_to, schur, schur_bialternant_oracle
+from .reciprocity import ParamPair, SymbolicMatrix, column_unipotent, dual_params, swap_last_two
+from .report import Body, Check, SuiteReport, run_checks
+from .symfunc import (
+    Partition,
+    cauchy_product_side,
+    cauchy_schur_side,
+    complete_homogeneous,
+    partitions_up_to,
+    schur,
+    schur_bialternant_oracle,
+)
 from .whittaker import TorusCocharacter, contragredient_value, spherical_value
+from .zeta import local_zeta_unramified, weight_at_l, weight_at_q_structural, weight_unramified
 
 
 @dataclass(frozen=True)
@@ -39,68 +61,226 @@ class SuiteConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.order < 0:
+            raise ValueError("series order must be nonnegative")
         # weight-q feeds p to the congruence index, which needs a prime power
         require_prime_power(self.p)
 
 
-def _fold(report: SuiteReport, check_id: str, description: str, sub: SuiteReport) -> None:
-    """Collapse a whole sub-report into a single pass/fail check.
+def _all_pass(checks: list[Check]) -> Body:
+    """One body for a list of entries, run in order.
 
-    The folded check's time is the sum of its sub-checks' times.
+    Its witness is ``"{id}: {witness}"`` of the first entry that fails.  An
+    exception propagates, so the folded check reports ``error``.
     """
-    fails = sub.failures()
-    witness = None
-    if fails:
-        first = fails[0]
-        witness = f"{first.id}: {first.witness}"
-    millis = sum(c.millis for c in sub.checks)
-    report.add(CheckResult(check_id, description, sub.status, witness, millis))
+
+    def body():
+        for check_id, _, fn in checks:
+            ok, witness = fn()
+            if not ok:
+                return False, f"{check_id}: {witness}"
+        return True, None
+
+    return body
 
 
-def _concat(name: str, reports: list[SuiteReport]) -> SuiteReport:
-    """Join reports whose check ids are already distinct, keeping run order."""
-    out = SuiteReport(name)
-    for rep in reports:
-        for c in rep.checks:
-            out.add(c)
-    return out
+def _series_mismatch(lhs_name: str, lhs, rhs_name: str, rhs) -> str | None:
+    """The first coefficient where two series in X differ, or None."""
+    for k, (a, b) in enumerate(zip(lhs.coeffs, rhs.coeffs)):
+        if a != b:
+            return f"X^{k}: {lhs_name} {a.to_text()} != {rhs_name} {b.to_text()}"
+    return None
+
+
+def _involution_checks(n: int, dual) -> list[Check]:
+    # The transform at rank parameter n, over the symbols s, w: the two
+    # exponent identities, the involution property, the fixed point
+    # (1/2, 1/2), and for n = 2 the classical closed form.
+    half = Fraction(1, 2)
+
+    @cache
+    def image():
+        pair = ParamPair.symbolic(n)
+        return pair.s, pair.w, dual(pair)
+
+    def exponent_balance():
+        s, w, im = image()
+        lhs = n * (im.s - half)
+        rhs = n * (half - s) + (n - 1) * (s + w - 1)
+        return lhs == rhs, f"{lhs.to_text()} != {rhs.to_text()}"
+
+    def exponent_sum():
+        s, w, im = image()
+        lhs = im.s + im.w - 1
+        rhs = s + w - 1
+        return lhs == rhs, f"{lhs.to_text()} != {rhs.to_text()}"
+
+    def involution():
+        s, w, im = image()
+        twice = dual(im)
+        return twice.s == s and twice.w == w, f"double image is {twice}"
+
+    def fixed_point():
+        fp = dual(ParamPair(half, half, n))
+        ok = fp.s == LaurentPoly.const(half) and fp.w == LaurentPoly.const(half)
+        return ok, f"image of (1/2, 1/2) is {fp}"
+
+    def rank2_form():
+        s, w, im = image()
+        return im.s == (1 + w - s) / 2 and im.w == (3 * s + w - 1) / 2, f"got {im}"
+
+    checks = [
+        (f"n={n:02d}/exponent-balance",
+         "first exponent identity n(s'-1/2) = n(1/2-s) + (n-1)(s+w-1)", exponent_balance),
+        (f"n={n:02d}/exponent-sum", "second exponent identity s'+w'-1 = s+w-1", exponent_sum),
+        (f"n={n:02d}/involution", "applying the transform twice is the identity", involution),
+        (f"n={n:02d}/fixed-point", "(1/2, 1/2) is fixed", fixed_point),
+    ]
+    if n == 2:
+        checks.append(("n=02/rank2-closed-form",
+                       "n = 2 reproduces s' = (1+w-s)/2, w' = (3s+w-1)/2", rank2_form))
+    return checks
 
 
 def suite_involution(cfg: SuiteConfig) -> SuiteReport:
-    report = SuiteReport("involution")
-    for n in range(2, cfg.n_max + 1):
-        sub = reciprocity.verify_involution_and_exponents(n)
-        _fold(report, f"n={n:02d}", f"parameter transform identities at n={n}", sub)
-    return report
+    return run_checks("involution", [
+        (f"n={n:02d}", f"parameter transform identities at n={n}",
+         _all_pass(_involution_checks(n, dual_params)))
+        for n in range(2, cfg.n_max + 1)
+    ])
+
+
+def _weyl_checks(n: int) -> list[Check]:
+    # The swap element of size n+1 conjugates the column of n-1 unipotent
+    # symbols above coordinate n into the same column above coordinate n+1,
+    # and squares to the identity.
+    size = n + 1
+
+    def conjugation():
+        names = [f"u{i}" for i in range(1, n)]
+        w = swap_last_two(size)
+        got = w * column_unipotent(size, n, names) * w
+        want = column_unipotent(size, n + 1, names)
+        return got == want, f"{got} != {want}"
+
+    def square():
+        w = swap_last_two(size)
+        got = w * w
+        return got == SymbolicMatrix.identity(size), f"{got}"
+
+    return [
+        (f"n={n:02d}/conjugation",
+         "swap element conjugates the middle-column unipotent to the last column", conjugation),
+        (f"n={n:02d}/square", "the swap element squares to the identity", square),
+    ]
 
 
 def suite_weyl(cfg: SuiteConfig) -> SuiteReport:
-    return _concat(
-        "weyl",
-        [reciprocity.weyl_conjugation_identity(n) for n in range(2, min(cfg.n_max, 6) + 1)],
-    )
+    ranks = range(2, min(cfg.n_max, 6) + 1)
+    return run_checks("weyl", [check for n in ranks for check in _weyl_checks(n)])
+
+
+def _cusp_checks(n: int) -> list[Check]:
+    # With H a generic (n-1) x (n-1) symbolic block and u an invertible
+    # scalar, the factorization that moves a central scaling past the swap,
+    #     diag(u*H, u, 1) = (u * Id) * swap * diag(H, u^(-1), 1) * swap,
+    # checked entrywise, with the two intermediate regroupings and u = 1.
+    size = n + 1
+
+    @cache
+    def parts():
+        u, u_inv = LaurentPoly.var("u"), LaurentPoly.var("u", -1)
+        h = SymbolicMatrix([
+            [LaurentPoly.var(f"h{i}_{j}") for j in range(1, n)] for i in range(1, n)
+        ])
+        scaled_h = SymbolicMatrix([[u * e for e in row] for row in h.rows])
+        lhs = SymbolicMatrix.block_diag(scaled_h, u, 1)
+        return h, u_inv, lhs, SymbolicMatrix.scalar(size, u), swap_last_two(size)
+
+    @cache
+    def rhs():
+        h, u_inv, _, central, w = parts()
+        return central * w * SymbolicMatrix.block_diag(h, u_inv, 1) * w
+
+    def regroup_scaling():
+        h, u_inv, lhs, central, _ = parts()
+        want = central * SymbolicMatrix.block_diag(h, 1, u_inv)
+        return lhs == want, f"{lhs} != {want}"
+
+    def swap_conjugation():
+        h, u_inv, _, _, w = parts()
+        got = w * SymbolicMatrix.block_diag(h, u_inv, 1) * w
+        return SymbolicMatrix.block_diag(h, 1, u_inv) == got, f"{got}"
+
+    def full_factorization():
+        lhs = parts()[2]
+        return lhs == rhs(), f"{lhs} != {rhs()}"
+
+    def unit_specialization():
+        h, _, lhs, _, _ = parts()
+        lhs1 = lhs.substitute("u", LaurentPoly.one())
+        rhs1 = rhs().substitute("u", LaurentPoly.one())
+        plain = SymbolicMatrix.block_diag(h, 1, 1)
+        return lhs1 == plain and rhs1 == plain, f"u=1 gives {lhs1} and {rhs1}"
+
+    return [
+        (f"n={n:02d}/regroup-scaling", "diag(u*H, u, 1) equals u * diag(H, 1, u^(-1))",
+         regroup_scaling),
+        (f"n={n:02d}/swap-conjugation",
+         "conjugation by the swap exchanges the last two diagonal entries", swap_conjugation),
+        (f"n={n:02d}/full-factorization",
+         "diag(u*H, u, 1) = (u*Id) * swap * diag(H, u^(-1), 1) * swap", full_factorization),
+        (f"n={n:02d}/unit-specialization", "both sides collapse to diag(H, 1, 1) at u = 1",
+         unit_specialization),
+    ]
 
 
 def suite_cusp(cfg: SuiteConfig) -> SuiteReport:
-    return _concat(
-        "cusp",
-        [reciprocity.cusp_invariance_factorization(n) for n in range(2, min(cfg.n_max, 4) + 1)],
-    )
+    ranks = range(2, min(cfg.n_max, 4) + 1)
+    return run_checks("cusp", [check for n in ranks for check in _cusp_checks(n)])
 
 
 def suite_unramified(cfg: SuiteConfig) -> SuiteReport:
-    cases = [(1, cfg.order), (2, cfg.order), (3, min(cfg.order, 5))]
-    return _concat(
-        "unramified",
-        [zeta.verify_unramified_identity(n, order) for n, order in cases],
-    )
+    # the rank (n+1, n) lattice sum at symbolic Satake parameters against the
+    # exact expansion of the closed product form of the L-factor
+    checks = []
+    for n, order in ((1, cfg.order), (2, cfg.order), (3, min(cfg.order, 5))):
+        def body(n=n, order=order):
+            rep_a = UnramifiedRep.symbolic(n + 1, "a")
+            rep_b = UnramifiedRep.symbolic(n, "b")
+            result = local_zeta_unramified(rep_a, rep_b, "X", order)
+            expanded = series_expand(result.closed_form, "X", order)
+            witness = _series_mismatch(
+                "lattice sum", result.series, "L-factor expansion", expanded
+            )
+            if witness is None and result.series.coeffs[0] != LaurentPoly.one():
+                witness = "normalization: X^0 coefficient is not 1"
+            return witness is None, witness
+
+        checks.append((
+            f"ranks=({n + 1},{n}),order={order}",
+            f"unramified integral equals the L-factor for ranks ({n + 1},{n}) through X^{order}",
+            body,
+        ))
+    return run_checks("unramified", checks)
 
 
 def suite_cauchy(cfg: SuiteConfig) -> SuiteReport:
-    return _concat(
-        "cauchy",
-        [symfunc.cauchy_check(n, m, cfg.order) for n in (1, 2, 3) for m in (1, 2, 3)],
-    )
+    # sum_lam s_lam(a) s_lam(b) X^|lam| against 1 / prod_(i,j) (1 - a_i b_j X)
+    checks = []
+    for n, m in product((1, 2, 3), repeat=2):
+        def body(n=n, m=m):
+            lhs = cauchy_schur_side(n, m, "X", cfg.order)
+            rhs = series_expand(cauchy_product_side(n, m, "X"), "X", cfg.order)
+            witness = _series_mismatch("schur side", lhs, "product side", rhs)
+            return witness is None, witness
+
+        checks.append((
+            f"n={n},m={m},order={cfg.order}",
+            f"Cauchy identity at {n}x{m} variables through X^{cfg.order}",
+            body,
+        ))
+    return run_checks("cauchy", checks)
 
 
 def _weyl_dimension(lam: Partition, n: int) -> Fraction:
@@ -124,12 +304,11 @@ def _pieri_add_one_box(lam: Partition, n: int) -> list[Partition]:
 
 
 def suite_schur(cfg: SuiteConfig) -> SuiteReport:
-    report = SuiteReport("schur")
+    checks = []
     for n in range(1, 5):
-        names = [f"x{i}" for i in range(1, n + 1)]
-        values = [LaurentPoly.var(v) for v in names]
-
-        def check_oracle(n=n, names=names, values=values):
+        def check_oracle(n=n):
+            names = [f"x{i}" for i in range(1, n + 1)]
+            values = [LaurentPoly.var(v) for v in names]
             for lam in partitions_up_to(6, n):
                 got = schur(lam, values)
                 bi = schur_bialternant_oracle(lam, names)
@@ -137,7 +316,7 @@ def suite_schur(cfg: SuiteConfig) -> SuiteReport:
                     return False, f"lambda={lam}: {got.to_text()} != {bi.to_text()}"
             return True, None
 
-        def check_dimension(n=n, values=values):
+        def check_dimension(n=n):
             ones = [LaurentPoly.one()] * n
             for lam in partitions_up_to(6, n):
                 got = schur(lam, ones).as_fraction()
@@ -146,21 +325,20 @@ def suite_schur(cfg: SuiteConfig) -> SuiteReport:
                     return False, f"lambda={lam}: {got} != {want}"
             return True, None
 
-        report.add(run_check(
+        checks.append((
             f"oracle/n={n}",
             f"determinant and alternant Schur routes agree at {n} variables",
             check_oracle,
         ))
-        report.add(run_check(
+        checks.append((
             f"dimension/n={n}",
             f"value at all-ones matches the dimension product formula, n={n}",
             check_dimension,
         ))
     for n in range(1, 4):
-        values = [LaurentPoly.var(f"x{i}") for i in range(1, n + 1)]
-
-        def check_pieri(n=n, values=values):
-            h1 = symfunc.complete_homogeneous(1, values)
+        def check_pieri(n=n):
+            values = [LaurentPoly.var(f"x{i}") for i in range(1, n + 1)]
+            h1 = complete_homogeneous(1, values)
             for lam in partitions_up_to(4, n):
                 lhs = schur(lam, values) * h1
                 rhs = LaurentPoly.zero()
@@ -170,77 +348,67 @@ def suite_schur(cfg: SuiteConfig) -> SuiteReport:
                     return False, f"lambda={lam}: {lhs.to_text()} != {rhs.to_text()}"
             return True, None
 
-        report.add(run_check(
+        checks.append((
             f"pieri/n={n}",
             f"multiplying by h_1 adds one box in all ways, n={n}",
             check_pieri,
         ))
-    return report
+    return run_checks("schur", checks)
 
 
 def suite_weight_unramified(cfg: SuiteConfig) -> SuiteReport:
-    report = SuiteReport("weight-unramified")
-    cases = [(2, 6), (3, 5), (4, 4)]
-    for n, order in cases:
+    checks = []
+    for n, order in ((2, 6), (3, 5), (4, 4)):
         def body(n=n, order=order):
             big = UnramifiedRep.symbolic(n + 1, "a")
             mid = UnramifiedRep.symbolic(n, "b")
             small = UnramifiedRep.symbolic(n - 1, "g")
-            result = zeta.weight_unramified(big, mid, small, order=order)
+            result = weight_unramified(big, mid, small, order=order)
             ok = result.value == LaurentPoly.one()
             return ok, f"value {result.value}"
 
-        report.add(run_check(
+        checks.append((
             f"ranks=({n + 1},{n},{n - 1})",
             f"unramified weight is exactly 1 at ranks ({n + 1},{n},{n - 1}), order {order}",
             body,
         ))
-    return report
+    return run_checks("weight-unramified", checks)
 
 
 def suite_weight_l(cfg: SuiteConfig) -> SuiteReport:
-    report = SuiteReport("weight-l")
-
     def reps(n):
         return UnramifiedRep.symbolic(n, "b"), UnramifiedRep.symbolic(n - 1, "g")
 
+    # the rationality and published-route checks share one order-8 weight per (n, m)
+    @cache
+    def weight_order8(n, m):
+        return weight_at_l(*reps(n), m, order=8)
+
+    checks = []
     for n in (2, 3):
         def check_m0(n=n):
-            mid, small = reps(n)
-            result = zeta.weight_at_l(mid, small, 0, order=cfg.order)
+            result = weight_at_l(*reps(n), 0, order=cfg.order)
             return result.value.is_one(), f"value {result.value.to_text()}"
 
-        report.add(run_check(
+        checks.append((
             f"level0/n={n}",
             f"level-0 weight is exactly 1 at rank {n}",
             check_m0,
         ))
 
     def check_closed_form_m1():
-        mid, small = reps(2)
-        result = zeta.weight_at_l(mid, small, 1, order=6)
+        result = weight_at_l(*reps(2), 1, order=6)
         b1, b2, g1 = (LaurentPoly.var(v) for v in ("b1", "b2", "g1"))
         want = [LaurentPoly.zero(), (b1 + b2) * g1, -(b1 * b2) * g1 ** 2]
         got = list(result.value.coeffs)
         ok = got[:3] == want and all(c.is_zero() for c in got[3:])
         return ok, result.value.to_text()
 
-    report.add(run_check(
+    checks.append((
         "closed-form/n=2,m=1",
         "rank-2 level-1 weight matches its two-term closed form",
         check_closed_form_m1,
     ))
-
-    # the rationality and published-route checks share one order-8 weight per
-    # (n, m); a call that raises stores nothing, so both checks report the error
-    order8: dict[tuple[int, int], zeta.WeightResult] = {}
-
-    def weight_order8(n, m):
-        result = order8.get((n, m))
-        if result is None:
-            mid, small = reps(n)
-            result = order8[n, m] = zeta.weight_at_l(mid, small, m, order=8)
-        return result
 
     for n, m in ((2, 1), (2, 2), (3, 1), (3, 2)):
         def check_rationality(n=n, m=m):
@@ -263,26 +431,24 @@ def suite_weight_l(cfg: SuiteConfig) -> SuiteReport:
             )
             return agree, "published route disagrees beyond its constant"
 
-        report.add(run_check(
+        checks.append((
             f"rationality/n={n},m={m}",
             f"weight series vanishes beyond degree {n * m} at rank {n}, level {m}",
             check_rationality,
         ))
-        report.add(run_check(
+        checks.append((
             f"published-route/n={n},m={m}",
             "regrouped published-constant route differs by exactly the constant ratio",
             check_published_route,
         ))
-    return report
+    return run_checks("weight-l", checks)
 
 
 def suite_weight_q(cfg: SuiteConfig) -> SuiteReport:
-    report = SuiteReport("weight-q")
-
     def check_verdicts():
         for n0 in range(5):
             for m in range(5):
-                result = zeta.weight_at_q_structural(n0, m, 2, cfg.p)
+                result = weight_at_q_structural(n0, m, 2, cfg.p)
                 if result.vanishes != (n0 > m):
                     return False, f"n0={n0}, m={m}: vanishes={result.vanishes}"
                 if n0 == m and len(result.index_set) != 1:
@@ -295,16 +461,10 @@ def suite_weight_q(cfg: SuiteConfig) -> SuiteReport:
                     return False, f"n0={n0}, m={m}: index set {result.index_set}"
         return True, None
 
-    report.add(run_check(
-        "verdicts",
-        "weight vanishes exactly when the conductor exceeds the level (grid to 4)",
-        check_verdicts,
-    ))
-
     def check_boundary_values():
         for n in (2, 3):
             for m in range(4):
-                result = zeta.weight_at_q_structural(m, m, n, cfg.p)
+                result = weight_at_q_structural(m, m, n, cfg.p)
                 want = LaurentPoly.const(Fraction(1, congruence_index(n, cfg.p, m)))
                 if result.value != want:
                     return False, f"n={n}, m={m}: {result.value} != {want}"
@@ -318,14 +478,8 @@ def suite_weight_q(cfg: SuiteConfig) -> SuiteReport:
                     return False, f"n={n}, m={m}: ratio {result.paper_comparison.ratio}"
         return True, None
 
-    report.add(run_check(
-        "boundary-values",
-        "boundary weight is 1/[K:K_0(m)], compared against the published constant",
-        check_boundary_values,
-    ))
-
     def check_worked_example():
-        result = zeta.weight_at_q_structural(1, 1, 2, 2)
+        result = weight_at_q_structural(1, 1, 2, 2)
         ok = (
             result.value == LaurentPoly.const(Fraction(1, 3))
             and result.paper_comparison.paper_constant == LaurentPoly.const(Fraction(1, 2))
@@ -333,16 +487,21 @@ def suite_weight_q(cfg: SuiteConfig) -> SuiteReport:
         )
         return ok, f"value {result.value}, comparison {result.paper_comparison}"
 
-    report.add(run_check(
-        "worked-example",
-        "conductor=level=1, rank 2, p=2: exact 1/3 against published 1/2, ratio 2/3",
-        check_worked_example,
-    ))
-    return report
+    return run_checks("weight-q", [
+        ("verdicts",
+         "weight vanishes exactly when the conductor exceeds the level (grid to 4)",
+         check_verdicts),
+        ("boundary-values",
+         "boundary weight is 1/[K:K_0(m)], compared against the published constant",
+         check_boundary_values),
+        ("worked-example",
+         "conductor=level=1, rank 2, p=2: exact 1/3 against published 1/2, ratio 2/3",
+         check_worked_example),
+    ])
 
 
 def suite_index(cfg: SuiteConfig) -> SuiteReport:
-    report = SuiteReport("index")
+    checks = []
     for n in (2, 3):
         for p in (2, 3):
             for m in (0, 1, 2):
@@ -354,16 +513,16 @@ def suite_index(cfg: SuiteConfig) -> SuiteReport:
                     brute = congruence_index_bruteforce(n, p, m)
                     return closed == brute, f"closed {closed} != brute {brute}"
 
-                report.add(run_check(
+                checks.append((
                     f"n={n},p={p},m={m}",
                     f"closed-form index equals the brute-force count at n={n}, p={p}, m={m}",
                     body,
                 ))
-    return report
+    return run_checks("index", checks)
 
 
 def suite_charsum(cfg: SuiteConfig) -> SuiteReport:
-    report = SuiteReport("charsum")
+    checks = []
     for p in (2, 3, 5):
         for m in (0, 1, 2):
             for r in (1, 2, 3):
@@ -375,26 +534,26 @@ def suite_charsum(cfg: SuiteConfig) -> SuiteReport:
                             return False, f"vals={vals}: exact {exact} vs numeric {numeric}"
                     return True, None
 
-                report.add(run_check(
+                checks.append((
                     f"p={p},m={m},r={r}",
                     f"orthogonality value matches the root-of-unity sum, p={p}, m={m}, {r} coordinates",
                     body,
                 ))
-    return report
+    return run_checks("charsum", checks)
 
 
 def suite_contragredient(cfg: SuiteConfig) -> SuiteReport:
-    report = SuiteReport("contragredient")
     rng = random.Random(cfg.seed)
+    checks = []
     for rank in (2, 3, 4):
-        rep = UnramifiedRep.symbolic(rank)
-        dual = contragredient(rep)
-        samples = []
-        for _ in range(20):
-            exps = sorted((rng.randint(-4, 4) for _ in range(rank)), reverse=True)
-            samples.append(TorusCocharacter(exps))
+        samples = [
+            TorusCocharacter(sorted((rng.randint(-4, 4) for _ in range(rank)), reverse=True))
+            for _ in range(20)
+        ]
 
-        def body(rep=rep, dual=dual, samples=samples):
+        def body(rank=rank, samples=samples):
+            rep = UnramifiedRep.symbolic(rank)
+            dual = contragredient(rep)
             for mu in samples:
                 via_matrix = contragredient_value(rep, mu)
                 via_dual = spherical_value(dual, mu)
@@ -405,26 +564,22 @@ def suite_contragredient(cfg: SuiteConfig) -> SuiteReport:
                     )
             return True, None
 
-        report.add(run_check(
+        checks.append((
             f"rank={rank}",
             f"dual-model and contragredient Whittaker values agree, rank {rank}, 20 points",
             body,
         ))
-    return report
+    return run_checks("contragredient", checks)
 
 
 def suite_negative_control(cfg: SuiteConfig) -> SuiteReport:
     """A deliberately failing battery, kept so the failure path stays honest."""
 
     def perturbed(pair):
-        image = reciprocity.dual_params(pair)
-        return reciprocity.ParamPair(image.s + Fraction(1, 7), image.w, pair.n)
+        image = dual_params(pair)
+        return ParamPair(image.s + Fraction(1, 7), image.w, pair.n)
 
-    sub = reciprocity.verify_involution_and_exponents(2, dual=perturbed)
-    report = SuiteReport("negative-control")
-    for c in sub.checks:
-        report.add(c)
-    return report
+    return run_checks("negative-control", _involution_checks(2, perturbed))
 
 
 SUITES = {

@@ -21,7 +21,6 @@ from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .exactalg import InexactDivision, LaurentPoly
-from .report import SuiteReport, run_check
 from . import exactalg
 
 
@@ -293,30 +292,3 @@ def cauchy_schur_side(n: int, m: int, var: str, order: int) -> exactalg.Truncate
         for lam in partitions_of(w, min(n, m)):
             coeffs[w] = coeffs[w] + schur(lam, avals) * schur(lam, bvals)
     return exactalg.TruncatedSeries(var, coeffs)
-
-
-def cauchy_check(n: int, m: int, order: int) -> SuiteReport:
-    """Machine-check the Cauchy identity at n and m variables up to an order."""
-    if n < 1 or m < 1 or order < 0:
-        raise ValueError("cauchy_check needs n, m >= 1 and order >= 0")
-    report = SuiteReport("cauchy")
-
-    def body() -> tuple[bool, str | None]:
-        lhs = cauchy_schur_side(n, m, "X", order)
-        rhs = exactalg.series_expand(cauchy_product_side(n, m, "X"), "X", order)
-        for k in range(order + 1):
-            if lhs.coeffs[k] != rhs.coeffs[k]:
-                return False, (
-                    f"X^{k}: schur side {lhs.coeffs[k].to_text()} != "
-                    f"product side {rhs.coeffs[k].to_text()}"
-                )
-        return True, None
-
-    report.add(
-        run_check(
-            f"n={n},m={m},order={order}",
-            f"Cauchy identity at {n}x{m} variables through X^{order}",
-            body,
-        )
-    )
-    return report

@@ -51,7 +51,6 @@ from .localrep import (
     contragredient,
     require_prime_power,
 )
-from .report import SuiteReport, run_check
 from .symfunc import Partition, partitions_of, schur
 from .whittaker import (
     TorusCocharacter,
@@ -235,41 +234,6 @@ def local_zeta_unramified(rep_a: UnramifiedRep, rep_b: UnramifiedRep,
                 lattice += 1
     closed = local_l_factor(rep_a, rep_b, var) if build_closed_form else None
     return ZetaResult(TruncatedSeries(var, coeffs), closed, lattice)
-
-
-def verify_unramified_identity(n: int, order: int = 6) -> SuiteReport:
-    """Machine-check that the unramified integral equals the local L-factor.
-
-    Runs the rank (n+1, n) lattice sum with fully symbolic Satake
-    parameters and compares it coefficientwise against the exact expansion
-    of the closed product form.
-    """
-    report = SuiteReport("unramified")
-
-    def body() -> tuple[bool, str | None]:
-        rep_a = UnramifiedRep.symbolic(n + 1, "a")
-        rep_b = UnramifiedRep.symbolic(n, "b")
-        result = local_zeta_unramified(rep_a, rep_b, "X", order)
-        expanded = series_expand(result.closed_form, "X", order)
-        for k in range(order + 1):
-            if result.series.coeffs[k] != expanded.coeffs[k]:
-                return False, (
-                    f"X^{k}: lattice sum {result.series.coeffs[k].to_text()} != "
-                    f"L-factor expansion {expanded.coeffs[k].to_text()}"
-                )
-        if result.series.coeffs[0] != LaurentPoly.one():
-            return False, "normalization: X^0 coefficient is not 1"
-        return True, None
-
-    report.add(
-        run_check(
-            f"ranks=({n + 1},{n}),order={order}",
-            f"unramified integral equals the L-factor for ranks ({n + 1},{n}) "
-            f"through X^{order}",
-            body,
-        )
-    )
-    return report
 
 
 def weight_unramified(rep_big: UnramifiedRep, rep_mid: UnramifiedRep,

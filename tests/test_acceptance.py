@@ -20,7 +20,6 @@ from whitlocal import (
     TorusCocharacter,
     TruncatedSeries,
     UnramifiedRep,
-    cauchy_check,
     character_sum,
     character_sum_numeric,
     complete_homogeneous,
@@ -28,7 +27,6 @@ from whitlocal import (
     congruence_index_bruteforce,
     contragredient,
     contragredient_value,
-    cusp_invariance_factorization,
     dual_params,
     hecke_eigenvalue,
     partitions_up_to,
@@ -36,12 +34,11 @@ from whitlocal import (
     schur,
     schur_bialternant_oracle,
     spherical_value,
-    verify_unramified_identity,
     weight_at_l,
     weight_at_q_structural,
     weight_unramified,
-    weyl_conjugation_identity,
 )
+from whitlocal.suites import SUITES, SuiteConfig
 
 ENUMERATION_CAP = 2 ** 24
 
@@ -87,8 +84,9 @@ def test_criterion_02_exponent_identities():
 
 def test_criterion_03_matrix_identities():
     t0 = time.perf_counter()
-    ok = all(weyl_conjugation_identity(n).passed for n in range(2, 7))
-    ok = ok and all(cusp_invariance_factorization(n).passed for n in range(2, 5))
+    weyl = SUITES["weyl"](SuiteConfig(n_max=6))  # n = 2..6
+    cusp = SUITES["cusp"](SuiteConfig(n_max=4))  # n = 2..4
+    ok = weyl.passed and len(weyl.checks) == 10 and cusp.passed and len(cusp.checks) == 12
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 1.0
     _verdict(3, ok, f"Weyl conjugation n=2..6 and cusp factorization n=2..4 ({elapsed:.3f}s)")
@@ -96,16 +94,20 @@ def test_criterion_03_matrix_identities():
 
 def test_criterion_04_unramified_local_identity():
     t0 = time.perf_counter()
-    ok = True
-    for n, order in ((1, 6), (2, 6), (3, 5)):
-        ok = ok and verify_unramified_identity(n, order).passed
+    report = SUITES["unramified"](SuiteConfig(order=6))
+    ok = report.passed and [c.id for c in report.checks] == [
+        "ranks=(2,1),order=6", "ranks=(3,2),order=6", "ranks=(4,3),order=5"
+    ]
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 60.0
     _verdict(4, ok, f"lattice sum equals L-factor at ranks (2,1),(3,2),(4,3) ({elapsed:.1f}s)")
 
 
 def test_criterion_05_cauchy_identity():
-    ok = all(cauchy_check(n, m, 6).passed for n, m in product((1, 2, 3), repeat=2))
+    report = SUITES["cauchy"](SuiteConfig(order=6))
+    ok = report.passed and [c.id for c in report.checks] == [
+        f"n={n},m={m},order=6" for n, m in product((1, 2, 3), repeat=2)
+    ]
     _verdict(5, ok, "Cauchy identity for all (n,m) in {1,2,3}^2 at order 6")
 
 

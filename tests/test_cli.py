@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from whitlocal import LaurentPoly, UnramifiedRep, cli, local_zeta_unramified, qpow, zeta
+from whitlocal import LaurentPoly, UnramifiedRep, cli, local_zeta_unramified, qpow, whittaker, zeta
 from whitlocal.cli import main
 from whitlocal.exactalg import EXPONENT_LIMIT
 from whitlocal.report import CheckResult, SuiteReport, report_to_json
@@ -119,6 +119,33 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--suite", "unramified", "--order", "-2"),
+        ("verify", "--suite", "cauchy", "--order", "-1"),
+        ("whittaker", "--n", "2", "--mu", "100000000,0"),
+        ("whittaker", "--n", "2", "--mu", "0,-100000000", "--dual"),
+        ("whittaker", "--n", "3", "--mu", "100000000,0", "--level", "1"),
+    ])
+    def test_work_bound_contract(self, argv, capsys):
+        code, out, err = run_cli(*argv, capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_whittaker_term_bound(self, monkeypatch, capsys):
+        # s_(9999) in two variables has exactly MAX_WHITTAKER_TERMS terms
+        assert cli.MAX_WHITTAKER_TERMS == 10_000
+        code, out, _ = run_cli("whittaker", "--n", "2", "--mu", "9999,0", capsys=capsys)
+        assert code == 0
+        assert json.loads(out)["value"].count("a1") == 9999
+        calls = []
+        monkeypatch.setattr(whittaker, "schur", lambda *args: calls.append(args))
+        code, out, err = run_cli("whittaker", "--n", "2", "--mu", "10000,0", capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: the value may have up to 10001 terms, over the cap 10000\n"
+        assert calls == []
+
     def test_exponent_field_bound(self, capsys):
         code, out, _ = run_cli("whittaker", "--n", "1", "--mu", str(EXPONENT_LIMIT),
                                capsys=capsys)
@@ -160,9 +187,8 @@ class TestInternalCheckFailure:
 
 
 def _stub_suite(cfg):
-    report = SuiteReport("stub")
-    report.add(CheckResult(f"stub/seed={cfg.seed}", "stub check", "pass", None, 0))
-    return report
+    check = CheckResult(f"stub/seed={cfg.seed}", "stub check", "pass", None, 0)
+    return SuiteReport("stub", [check])
 
 
 class RecordingExecutor:

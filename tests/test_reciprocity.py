@@ -8,13 +8,17 @@ from whitlocal import (
     LaurentPoly,
     ParamPair,
     SymbolicMatrix,
-    cusp_invariance_factorization,
     dual_params,
     swap_last_two,
-    verify_involution_and_exponents,
-    weyl_conjugation_identity,
 )
 from whitlocal.reciprocity import column_unipotent
+from whitlocal.suites import HIDDEN_SUITES, SUITES, SuiteConfig
+
+
+def _checks_at(suite, n, n_max=None):
+    """The checks of one suite whose id names rank parameter n."""
+    report = SUITES[suite](SuiteConfig(n_max=n if n_max is None else n_max))
+    return [c for c in report.checks if c.id.startswith(f"n={n:02d}")]
 
 
 class TestDualParams:
@@ -61,16 +65,14 @@ class TestDualParams:
 
     def test_verify_report_passes(self):
         for n in (2, 5, 10):
-            assert verify_involution_and_exponents(n).passed
+            checks = _checks_at("involution", n, n_max=10)
+            assert len(checks) == 1 and checks[0].passed
 
     def test_negative_control_fails_with_witness(self):
-        def perturbed(pair):
-            image = dual_params(pair)
-            return ParamPair(image.s + Fraction(1, 7), image.w, pair.n)
-
-        report = verify_involution_and_exponents(2, dual=perturbed)
+        # the suite perturbs s' by 1/7 and runs the unfolded rank-2 checks
+        report = HIDDEN_SUITES["negative-control"](SuiteConfig())
         assert not report.passed
-        failed = report.failures()
+        failed = [c for c in report.checks if not c.passed]
         assert failed
         assert all(c.witness for c in failed)
 
@@ -114,11 +116,13 @@ class TestSymbolicMatrix:
 class TestMatrixIdentities:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_weyl_conjugation(self, n):
-        assert weyl_conjugation_identity(n).passed
+        checks = _checks_at("weyl", n)
+        assert len(checks) == 2 and all(c.passed for c in checks)
 
     @pytest.mark.parametrize("n", range(2, 5))
     def test_cusp_factorization(self, n):
-        assert cusp_invariance_factorization(n).passed
+        checks = _checks_at("cusp", n)
+        assert len(checks) == 4 and all(c.passed for c in checks)
 
     def test_conjugation_by_hand_at_rank_two(self):
         # w * U_mid(b) * w = U_last(b) at size 3

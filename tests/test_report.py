@@ -12,14 +12,15 @@ from whitlocal import (
     report_to_json,
     report_to_text,
     run_check,
+    run_checks,
 )
 
 
 def _sample_report():
-    report = SuiteReport("sample")
-    report.add(run_check("good", "a passing check", lambda: (True, None)))
-    report.add(run_check("bad", "a failing check", lambda: (False, "expected 1, got 2")))
-    return report
+    return run_checks("sample", [
+        ("good", "a passing check", lambda: (True, None)),
+        ("bad", "a failing check", lambda: (False, "expected 1, got 2")),
+    ])
 
 
 def test_run_check_statuses():
@@ -41,17 +42,34 @@ def test_suite_status_aggregation():
     report = _sample_report()
     assert not report.passed
     assert report.status == "fail"
-    assert [c.id for c in report.failures()] == ["bad"]
-    all_good = SuiteReport("ok")
-    all_good.add(CheckResult("x", "", "pass", None, 0))
+    assert [c.id for c in report.checks if not c.passed] == ["bad"]
+    all_good = SuiteReport("ok", [CheckResult("x", "", "pass", None, 0)])
     assert all_good.passed and all_good.status == "pass"
 
 
+def test_run_checks_keeps_order_and_runs_every_entry():
+    ran = []
+
+    def body(name, ok):
+        def run():
+            ran.append(name)
+            if name == "raises":
+                raise ArithmeticError("no cancellation")
+            return ok, f"{name} failed"
+        return run
+
+    report = run_checks("s", [(name, "", body(name, ok)) for name, ok in
+                              (("b", True), ("raises", True), ("a", False), ("c", True))])
+    assert ran == ["b", "raises", "a", "c"]
+    assert [c.id for c in report.checks] == ["b", "raises", "a", "c"]
+    assert [c.status for c in report.checks] == ["pass", "error", "fail", "pass"]
+    assert report.checks[2].witness == "a failed"
+    assert all(type(c.millis) is int for c in report.checks)
+
+
 def test_merge_prefixes_and_sorts():
-    r1 = SuiteReport("beta")
-    r1.add(CheckResult("z", "", "pass", None, 0))
-    r2 = SuiteReport("alpha")
-    r2.add(CheckResult("y", "", "fail", "w", 0))
+    r1 = SuiteReport("beta", [CheckResult("z", "", "pass", None, 0)])
+    r2 = SuiteReport("alpha", [CheckResult("y", "", "fail", "w", 0)])
     merged = merge_reports("all", [r1, r2])
     assert [c.id for c in merged.checks] == ["alpha/y", "beta/z"]
     assert merged.status == "fail"

@@ -11,7 +11,6 @@ from whitlocal import (
     InexactDivision,
     LaurentPoly,
     Partition,
-    cauchy_check,
     cauchy_product_side,
     cauchy_schur_side,
     complete_homogeneous,
@@ -23,6 +22,7 @@ from whitlocal import (
     series_equal,
     series_expand,
 )
+from whitlocal.suites import SUITES, SuiteConfig
 
 
 def _vars(n, prefix="x"):
@@ -226,14 +226,15 @@ class TestCauchy:
 
     @pytest.mark.parametrize("n,m", [(1, 1), (2, 3), (3, 3)])
     def test_check_passes(self, n, m):
-        report = cauchy_check(n, m, 4)
-        assert report.passed
+        report = SUITES["cauchy"](SuiteConfig(order=4))
+        checks = [c for c in report.checks if c.id == f"n={n},m={m},order=4"]
+        assert len(checks) == 1 and checks[0].passed
 
     def test_check_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            cauchy_check(0, 1, 3)
-        with pytest.raises(ValueError):
-            cauchy_check(1, 1, -1)
+        # the suite's variable counts are fixed; a negative order is refused
+        # when its configuration is built
+        with pytest.raises(ValueError, match="order"):
+            SuiteConfig(order=-1)
 
 
 class TestSchurProducts:

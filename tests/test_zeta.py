@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from whitlocal import symfunc, whittaker, zeta
+from whitlocal.suites import SUITES, SuiteConfig
 from whitlocal import (
     LaurentPoly,
     RankMismatch,
@@ -16,7 +17,6 @@ from whitlocal import (
     local_l_factor,
     local_zeta_unramified,
     qpow,
-    verify_unramified_identity,
     weight_at_l,
     weight_at_q_structural,
     weight_unramified,
@@ -74,9 +74,9 @@ class TestLocalZeta:
         assert obj["series"]["coeffs"][0] == "1"
 
     def test_verify_report(self):
-        report = verify_unramified_identity(1, 5)
+        report = SUITES["unramified"](SuiteConfig(order=5))
         assert report.passed
-        assert any("ranks=(2,1)" in c.id for c in report.checks)
+        assert any(c.id == "ranks=(2,1),order=5" for c in report.checks)
 
     def test_collision_guard(self):
         with pytest.raises(SymbolCollision):
