@@ -21,7 +21,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .exactalg import LaurentPoly, RationalFunction, TruncatedSeries
 from .localrep import (
+    RankMismatch,
     UnramifiedRep,
     character_sum,
     character_sum_numeric,
@@ -33,7 +35,7 @@ from .report import SuiteReport, merge_reports, report_to_csv, report_to_json, r
 from .suites import HIDDEN_SUITES, SUITES, SuiteConfig
 from .whittaker import TorusCocharacter, contragredient_value, spherical_value, twisted_value
 from .zeta import (
-    local_l_factor,
+    l_factor_denominator,
     local_zeta_unramified,
     weight_at_l,
     weight_at_q_structural,
@@ -176,12 +178,11 @@ def _cmd_lfactor(cfg: RunConfig) -> dict:
         )
     rep_a = UnramifiedRep.symbolic(cfg.rank_a, "a")
     rep_b = UnramifiedRep.symbolic(cfg.rank_b, "b")
-    factor = local_l_factor(rep_a, rep_b, cfg.var)
     return {
         "ranks": [cfg.rank_a, cfg.rank_b],
         "variable": cfg.var,
-        "numerator": factor.num.to_text(),
-        "denominator": factor.den.to_text(),
+        "numerator": "1",
+        "denominator": l_factor_denominator(rep_a, rep_b, cfg.var).to_text(),
     }
 
 
@@ -196,6 +197,11 @@ def _cmd_whittaker(cfg: RunConfig) -> dict:
         raise ValueError(
             f"the value may have up to {terms} terms, over the cap {MAX_WHITTAKER_TERMS}"
         )
+    # building the representation takes time in n, so compare lengths first
+    want = cfg.n if cfg.level is None else cfg.n - 1
+    if cfg.n >= 1 and len(cfg.mu) != want:
+        raise RankMismatch(f"rank {cfg.n} takes a length {want} cocharacter here, "
+                           f"got length {len(cfg.mu)}")
     rep = UnramifiedRep.symbolic(cfg.n, "a")
     payload: dict = {"rank": cfg.n, "cocharacter": list(cfg.mu)}
     if cfg.level is None:
@@ -220,14 +226,14 @@ def _cmd_zeta(cfg: RunConfig) -> dict:
         raise ValueError("series order must be nonnegative")
     rep_a = UnramifiedRep.symbolic(cfg.n + 1, "a")
     rep_b = UnramifiedRep.symbolic(cfg.n, "b")
-    closed = (cfg.n + 1) * cfg.n <= MAX_CLOSED_FORM_FACTORS
-    result = local_zeta_unramified(
-        rep_a, rep_b, var=cfg.var, order=cfg.order, build_closed_form=closed
-    )
+    result = local_zeta_unramified(rep_a, rep_b, var=cfg.var, order=cfg.order)
     payload = {"ranks": [cfg.n + 1, cfg.n], "order": cfg.order}
     payload.update(result.to_json_obj())
-    if closed:
-        payload["matchesClosedForm"] = result.closed_form_matches()
+    if (cfg.n + 1) * cfg.n <= MAX_CLOSED_FORM_FACTORS:
+        den = l_factor_denominator(rep_a, rep_b, cfg.var)
+        payload["closedForm"] = RationalFunction(LaurentPoly.one(), den).to_json_obj()
+        product = result.series * TruncatedSeries.from_poly(den, cfg.var, cfg.order)
+        payload["matchesClosedForm"] = product.is_one()
     return payload
 
 
@@ -278,6 +284,10 @@ def _cmd_index(cfg: RunConfig) -> dict:
 
 def _cmd_charsum(cfg: RunConfig) -> dict:
     level = 0 if cfg.level is None else cfg.level
+    numeric = None
+    if not isinstance(cfg.p, str):
+        # first, so that its enumeration bound also bounds the exact value p^(r*m)
+        numeric = character_sum_numeric(cfg.p, level, cfg.valuations)
     value = character_sum(cfg.p, level, cfg.valuations)
     payload = {
         "p": "symbolic" if isinstance(cfg.p, str) else cfg.p,
@@ -285,8 +295,7 @@ def _cmd_charsum(cfg: RunConfig) -> dict:
         "valuations": list(cfg.valuations),
         "value": value.to_text(),
     }
-    if not isinstance(cfg.p, str):
-        numeric = character_sum_numeric(cfg.p, level, cfg.valuations)
+    if numeric is not None:
         exact = complex(int(value.constant_coefficient()))
         payload["numericOracle"] = [numeric.real, numeric.imag]
         payload["agree"] = abs(exact - numeric) <= 1e-9

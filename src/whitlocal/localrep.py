@@ -56,9 +56,18 @@ def _validate_p(p: Union[int, str]) -> Union[int, str]:
                 f"symbolic residue cardinality must be named {SYMBOLIC_Q!r}, got {p!r}"
             )
         return p
-    if not isinstance(p, int) or p < 2:
-        raise ValueError(f"residue cardinality must be an integer >= 2, got {p!r}")
+    require_prime_power(p)
     return p
+
+
+def _validate_box(m: int, valuations: Sequence[int]) -> list[int]:
+    """The valuations of a level-m residue box, checked."""
+    if not isinstance(m, int) or m < 0:
+        raise ValueError(f"level exponent must be a nonnegative int, got {m!r}")
+    vals = [int(v) for v in valuations]
+    if any(v < 0 for v in vals):
+        raise ValueError("valuations must be nonnegative")
+    return vals
 
 
 def _coerce_param(x) -> LaurentPoly:
@@ -235,14 +244,11 @@ def character_sum(p: Union[int, str], m: int, valuations: Sequence[int]) -> Laur
     over beta in m^(-m)o / o, where u_i has the given valuation.  By
     orthogonality the sum is p^m per coordinate when the coordinate
     character is trivial (valuation >= m) and 0 otherwise, hence p^(r*m)
-    or 0 overall.  The character psi has conductor zero.
+    or 0 overall.  The character psi has conductor zero.  A numeric p must
+    be a prime power.
     """
     p = _validate_p(p)
-    if not isinstance(m, int) or m < 0:
-        raise ValueError(f"level exponent must be a nonnegative int, got {m!r}")
-    vals = [int(v) for v in valuations]
-    if any(v < 0 for v in vals):
-        raise ValueError("valuations must be nonnegative")
+    vals = _validate_box(m, valuations)
     r = len(vals)
     if all(v >= m for v in vals):
         if isinstance(p, str):
@@ -255,15 +261,25 @@ def character_sum_numeric(p: int, m: int, valuations: Sequence[int]) -> complex:
     """Brute-force numeric character sum over all residue tuples.
 
     Sums exp(2 pi i * sum_i b_i p^(v_i) / p^m) over b in (Z/p^m)^r without
-    using orthogonality, as an independent oracle.
+    using orthogonality, as an independent oracle.  Raises
+    EnumerationTooLarge, before summing, when (p^m)^r exceeds
+    ENUMERATION_LIMIT.
     """
     if isinstance(p, str):
         raise ValueError("the numeric oracle needs a numeric residue cardinality")
+    _validate_p(p)
+    vals = _validate_box(m, valuations)
+    # p >= 2, so m*r bits or more already exceed the bound: no huge power is formed
+    if (m * len(vals) >= ENUMERATION_LIMIT.bit_length()
+            or p ** (m * len(vals)) > ENUMERATION_LIMIT):
+        raise EnumerationTooLarge(
+            f"(p^m)^r = ({p}^{m})^{len(vals)} residue tuples exceed the bound {ENUMERATION_LIMIT}"
+        )
     q = p ** m
-    vals = [int(v) for v in valuations]
+    units = [pow(p, v, q) for v in vals]
     total = 0j
     tau = 2j * cmath.pi
     for b in product(range(q), repeat=len(vals)):
-        phase = sum(bi * p ** vi for bi, vi in zip(b, vals)) % q
+        phase = sum(bi * u for bi, u in zip(b, units)) % q
         total += cmath.exp(tau * phase / q)
     return total

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
-from .exactalg import InexactDivision, LaurentPoly
-from . import exactalg
+from .exactalg import InexactDivision, LaurentPoly, TruncatedSeries
 
 
 @dataclass(frozen=True)
@@ -273,17 +272,7 @@ def schur_bialternant_oracle(lam: Partition, names: Sequence[str]) -> LaurentPol
     return numerator
 
 
-def cauchy_product_side(n: int, m: int, var: str) -> exactalg.RationalFunction:
-    """The closed product form 1 / prod_{i,j} (1 - a_i b_j t)."""
-    t = LaurentPoly.var(var)
-    den = LaurentPoly.one()
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            den = den * (LaurentPoly.one() - LaurentPoly.var(f"a{i}") * LaurentPoly.var(f"b{j}") * t)
-    return exactalg.RationalFunction(1, den)
-
-
-def cauchy_schur_side(n: int, m: int, var: str, order: int) -> exactalg.TruncatedSeries:
+def cauchy_schur_side(n: int, m: int, var: str, order: int) -> TruncatedSeries:
     """The Schur expansion sum_lam s_lam(a) s_lam(b) t^|lam| up to the order."""
     avals = [LaurentPoly.var(f"a{i}") for i in range(1, n + 1)]
     bvals = [LaurentPoly.var(f"b{j}") for j in range(1, m + 1)]
@@ -291,4 +280,4 @@ def cauchy_schur_side(n: int, m: int, var: str, order: int) -> exactalg.Truncate
     for w in range(order + 1):
         for lam in partitions_of(w, min(n, m)):
             coeffs[w] = coeffs[w] + schur(lam, avals) * schur(lam, bvals)
-    return exactalg.TruncatedSeries(var, coeffs)
+    return TruncatedSeries(var, coeffs)

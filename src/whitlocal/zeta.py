@@ -17,6 +17,10 @@ identity
 is the Cauchy identity, so the unramified integral equals the local
 L-factor and the unramified weight is exactly 1.
 
+Every L-factor here has numerator 1, so dividing by one is multiplying by
+its denominator prod_(i,j) (1 - alpha_i beta_j X): the series times the
+denominator, truncated, must be 1.  No series is ever inverted.
+
 At a place dividing the twisting level, the level-m vector restricts the
 lattice by mu_(n-1) >= m.  The weight there is computed two ways: directly,
 with the character-orthogonality constant, and through the regrouped
@@ -42,7 +46,6 @@ from .exactalg import (
     TruncatedSeries,
     qpow,
     series_equal,
-    series_expand,
 )
 from .localrep import (
     RankMismatch,
@@ -73,41 +76,39 @@ class SymbolCollision(ValueError):
 
 @dataclass
 class ZetaResult:
-    """A truncated lattice-sum series with its closed form, when materialized."""
+    """A truncated lattice-sum series and the number of lattice points."""
 
     series: TruncatedSeries
-    closed_form: Optional[RationalFunction]
     lattice_points: int
 
-    def closed_form_matches(self) -> bool:
-        if self.closed_form is None:
-            return True
-        expanded = series_expand(self.closed_form, self.series.var, self.series.order)
-        return series_equal(self.series, expanded)
-
     def to_json_obj(self) -> dict:
-        out: dict = {
-            "series": self.series.to_json_obj(),
-            "latticePoints": self.lattice_points,
-        }
-        if self.closed_form is not None:
-            out["closedForm"] = self.closed_form.to_json_obj()
-        return out
+        return {"series": self.series.to_json_obj(), "latticePoints": self.lattice_points}
 
 
 @dataclass
 class PaperComparison:
-    """A computed constant next to its published counterpart."""
+    """A computed constant next to its published counterpart.
+
+    Both constants are single terms, so ratio = computed * published^(-1)
+    is exact.
+    """
 
     paper_constant: LaurentPoly
     computed_constant: LaurentPoly
-    ratio: RationalFunction
+
+    @property
+    def ratio(self) -> LaurentPoly:
+        return self.computed_constant * self.paper_constant ** -1
 
     def to_json_obj(self) -> dict:
+        # the ratio is emitted as the quotient written out, scaled so that
+        # the published term has coefficient 1
+        (c,) = self.paper_constant.terms.values()
+        ratio = RationalFunction(self.computed_constant / c, self.paper_constant / c)
         return {
             "paperConstant": self.paper_constant.to_text(),
             "computedConstant": self.computed_constant.to_text(),
-            "ratio": self.ratio.to_json_obj(),
+            "ratio": ratio.to_json_obj(),
         }
 
 
@@ -115,10 +116,10 @@ class PaperComparison:
 class WeightResult:
     """The local weight attached to one place, with provenance of constants.
 
-    value is the exact weight: the constant 1 at unramified places, a
-    truncated series in Y at places dividing the twisting level, an exact
-    rational at the structural boundary case, and None when only the index
-    set is determined.
+    value is the exact weight: a polynomial in X and Y at unramified places
+    (the constant 1 when the identity holds), a truncated series in Y at
+    places dividing the twisting level, an exact rational at the structural
+    boundary case, and None when only the index set is determined.
     """
 
     value: Union[LaurentPoly, TruncatedSeries, None]
@@ -168,25 +169,26 @@ def _check_symbols(rep_a: UnramifiedRep, rep_b: UnramifiedRep, var: str) -> None
             )
 
 
-def local_l_factor(rep_a: UnramifiedRep, rep_b: UnramifiedRep,
-                   var: str = "X") -> RationalFunction:
-    """The local Rankin-Selberg L-factor 1 / prod (1 - alpha_i beta_j var)."""
+def l_factor_denominator(rep_a: UnramifiedRep, rep_b: UnramifiedRep,
+                         var: str = "X") -> LaurentPoly:
+    """prod (1 - alpha_i beta_j var): the local Rankin-Selberg L-factor is 1 over it."""
     _check_symbols(rep_a, rep_b, var)
     t = LaurentPoly.var(var)
     den = LaurentPoly.one()
     for a in rep_a.satake:
         for b in rep_b.satake:
             den = den * (LaurentPoly.one() - a * b * t)
-    return RationalFunction(1, den)
+    return den
 
 
-def _l_factor_denominator_series(rep_a: UnramifiedRep, rep_b: UnramifiedRep,
-                                 var: str, order: int) -> TruncatedSeries:
+def l_factor_denominator_series(rep_a: UnramifiedRep, rep_b: UnramifiedRep,
+                                var: str, order: int) -> TruncatedSeries:
     """prod (1 - alpha_i beta_j var) multiplied out with truncation.
 
-    Truncating at each step keeps the factor count manageable at larger
-    ranks, where the fully expanded polynomial would be huge.
+    Truncating at each factor bounds the work at larger ranks, where the
+    fully expanded polynomial has up to 2^(rank product) terms.
     """
+    _check_symbols(rep_a, rep_b, var)
     t = LaurentPoly.var(var)
     acc = TruncatedSeries.one(var, order)
     for a in rep_a.satake:
@@ -196,8 +198,7 @@ def _l_factor_denominator_series(rep_a: UnramifiedRep, rep_b: UnramifiedRep,
 
 
 def local_zeta_unramified(rep_a: UnramifiedRep, rep_b: UnramifiedRep,
-                          var: str = "X", order: int = 6,
-                          build_closed_form: bool = True) -> ZetaResult:
+                          var: str = "X", order: int = 6) -> ZetaResult:
     """The unramified local zeta integral as a dominant-lattice sum.
 
     rep_a has rank one more than rep_b.  Each lattice term is built from
@@ -232,17 +233,26 @@ def local_zeta_unramified(rep_a: UnramifiedRep, rep_b: UnramifiedRep,
                     )
                 coeffs[k] = coeffs[k] + term
                 lattice += 1
-    closed = local_l_factor(rep_a, rep_b, var) if build_closed_form else None
-    return ZetaResult(TruncatedSeries(var, coeffs), closed, lattice)
+    return ZetaResult(TruncatedSeries(var, coeffs), lattice)
+
+
+def _as_poly(series: TruncatedSeries) -> LaurentPoly:
+    """sum_k c_k var^k over the stored coefficients."""
+    total = LaurentPoly.zero()
+    for k, c in enumerate(series.coeffs):
+        total = total + c * LaurentPoly.var(series.var, k)
+    return total
 
 
 def weight_unramified(rep_big: UnramifiedRep, rep_mid: UnramifiedRep,
                       rep_small: UnramifiedRep, order: int = 6) -> WeightResult:
-    """The weight at an unramified place: both normalized ratios, hence 1.
+    """The weight at an unramified place: the product of both normalized ratios.
 
     Computes the rank (n+1, n) integral against the contragredient of the
-    middle representation and the rank (n, n-1) integral, divides each by
-    its L-factor as truncated series, and checks both ratios are exactly 1.
+    middle representation and the rank (n, n-1) integral, and divides each
+    by its L-factor by multiplying with the truncated denominator.  The value
+    is the product of the two ratio series, read as polynomials in X and Y;
+    it is exactly 1 when the unramified identity holds.
     """
     n = rep_mid.rank
     if rep_big.rank != n + 1 or rep_small.rank != n - 1:
@@ -251,17 +261,12 @@ def weight_unramified(rep_big: UnramifiedRep, rep_mid: UnramifiedRep,
             f"({rep_big.rank}, {rep_mid.rank}, {rep_small.rank})"
         )
     dual_mid = contragredient(rep_mid)
-    z_s = local_zeta_unramified(rep_big, dual_mid, "X", order, build_closed_form=False)
-    ratio_s = z_s.series * _l_factor_denominator_series(rep_big, dual_mid, "X", order)
-    z_w = local_zeta_unramified(rep_mid, rep_small, "Y", order, build_closed_form=False)
-    ratio_w = z_w.series * _l_factor_denominator_series(rep_mid, rep_small, "Y", order)
-    for label, ratio in (("s-side", ratio_s), ("w-side", ratio_w)):
-        if not ratio.is_one():
-            raise ArithmeticError(
-                f"unramified {label} ratio is not 1: {ratio.to_text()}"
-            )
+    z_s = local_zeta_unramified(rep_big, dual_mid, "X", order)
+    ratio_s = z_s.series * l_factor_denominator_series(rep_big, dual_mid, "X", order)
+    z_w = local_zeta_unramified(rep_mid, rep_small, "Y", order)
+    ratio_w = z_w.series * l_factor_denominator_series(rep_mid, rep_small, "Y", order)
     return WeightResult(
-        value=LaurentPoly.one(),
+        value=_as_poly(ratio_s) * _as_poly(ratio_w),
         place_kind=PLACE_UNRAMIFIED,
         lattice_points=z_s.lattice_points + z_w.lattice_points,
     )
@@ -346,14 +351,10 @@ def weight_at_l(rep_mid: UnramifiedRep, rep_small: UnramifiedRep, m: int,
             f"{direct_series.to_text()} vs {regrouped_series.to_text()}"
         )
 
-    lden = _l_factor_denominator_series(rep_mid, rep_small, var, order)
+    lden = l_factor_denominator_series(rep_mid, rep_small, var, order)
     value = direct_series * lden
     paper_value = (regrouped_series * lden) * paper_const
-    comparison = PaperComparison(
-        paper_constant=paper_const,
-        computed_constant=computed_const,
-        ratio=RationalFunction(computed_const, paper_const),
-    )
+    comparison = PaperComparison(paper_constant=paper_const, computed_constant=computed_const)
     return WeightResult(
         value=value,
         place_kind=PLACE_DIVIDING_L,
@@ -400,11 +401,7 @@ def weight_at_q_structural(n0: int, m: int, n: int, p: int) -> WeightResult:
         )
     if n0 == m:
         value = LaurentPoly.const(Fraction(1, congruence_index(n, p, m)))
-        comparison = PaperComparison(
-            paper_constant=paper_constant,
-            computed_constant=value,
-            ratio=RationalFunction(value, paper_constant),
-        )
+        comparison = PaperComparison(paper_constant=paper_constant, computed_constant=value)
         return WeightResult(
             value=value,
             place_kind=PLACE_DIVIDING_Q,

@@ -1,9 +1,11 @@
 """Reference kernel: the dict-of-Monomial exactalg that packed keys replaced.
 
 This is the implementation ``whitlocal.exactalg`` had before its terms were
-keyed by packed exponent ints.  It is kept unchanged as a differential
-oracle for tests/test_exactalg.py and is not part of the package.  Its
-original description follows.
+keyed by packed exponent ints.  It is kept as a differential oracle for
+tests/test_exactalg.py and is not part of the package.  Its rational
+function type and series_expand are gone, as they are from the package;
+the rest is unchanged.  Its original description follows (of the rational
+function type, for the record).
 
 Everything downstream (Schur polynomials, spherical Whittaker values, local
 zeta series, parameter bookkeeping) computes inside three immutable types
@@ -562,89 +564,6 @@ def qpow(e) -> LaurentPoly:
     return LaurentPoly.var(RESIDUE_CARDINALITY_VAR, e)
 
 
-class RationalFunction:
-    """A quotient num/den of Laurent polynomials in canonical form.
-
-    Canonical form: the lexicographically least monomial of the denominator
-    has coefficient 1.  Equality is cross-multiplication, so no common
-    factors are ever cancelled; two representations of the same function
-    compare equal anyway.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=1):
-        num = LaurentPoly.coerce(num)
-        den = LaurentPoly.coerce(den)
-        if den.is_zero():
-            raise DivisionByZero("rational function with zero denominator")
-        lead = den.terms[den.min_monomial()]
-        if lead != 1:
-            scale = Fraction(1) / lead
-            num = num * scale
-            den = den * scale
-        self.num = num
-        self.den = den
-
-    def reciprocal(self) -> "RationalFunction":
-        if self.num.is_zero():
-            raise DivisionByZero("reciprocal of the zero function")
-        return RationalFunction(self.den, self.num)
-
-    def __mul__(self, other) -> "RationalFunction":
-        if not isinstance(other, RationalFunction):
-            other = RationalFunction(LaurentPoly.coerce(other))
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RationalFunction":
-        if not isinstance(other, RationalFunction):
-            other = RationalFunction(LaurentPoly.coerce(other))
-        return self * other.reciprocal()
-
-    def __add__(self, other) -> "RationalFunction":
-        if not isinstance(other, RationalFunction):
-            other = RationalFunction(LaurentPoly.coerce(other))
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "RationalFunction":
-        if not isinstance(other, RationalFunction):
-            other = RationalFunction(LaurentPoly.coerce(other))
-        return RationalFunction(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            other = RationalFunction(LaurentPoly.coerce(other))
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    __hash__ = None  # equality is extensional, so hashing is unsafe
-
-    def to_text(self) -> str:
-        if self.den == LaurentPoly.one():
-            return self.num.to_text()
-        return f"({self.num.to_text()}) / ({self.den.to_text()})"
-
-    __str__ = to_text
-
-    def __repr__(self) -> str:
-        return f"RationalFunction({self.to_text()})"
-
-    def to_json_obj(self) -> dict:
-        return {"num": self.num.to_json_obj(), "den": self.den.to_json_obj()}
-
-
 class TruncatedSeries:
     """A power series in one distinguished variable, truncated at a fixed order.
 
@@ -796,62 +715,6 @@ def series_equal(a: TruncatedSeries, b: TruncatedSeries) -> bool:
         raise VariableMismatch(f"series in {a.var!r} compared with series in {b.var!r}")
     n = min(a.order, b.order)
     return all(a.coeffs[k] == b.coeffs[k] for k in range(n + 1))
-
-
-def series_expand(f: RationalFunction, var: str, order: int) -> TruncatedSeries:
-    """Expand a rational function as a power series in one variable.
-
-    Works whenever, after pulling the common monomial factor out of the
-    denominator, the constant coefficient in the series variable is a
-    single invertible term.  Coefficients come from the standard linear
-    recurrence against the denominator, all in exact arithmetic.
-    """
-    if order < 0:
-        raise ValueError("series order must be nonnegative")
-    den = f.den
-    # pull out the common monomial factor of the denominator
-    mins: dict[str, Scalar] = {}
-    for v in den.variables():
-        mins[v] = min(mon.degree_in(v) for mon in den.terms)
-    shift = Monomial((v, e) for v, e in mins.items() if e != 0)
-    num = f.num
-    if shift.exps:
-        unshift = LaurentPoly.monomial(shift.inverse())
-        den = den * unshift
-        num = num * unshift
-    den_by_deg = den.coefficients_in(var)
-    c0 = den_by_deg.get(0, LaurentPoly.zero())
-    if c0.is_zero():
-        raise NotExpandable(
-            f"denominator has no constant term in {var!r} after clearing monomials"
-        )
-    if not c0.is_unit():
-        raise NotExpandable(
-            f"constant coefficient of the denominator in {var!r} is not invertible: "
-            f"{c0.to_text()}"
-        )
-    bad = [e for e in den_by_deg if not isinstance(e, int) or e < 0]
-    if bad:
-        raise NotExpandable(
-            f"denominator still has negative or fractional powers of {var!r}: {bad}"
-        )
-    num_by_deg = num.coefficients_in(var)
-    bad = [e for e in num_by_deg if not isinstance(e, int) or e < 0]
-    if bad:
-        raise NotExpandable(
-            f"numerator has a pole at {var!r} = 0 (exponents {bad})"
-        )
-    c0_inv = c0 ** -1
-    dens = [den_by_deg.get(k, LaurentPoly.zero()) for k in range(order + 1)]
-    out: list[LaurentPoly] = []
-    for k in range(order + 1):
-        acc = num_by_deg.get(k, LaurentPoly.zero())
-        for j in range(1, k + 1):
-            if dens[j].is_zero() or out[k - j].is_zero():
-                continue
-            acc = acc - dens[j] * out[k - j]
-        out.append(acc * c0_inv)
-    return TruncatedSeries(var, out)
 
 
 def geometric_series(ratio: LaurentPoly, var: str, order: int) -> TruncatedSeries:

@@ -14,7 +14,17 @@ from fractions import Fraction
 
 import pytest
 
-from whitlocal import LaurentPoly, UnramifiedRep, cli, local_zeta_unramified, qpow, whittaker, zeta
+from whitlocal import (
+    EnumerationTooLarge,
+    LaurentPoly,
+    UnramifiedRep,
+    cli,
+    local_zeta_unramified,
+    localrep,
+    qpow,
+    whittaker,
+    zeta,
+)
 from whitlocal.cli import main
 from whitlocal.exactalg import EXPONENT_LIMIT
 from whitlocal.report import CheckResult, SuiteReport, report_to_json
@@ -156,6 +166,53 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "'a1'" in err
+
+    def test_charsum_residue_cardinality_contract(self, capsys):
+        code, out, err = run_cli("charsum", "--p", "6", "--level", "1", "--valuations", "0",
+                                 capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: residue cardinality must be a prime power, got 6\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("charsum", "--p", "1000", "--level", "2", "--valuations", "0,0"),
+        ("charsum", "--p", "997", "--level", "2", "--valuations", "0,0"),
+        ("charsum", "--p", "2", "--level", "25", "--valuations", "0"),
+        ("charsum", "--p", "2", "--level", "9", "--valuations", "0,0,5"),
+        ("charsum", "--p", "3", "--level", str(10 ** 30), "--valuations", str(10 ** 30)),
+    ])
+    def test_charsum_enumeration_bound(self, argv, monkeypatch, capsys):
+        # refused before the numeric oracle enumerates a single residue tuple
+        monkeypatch.setattr(localrep, "product", None)
+        code, out, err = run_cli(*argv, capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_charsum_bound_edge(self, monkeypatch):
+        monkeypatch.setattr(localrep, "product", lambda *args, **kwargs: iter(()))
+        # (2^24)^1 = ENUMERATION_LIMIT tuples are admitted, one more power is not
+        assert localrep.character_sum_numeric(2, 24, [0]) == 0
+        with pytest.raises(EnumerationTooLarge):
+            localrep.character_sum_numeric(2, 25, [0])
+        with pytest.raises(EnumerationTooLarge):
+            localrep.character_sum_numeric(2, 12, [0, 0, 0])
+
+    @pytest.mark.parametrize("argv", [
+        ("whittaker", "--n", "1500", "--mu", "0"),
+        ("whittaker", "--n", "4000", "--mu", "0,0"),
+        ("whittaker", "--n", "3", "--mu", "2,1,0", "--level", "1"),
+        ("whittaker", "--n", "2", "--mu", "1,0,0", "--dual"),
+    ])
+    def test_whittaker_compares_ranks_before_building(self, argv, monkeypatch, capsys):
+        def unbuilt(*args):
+            raise AssertionError("the representation was built")
+
+        monkeypatch.setattr(UnramifiedRep, "symbolic", unbuilt)
+        code, out, err = run_cli(*argv, capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: rank ")
 
     def test_contract_holds_in_a_process(self):
         proc = run_process("index", "--n", "2", "--p", "4", "--level", "1", "--bruteforce")

@@ -1,4 +1,4 @@
-"""Exact arithmetic core: ring laws, round trips, series expansion."""
+"""Exact arithmetic core: ring laws, round trips, truncated series."""
 
 import json
 import pickle
@@ -17,16 +17,14 @@ from whitlocal import (
     Monomial,
     NegativeUnderHalfExponent,
     NotExpandable,
-    RationalFunction,
     TruncatedSeries,
     VariableMismatch,
     geometric_series,
     qpow,
     series_equal,
-    series_expand,
 )
 from whitlocal import exactalg
-from whitlocal.exactalg import EXPONENT_LIMIT
+from whitlocal.exactalg import EXPONENT_LIMIT, RationalFunction
 
 X = LaurentPoly.var("x")
 Y = LaurentPoly.var("y")
@@ -59,7 +57,7 @@ def polys(draw, with_q=True, nonneg=False):
     total = LaurentPoly.zero()
     for _ in range(draw(st.integers(0, 5))):
         c = draw(fractions)
-        total = total + LaurentPoly.monomial(_mono(draw(monomial_exps(with_q, nonneg))), c)
+        total = total + LaurentPoly({_mono(draw(monomial_exps(with_q, nonneg))): c})
     return total
 
 
@@ -68,13 +66,12 @@ class TestMonomial:
         m = _mono({"x": 2, "q": Fraction(1, 2)})
         n = _mono({"x": -2, "y": 1})
         assert (m * n).exps == (("q", Fraction(1, 2)), ("y", 1))
-        assert (m * m.inverse()) == Monomial(())
+        assert (m * m ** -1) == Monomial(())
 
     def test_power_and_degree(self):
         m = _mono({"x": 3, "y": -1})
-        assert (m ** 2).degree_in("x") == 6
-        assert m.degree_in("z") == 0
-        assert m.without("x") == _mono({"y": -1})
+        assert (m ** 2).exps == (("x", 6), ("y", -2))
+        assert (m ** 0) == Monomial(())
 
     def test_ordering_is_total(self):
         ms = [_mono({"x": 1}), _mono({"q": Fraction(1, 2)}), Monomial(()), _mono({"y": -2})]
@@ -111,7 +108,7 @@ class TestRingLaws:
             a / 0
 
     def test_unit_negative_power(self):
-        u = LaurentPoly.monomial(_mono({"x": 2, "q": Fraction(-1, 2)}), Fraction(3, 4))
+        u = LaurentPoly({_mono({"x": 2, "q": Fraction(-1, 2)}): Fraction(3, 4)})
         assert u ** -1 * u == LaurentPoly.one()
         with pytest.raises(DivisionByZero):
             (X + Y) ** -1
@@ -140,7 +137,7 @@ def term_lists(draw, max_terms=5, names=ORACLE_NAMES):
 def build(kernel, terms):
     total = kernel.LaurentPoly.zero()
     for exps, c in terms:
-        total = total + kernel.LaurentPoly.monomial(kernel.Monomial(exps.items()), c)
+        total = total + kernel.LaurentPoly({kernel.Monomial(exps.items()): c})
     return total
 
 
@@ -208,18 +205,6 @@ class TestAgainstReference:
         assert got == {e: c.to_text() for e, c in ra.coefficients_in(name).items()}
 
     @settings(max_examples=200)
-    @given(term_lists(max_terms=3), term_lists(max_terms=3), st.integers(0, 4))
-    def test_rational_functions_and_series_expand(self, tn, td, order):
-        (n, rn), (d, rd) = both(tn), both(td)
-        # 1 + x*d has a constant term in x whenever d has no negative power of x
-        den, rden = LaurentPoly.one() + X * d, ref.LaurentPoly.one() + ref.LaurentPoly.var("x") * rd
-        same_outcome(lambda: RationalFunction(n, den), lambda: ref.RationalFunction(rn, rden))
-        same_outcome(lambda: series_expand(RationalFunction(n, den), "x", order),
-                     lambda: ref.series_expand(ref.RationalFunction(rn, rden), "x", order))
-        same_outcome(lambda: series_expand(RationalFunction(n, d), "y", order),
-                     lambda: ref.series_expand(ref.RationalFunction(rn, rd), "y", order))
-
-    @settings(max_examples=200)
     @given(term_lists())
     def test_text_json_and_parse(self, t):
         a, ra = both(t)
@@ -235,8 +220,10 @@ class TestAgainstReference:
         assert [(m.exps, c) for m, c in a.sorted_terms()] == [
             (m.exps, c) for m, c in ra.sorted_terms()
         ]
-        same_outcome(a.min_monomial, ra.min_monomial, text=lambda m: m.exps)
+        # the first sorted term is the least monomial
         mons = [m for m, _ in a.sorted_terms()]
+        if ra.terms:
+            assert mons[0].exps == ra.min_monomial().exps
         assert sorted(reversed(mons)) == mons
         assert a.variables() == ra.variables()
 
@@ -250,7 +237,8 @@ def test_pickles_by_variable_name(monkeypatch):
     LaurentPoly.var("y")
     back = pickle.loads(blob)
     assert back.to_text() == "2*q^(1/2)*x - 1/3*y^(-1)"
-    assert pickle.loads(pickle.dumps(back.min_monomial())).exps == (("q", Fraction(1, 2)), ("x", 1))
+    least = back.sorted_terms()[0][0]
+    assert pickle.loads(pickle.dumps(least)).exps == (("q", Fraction(1, 2)), ("x", 1))
 
 
 class TestExponentField:
@@ -275,6 +263,19 @@ class TestExponentField:
         with pytest.raises(ExponentOutOfRange):
             LaurentPoly.var("x", 2 ** 30) ** -2
 
+    def test_var_is_built_without_decoding_a_key(self, monkeypatch):
+        # decoding costs one shift per slot, so a variable at a high slot
+        # would cost time in the number of names interned before it
+        names = [f"v{i}" for i in range(200)]
+        with monkeypatch.context() as m:
+            m.setattr(exactalg, "_fields", None)
+            built = [LaurentPoly.var(name, -2) for name in names] + [qpow(Fraction(3, 2))]
+        assert built == [LaurentPoly.parse(f"{name}^(-2)") for name in names] + [
+            LaurentPoly.parse("q^(3/2)")
+        ]
+        with pytest.raises(ValueError, match="half-integer"):
+            LaurentPoly.var("v1", Fraction(1, 2))
+
     def test_a_bound_is_a_value_error(self):
         assert issubclass(ExponentOutOfRange, ValueError)
 
@@ -298,9 +299,7 @@ class TestTextAndJson:
         assert LaurentPoly.from_json_obj(json.loads(packed)) == a
 
     def test_canonical_examples(self):
-        p = LaurentPoly.one() + LaurentPoly.monomial(
-            _mono({"a1": 2, "q": Fraction(-1, 2)}), Fraction(3, 2)
-        )
+        p = LaurentPoly.one() + LaurentPoly({_mono({"a1": 2, "q": Fraction(-1, 2)}): Fraction(3, 2)})
         assert p.to_text() == "1 + 3/2*a1^2*q^(-1/2)"
         assert LaurentPoly.parse("1 + 3/2*a1^2*q^(-1/2)") == p
         assert LaurentPoly.parse("-x + 2") == LaurentPoly.const(2) - X
@@ -368,43 +367,16 @@ class TestSubstituteEvaluate:
 
 
 class TestRationalFunction:
-    def test_normalization_makes_den_monic_at_min(self):
-        rf = RationalFunction(X, X * 2 + Y * 4)
-        assert rf.den.terms[rf.den.min_monomial().key] == 1
-
-    def test_cross_multiplication_equality(self):
-        assert RationalFunction(X, Y) == RationalFunction(X * X, X * Y)
-        assert RationalFunction(X, Y) != RationalFunction(Y, X)
-
-    def test_arithmetic(self):
-        half = RationalFunction(LaurentPoly.one(), LaurentPoly.const(2))
-        assert half + half == RationalFunction(LaurentPoly.one())
-        a = RationalFunction(X, Y)
-        assert a * a.reciprocal() == RationalFunction(LaurentPoly.one())
-        assert a - a == RationalFunction(LaurentPoly.zero())
-        assert (a / a) == RationalFunction(LaurentPoly.one())
-
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(DivisionByZero):
-            RationalFunction(X, LaurentPoly.zero())
-        with pytest.raises(DivisionByZero):
-            RationalFunction(LaurentPoly.zero()).reciprocal()
-
-    def test_unhashable(self):
-        with pytest.raises(TypeError):
-            hash(RationalFunction(X, Y))
-
     def test_json_round_trip(self):
+        # a quotient as written: nothing is normalized or cancelled
         rf = RationalFunction(X + Y, LaurentPoly.one() * 2 - X * Y)
         obj = rf.to_json_obj()
         assert obj == {
-            "num": [{"coeff": "1/2", "exps": {"x": "1"}}, {"coeff": "1/2", "exps": {"y": "1"}}],
-            "den": [{"coeff": "1", "exps": {}}, {"coeff": "-1/2", "exps": {"x": "1", "y": "1"}}],
+            "num": [{"coeff": "1", "exps": {"x": "1"}}, {"coeff": "1", "exps": {"y": "1"}}],
+            "den": [{"coeff": "2", "exps": {}}, {"coeff": "-1", "exps": {"x": "1", "y": "1"}}],
         }
-        back = RationalFunction(
-            LaurentPoly.from_json_obj(obj["num"]), LaurentPoly.from_json_obj(obj["den"])
-        )
-        assert back == rf
+        assert LaurentPoly.from_json_obj(obj["num"]) == rf.num
+        assert LaurentPoly.from_json_obj(obj["den"]) == rf.den
 
 
 class TestTruncatedSeries:
@@ -453,62 +425,44 @@ class TestTruncatedSeries:
         assert back == s
 
 
+def _times(series: TruncatedSeries, den: LaurentPoly) -> TruncatedSeries:
+    return series * TruncatedSeries.from_poly(den, series.var, series.order)
+
+
 class TestSeriesExpand:
+    """Expansions of num/den, checked as the program checks them: times den."""
+
     def test_geometric(self):
-        rf = RationalFunction(LaurentPoly.one(), LaurentPoly.one() - X * Y)
-        got = series_expand(rf, "x", 6)
-        assert series_equal(got, geometric_series(Y, "x", 6))
+        assert _times(geometric_series(Y, "x", 6), LaurentPoly.one() - X * Y).is_one()
 
     def test_long_division_oracle(self):
-        num = LaurentPoly.one() - X ** 2
-        den = LaurentPoly.one() - X
-        got = series_expand(RationalFunction(num, den), "x", 6)
-        assert got.coeffs[0] == LaurentPoly.one()
-        assert got.coeffs[1] == LaurentPoly.one()
-        assert all(c.is_zero() for c in got.coeffs[2:])
-
-    def test_monomial_clearing(self):
-        # x/(x - x^2) = 1/(1 - x)
-        rf = RationalFunction(X, X - X ** 2)
-        got = series_expand(rf, "x", 5)
-        assert series_equal(got, geometric_series(LaurentPoly.one(), "x", 5))
+        # (1 - x^2) / (1 - x) = 1 + x
+        series = TruncatedSeries.from_poly(LaurentPoly.one() + X, "x", 6)
+        want = TruncatedSeries.from_poly(LaurentPoly.one() - X ** 2, "x", 6)
+        assert _times(series, LaurentPoly.one() - X) == want
 
     def test_two_factor_denominator(self):
-        den = (LaurentPoly.one() - X * Y) * (LaurentPoly.one() - X * LaurentPoly.var("z"))
-        got = series_expand(RationalFunction(LaurentPoly.one(), den), "x", 4)
         z = LaurentPoly.var("z")
+        coeffs = []
         for k in range(5):
             want = LaurentPoly.zero()
             for i in range(k + 1):
                 want = want + Y ** i * z ** (k - i)
-            assert got.coeffs[k] == want
-
-    def test_unit_constant_coefficient_gives_laurent_series(self):
-        # 1/(x - y) = -y^(-1) - x*y^(-2) - ... since the x-constant term -y is a unit
-        got = series_expand(RationalFunction(LaurentPoly.one(), X - Y), "x", 3)
-        for k in range(4):
-            assert got.coeffs[k] == -LaurentPoly.var("y", -(k + 1))
-
-    def test_not_expandable_cases(self):
-        with pytest.raises(NotExpandable):
-            series_expand(RationalFunction(LaurentPoly.one(), X), "x", 3)
-        with pytest.raises(NotExpandable):
-            series_expand(
-                RationalFunction(LaurentPoly.one(), X - Y - LaurentPoly.one()), "x", 3
-            )
+            coeffs.append(want)
+        den = (LaurentPoly.one() - X * Y) * (LaurentPoly.one() - X * z)
+        assert _times(TruncatedSeries("x", coeffs), den).is_one()
+        # a wrong coefficient shows up in the product
+        coeffs[3] = coeffs[3] + Y
+        assert not _times(TruncatedSeries("x", coeffs), den).is_one()
 
     @given(polys(with_q=False, nonneg=True), st.integers(0, 5))
     def test_expand_times_denominator_recovers_numerator(self, num, order):
         den = LaurentPoly.one() - X * Y
-        series = series_expand(RationalFunction(num * den, den), "x", order)
-        direct = num.coefficients_in("x")
-        for k in range(order + 1):
-            want = direct.get(k, LaurentPoly.zero())
-            assert series.coeffs[k] == want
+        series = TruncatedSeries.from_poly(num, "x", order)
+        assert _times(series, den) == TruncatedSeries.from_poly(num * den, "x", order)
 
     def test_half_exponent_coefficients_survive(self):
-        num = qpow(Fraction(-1, 2))
-        den = LaurentPoly.one() - qpow(Fraction(1, 2)) * X
-        got = series_expand(RationalFunction(num, den), "x", 3)
-        for k in range(4):
-            assert got.coeffs[k] == qpow(Fraction(k - 1, 2))
+        # q^(-1/2) / (1 - q^(1/2) x) = sum_k q^((k-1)/2) x^k
+        series = TruncatedSeries("x", [qpow(Fraction(k - 1, 2)) for k in range(4)])
+        got = _times(series, LaurentPoly.one() - qpow(Fraction(1, 2)) * X)
+        assert got == TruncatedSeries.from_poly(qpow(Fraction(-1, 2)), "x", 3)

@@ -18,7 +18,6 @@ from whitlocal import (
     dual_params,
     localrep,
     qpow,
-    series_expand,
     suites,
     symfunc,
     whittaker,
@@ -84,14 +83,16 @@ def test_cusp_sign_flip(monkeypatch):
 
 
 def test_unramified_shifted_l_factor_coefficient(monkeypatch):
-    def shifted(f, var, order):
-        coeffs = series_expand(f, var, order).coeffs
+    def shifted(rep_a, rep_b, var, order):
+        coeffs = zeta.l_factor_denominator_series(rep_a, rep_b, var, order).coeffs
         return TruncatedSeries(var, [LaurentPoly.zero(), *coeffs[:-1]])
 
-    monkeypatch.setattr(suites, "series_expand", shifted)
+    monkeypatch.setattr(suites, "l_factor_denominator_series", shifted)
     report, statuses = _statuses("unramified")
     assert statuses == {"fail"}
-    assert report.checks[0].witness.startswith("X^0: lattice sum 1 != L-factor expansion 0")
+    assert report.checks[0].witness == (
+        "X^0: lattice sum times the L-factor denominator gives 0"
+    )
 
 
 def test_cauchy_schur_plus_one_monomial(monkeypatch):
@@ -108,12 +109,24 @@ def test_schur_plus_one_monomial(monkeypatch):
     assert kinds == {("oracle", "fail"), ("pieri", "fail"), ("dimension", "error")}
 
 
-def test_weight_unramified_can_only_error(monkeypatch):
-    # weight_unramified raises unless both ratios are 1 and then returns the
-    # constant its check compares against, so a fault can only surface as error
+def test_weight_unramified_modulus_fault_errors(monkeypatch):
+    # the per-term modulus bookkeeping is an internal identity: it raises
     monkeypatch.setattr(zeta, "qpow", lambda e: qpow(e + Fraction(1, 2)))
     _, statuses = _statuses("weight-unramified")
     assert statuses == {"error"}
+
+
+def test_weight_unramified_perturbed_denominator_fails(monkeypatch):
+    # a denominator off by one variable makes the computed value differ from 1
+    original = zeta.l_factor_denominator_series
+
+    def perturbed(rep_a, rep_b, var, order):
+        return original(rep_a, rep_b, var, order) + LaurentPoly.var(var)
+
+    monkeypatch.setattr(zeta, "l_factor_denominator_series", perturbed)
+    report, statuses = _statuses("weight-unramified")
+    assert statuses == {"fail"}
+    assert all(c.witness.startswith("value ") and c.witness != "value 1" for c in report.checks)
 
 
 def test_weight_l_published_constant_off_by_q(monkeypatch):

@@ -41,7 +41,7 @@ FRACTION = st.sampled_from(["1/2", "0", "-3/4", "2", "1/0", "3/0", "x", ""])
 COMMANDS = {
     "lfactor": ({}, {"--rank-a": ints(-1, 3, huge=True), "--rank-b": ints(-1, 3, huge=True),
                      "--var": VAR}),
-    "whittaker": ({"--n": ints(-1, 4), "--mu": int_lists(-3, 6, 4, huge=True)},
+    "whittaker": ({"--n": ints(-1, 4, huge=True), "--mu": int_lists(-3, 6, 4, huge=True)},
                   {"--level": ints(-1, 3), "--dual": FLAG}),
     "zeta": ({"--n": ints(-1, 3)}, {"--order": ints(-2, 3), "--var": VAR}),
     "weight": ({"--n": ints(-1, 3)},
@@ -50,7 +50,8 @@ COMMANDS = {
                 "--p": P_BOUNDED, "--var": VAR}),
     "index": ({"--n": ints(-1, 3), "--p": P_BOUNDED},
               {"--level": ints(-1, 1), "--bruteforce": FLAG}),
-    "charsum": ({"--p": P_SMALL, "--valuations": int_lists(-1, 3, 2)}, {"--level": ints(-1, 2)}),
+    "charsum": ({"--p": P_BOUNDED, "--valuations": int_lists(-1, 3, 3, huge=True)},
+                {"--level": ints(-1, 2, huge=True)}),
     "params": ({"--n": ints(-1, 5)}, {"--s": FRACTION, "--w": FRACTION}),
     "verify": ({"--suite": st.sampled_from(["involution", "weyl", "cusp", "weight-q", "nosuch"])},
                {"--n-max": ints(-1, 6), "--order": ints(-3, 6), "--p": P_BOUNDED,

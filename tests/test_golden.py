@@ -1,16 +1,34 @@
-"""The committed bytes of the whole verification battery.
+"""Committed bytes: the whole verification battery and five payloads.
 
 ``golden/verify_all_seed0.json`` is the stdout of
 ``whitlocal verify --suite all --jobs 1 --seed 0 --emit json``.  Any change
 to a check id, description, status or witness, or to the report layout,
 shows up here as a byte difference.
+
+``golden/payloads/NAME.EMIT`` is the stdout of one command line of
+``PAYLOADS`` with ``--emit EMIT``, so that a change in how ``closedForm``,
+``ratio``, a series or a weight is written out fails here too.
 """
 
 from pathlib import Path
 
-from whitlocal.cli import main
+import pytest
+
+from whitlocal.cli import EMIT_CHOICES, main
 
 GOLDEN = Path(__file__).parent / "golden" / "verify_all_seed0.json"
+PAYLOAD_DIR = Path(__file__).parent / "golden" / "payloads"
+
+PAYLOADS = {
+    "zeta_n2_order4": ["zeta", "--n", "2", "--order", "4"],
+    "lfactor_2_2": ["lfactor", "--rank-a", "2", "--rank-b", "2"],
+    "weight_l_n3_level1_order4": ["weight", "--place", "l", "--n", "3", "--level", "1",
+                                  "--order", "4"],
+    "weight_q_n2_cond1_level1_p3": ["weight", "--place", "q", "--n", "2", "--cond", "1",
+                                    "--level", "1", "--p", "3"],
+    "weight_unramified_n2_order3": ["weight", "--place", "unramified", "--n", "2",
+                                    "--order", "3"],
+}
 
 
 def test_verify_all_matches_golden_bytes(capsys):
@@ -18,3 +36,13 @@ def test_verify_all_matches_golden_bytes(capsys):
     out, _ = capsys.readouterr()
     assert code == 0
     assert out == GOLDEN.read_text()
+
+
+@pytest.mark.parametrize("emit", EMIT_CHOICES)
+@pytest.mark.parametrize("name", sorted(PAYLOADS))
+def test_payload_matches_golden_bytes(name, emit, capsys):
+    code = main(PAYLOADS[name] + ["--emit", emit])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    # bytes, not text: csv rows end in \r\n
+    assert out.encode() == (PAYLOAD_DIR / f"{name}.{emit}").read_bytes()

@@ -8,13 +8,14 @@ from whitlocal import symfunc, whittaker, zeta
 from whitlocal.suites import SUITES, SuiteConfig
 from whitlocal import (
     LaurentPoly,
+    TruncatedSeries,
     RankMismatch,
-    RationalFunction,
     SymbolCollision,
     UnramifiedRep,
     complete_homogeneous,
     congruence_index,
-    local_l_factor,
+    l_factor_denominator,
+    l_factor_denominator_series,
     local_zeta_unramified,
     qpow,
     weight_at_l,
@@ -27,20 +28,31 @@ def _reps(n):
     return UnramifiedRep.symbolic(n + 1, "a"), UnramifiedRep.symbolic(n, "b")
 
 
+def _times_l_denominator_is_one(result, rep_a, rep_b):
+    series = result.series
+    return (series * l_factor_denominator_series(rep_a, rep_b, series.var, series.order)).is_one()
+
+
 class TestLFactor:
     def test_rank_21_denominator(self):
         rep_a, rep_b = _reps(1)
-        factor = local_l_factor(rep_a, rep_b)
+        den = l_factor_denominator(rep_a, rep_b)
         a1, a2, b1, x = (LaurentPoly.var(v) for v in ("a1", "a2", "b1", "X"))
         want = (LaurentPoly.one() - a1 * b1 * x) * (LaurentPoly.one() - a2 * b1 * x)
-        assert factor == RationalFunction(1, want)
+        assert den == want
+        # the truncated series is the same polynomial cut at the order
+        assert l_factor_denominator_series(rep_a, rep_b, "X", 1) == TruncatedSeries.from_poly(
+            want, "X", 1
+        )
 
     def test_symbol_hygiene(self):
         with pytest.raises(SymbolCollision):
-            local_l_factor(UnramifiedRep.symbolic(2, "a"), UnramifiedRep.symbolic(1, "a"))
+            l_factor_denominator(UnramifiedRep.symbolic(2, "a"), UnramifiedRep.symbolic(1, "a"))
         rep_x = UnramifiedRep(2, [LaurentPoly.var("X"), LaurentPoly.var("c1")])
         with pytest.raises(SymbolCollision):
-            local_l_factor(rep_x, UnramifiedRep.symbolic(1, "b"), var="X")
+            l_factor_denominator(rep_x, UnramifiedRep.symbolic(1, "b"), var="X")
+        with pytest.raises(SymbolCollision):
+            l_factor_denominator_series(rep_x, UnramifiedRep.symbolic(1, "b"), "X", 2)
 
 
 class TestLocalZeta:
@@ -52,25 +64,19 @@ class TestLocalZeta:
             want = complete_homogeneous(k, rep_a.satake) * b1 ** k
             assert result.series.coeffs[k] == want
         assert result.lattice_points == 5
-        assert result.closed_form_matches()
+        assert _times_l_denominator_is_one(result, rep_a, rep_b)
 
     def test_rank_32_matches_l_factor(self):
         rep_a, rep_b = _reps(2)
         result = local_zeta_unramified(rep_a, rep_b, order=4)
-        assert result.closed_form_matches()
+        assert _times_l_denominator_is_one(result, rep_a, rep_b)
         # dominant lattice points of length 2 and weight <= 4
         assert result.lattice_points == 9
-
-    def test_no_closed_form_mode(self):
-        rep_a, rep_b = _reps(1)
-        result = local_zeta_unramified(rep_a, rep_b, order=3, build_closed_form=False)
-        assert result.closed_form is None
-        assert result.closed_form_matches()
 
     def test_json_shape(self):
         rep_a, rep_b = _reps(1)
         obj = local_zeta_unramified(rep_a, rep_b, order=2).to_json_obj()
-        assert set(obj) == {"series", "latticePoints", "closedForm"}
+        assert set(obj) == {"series", "latticePoints"}
         assert obj["series"]["coeffs"][0] == "1"
 
     def test_verify_report(self):
@@ -142,6 +148,20 @@ class TestWeightUnramified:
         assert result.place_kind == "unramified"
         assert result.lattice_points == 18
 
+    def test_value_is_the_product_of_both_ratios(self, monkeypatch):
+        # a w-side denominator off by Y gives the ratio (lattice sum) * (den + Y),
+        # which is 1 + Y through Y^1; the value carries it instead of raising
+        original = zeta.l_factor_denominator_series
+
+        def perturbed(rep_a, rep_b, var, order):
+            den = original(rep_a, rep_b, var, order)
+            return den + LaurentPoly.var("Y") if var == "Y" else den
+
+        monkeypatch.setattr(zeta, "l_factor_denominator_series", perturbed)
+        result = weight_unramified(UnramifiedRep.symbolic(3, "a"), UnramifiedRep.symbolic(2, "b"),
+                                   UnramifiedRep.symbolic(1, "g"), order=1)
+        assert result.value == LaurentPoly.one() + LaurentPoly.var("Y")
+
     def test_rank_validation(self):
         with pytest.raises(RankMismatch):
             weight_unramified(
@@ -187,7 +207,9 @@ class TestWeightAtL:
         cmp = result.paper_comparison
         assert cmp.computed_constant == qpow(4)
         assert cmp.paper_constant == qpow(2)
-        assert cmp.ratio == RationalFunction(qpow(2), 1)
+        assert cmp.ratio == qpow(2)
+        ratio = cmp.to_json_obj()["ratio"]
+        assert ratio == {"num": qpow(4).to_json_obj(), "den": qpow(2).to_json_obj()}
 
     def test_published_value_is_rescaled(self):
         mid = UnramifiedRep.symbolic(2, "b")
@@ -224,7 +246,11 @@ class TestWeightAtQ:
         assert result.value.as_fraction() == Fraction(1, 3)
         cmp = result.paper_comparison
         assert cmp.paper_constant.as_fraction() == Fraction(1, 2)
-        assert cmp.ratio == RationalFunction(LaurentPoly.const(Fraction(2, 3)))
+        assert cmp.ratio == Fraction(2, 3)
+        # the quotient as written, scaled so that the published term is 1
+        ratio = cmp.to_json_obj()["ratio"]
+        assert ratio == {"num": LaurentPoly.const(Fraction(2, 3)).to_json_obj(),
+                         "den": LaurentPoly.one().to_json_obj()}
 
     def test_degenerate_level_zero(self):
         result = weight_at_q_structural(0, 0, 3, 5)
