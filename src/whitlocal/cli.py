@@ -16,9 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactalg import LaurentPoly, RationalFunction, TruncatedSeries
@@ -43,44 +41,15 @@ from .zeta import (
 )
 
 EMIT_CHOICES = ("json", "csv", "text")
-JOBS_ENV = "WHITLOCAL_JOBS"
 
 # full polynomial expansion of an L-factor denominator has 2^(rank product)
 # terms, so the closed-form paths are capped
 MAX_CLOSED_FORM_FACTORS = 16
 
 # a Whittaker value at rank n is a Schur value s_lam with lam = mu - min(mu),
-# which has at most C(|lam| + n - 1, n - 1) terms; the cap keeps the worst
-# admitted value under about a second (README "Scope")
-MAX_WHITTAKER_TERMS = 10_000
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs, decoupled from argparse."""
-
-    command: str
-    emit: str = "json"
-    n: int = 2
-    rank_a: int = 2
-    rank_b: int = 1
-    mu: tuple[int, ...] = ()
-    level: int | None = None
-    cond: int = 0
-    order: int = 6
-    p: int | str = 2
-    valuations: tuple[int, ...] = ()
-    var: str = "X"
-    s: str | None = None
-    w: str | None = None
-    place: str = "unramified"
-    dual: bool = False
-    bruteforce: bool = False
-    suite: str = "all"
-    n_max: int = 10
-    seed: int = 0
-    jobs: int = 1
-    timings: bool = False
+# which has at most C(|lam| + n - 1, n - 1) terms, and a lattice series has
+# the term count of _lattice_terms; the cap bounds both (README "Scope")
+MAX_TERMS = 10_000
 
 
 def _parse_int_tuple(text: str) -> tuple[int, ...]:
@@ -107,17 +76,6 @@ def _parse_fraction(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
-
-
-def _default_jobs() -> int:
-    raw = os.environ.get(JOBS_ENV, "1")
-    try:
-        jobs = int(raw)
-    except ValueError:
-        raise ValueError(f"{JOBS_ENV} must be an integer, got {raw!r}") from None
-    if jobs < 1:
-        raise ValueError(f"{JOBS_ENV} must be positive, got {jobs}")
-    return jobs
 
 
 def _flatten(value, key: str = ""):
@@ -168,131 +126,168 @@ def _emit_report(report: SuiteReport, emit: str, timings: bool) -> str:
     return report_to_text(report, include_timings=timings)
 
 
-def _cmd_lfactor(cfg: RunConfig) -> dict:
-    if cfg.rank_a < 1 or cfg.rank_b < 1:
+def _check_terms(what: str, counts) -> None:
+    """Refuse once the running total of counts passes MAX_TERMS; counts may be endless."""
+    total = 0
+    for count in counts:
+        total += count
+        if total > MAX_TERMS:
+            raise ValueError(f"{what} would need more than {MAX_TERMS} terms")
+
+
+def _lattice_terms(order: int, ranks):
+    """The terms of rank (r, s) lattice series through the order.
+
+    The X^k coefficient is h_k(alpha_i beta_j), with exactly
+    C(k+r-1, r-1) * C(k+s-1, s-1) terms.  The r*s products alpha_i beta_j
+    count too, so the ranks are bounded at order 0 as well.
+    """
+    for r, s in ranks:
+        yield r * s
+        for k in range(order + 1):
+            yield math.comb(k + r - 1, r - 1) * math.comb(k + s - 1, s - 1)
+
+
+def _denominator_terms(order: int, ranks):
+    """At most the terms built while multiplying out each pair's r*s linear factors.
+
+    After f factors the X^k coefficient has at most C(f, k) terms, and the
+    sum over f is C(r*s + 1, k + 1).
+    """
+    for r, s in ranks:
+        for k in range(min(order, r * s) + 1):
+            yield math.comb(r * s + 1, k + 1)
+
+
+def _cmd_lfactor(args: argparse.Namespace) -> dict:
+    if args.rank_a < 1 or args.rank_b < 1:
         raise ValueError("ranks must be positive")
-    if cfg.rank_a * cfg.rank_b > MAX_CLOSED_FORM_FACTORS:
+    if args.rank_a * args.rank_b > MAX_CLOSED_FORM_FACTORS:
         raise ValueError(
-            f"rank product {cfg.rank_a * cfg.rank_b} exceeds the closed-form cap "
+            f"rank product {args.rank_a * args.rank_b} exceeds the closed-form cap "
             f"{MAX_CLOSED_FORM_FACTORS}; use the zeta command for a series view"
         )
-    rep_a = UnramifiedRep.symbolic(cfg.rank_a, "a")
-    rep_b = UnramifiedRep.symbolic(cfg.rank_b, "b")
+    rep_a = UnramifiedRep.symbolic(args.rank_a, "a")
+    rep_b = UnramifiedRep.symbolic(args.rank_b, "b")
     return {
-        "ranks": [cfg.rank_a, cfg.rank_b],
-        "variable": cfg.var,
+        "ranks": [args.rank_a, args.rank_b],
+        "variable": args.var,
         "numerator": "1",
-        "denominator": l_factor_denominator(rep_a, rep_b, cfg.var).to_text(),
+        "denominator": l_factor_denominator(rep_a, rep_b, args.var).to_text(),
     }
 
 
-def _cmd_whittaker(cfg: RunConfig) -> dict:
+def _cmd_whittaker(args: argparse.Namespace) -> dict:
     # the point evaluated: mu, its reversed negation for --dual, (mu, 0) for --level
-    point = cfg.mu + (0,) * (cfg.level is not None)
-    if cfg.dual:
+    point = args.mu + (0,) * (args.level is not None)
+    if args.dual:
         point = tuple(-e for e in point)
     degree = sum(point) - len(point) * min(point)
     terms = math.comb(degree + len(point) - 1, len(point) - 1)
-    if terms > MAX_WHITTAKER_TERMS:
-        raise ValueError(
-            f"the value may have up to {terms} terms, over the cap {MAX_WHITTAKER_TERMS}"
-        )
+    if terms > MAX_TERMS:
+        raise ValueError(f"the value may have up to {terms} terms, over the cap {MAX_TERMS}")
     # building the representation takes time in n, so compare lengths first
-    want = cfg.n if cfg.level is None else cfg.n - 1
-    if cfg.n >= 1 and len(cfg.mu) != want:
-        raise RankMismatch(f"rank {cfg.n} takes a length {want} cocharacter here, "
-                           f"got length {len(cfg.mu)}")
-    rep = UnramifiedRep.symbolic(cfg.n, "a")
-    payload: dict = {"rank": cfg.n, "cocharacter": list(cfg.mu)}
-    if cfg.level is None:
-        mu = TorusCocharacter(cfg.mu)
-        value = contragredient_value(rep, mu) if cfg.dual else spherical_value(rep, mu)
-        payload["model"] = "contragredient" if cfg.dual else "spherical"
+    want = args.n if args.level is None else args.n - 1
+    if args.n >= 1 and len(args.mu) != want:
+        raise RankMismatch(f"rank {args.n} takes a length {want} cocharacter here, "
+                           f"got length {len(args.mu)}")
+    rep = UnramifiedRep.symbolic(args.n, "a")
+    payload: dict = {"rank": args.n, "cocharacter": list(args.mu)}
+    if args.level is None:
+        mu = TorusCocharacter(args.mu)
+        value = contragredient_value(rep, mu) if args.dual else spherical_value(rep, mu)
+        payload["model"] = "contragredient" if args.dual else "spherical"
     else:
-        if cfg.dual:
+        if args.dual:
             raise ValueError("the level vector has no contragredient variant here")
-        mu = TorusCocharacter(cfg.mu)
-        value = twisted_value(rep, mu, cfg.level)
+        mu = TorusCocharacter(args.mu)
+        value = twisted_value(rep, mu, args.level)
         payload["model"] = "twisted"
-        payload["level"] = cfg.level
+        payload["level"] = args.level
     payload["value"] = value.to_text()
     return payload
 
 
-def _cmd_zeta(cfg: RunConfig) -> dict:
-    if cfg.n < 1:
+def _cmd_zeta(args: argparse.Namespace) -> dict:
+    n, order = args.n, args.order
+    if n < 1:
         raise ValueError("the smaller rank must be at least 1")
-    if cfg.order < 0:
+    if order < 0:
         raise ValueError("series order must be nonnegative")
-    rep_a = UnramifiedRep.symbolic(cfg.n + 1, "a")
-    rep_b = UnramifiedRep.symbolic(cfg.n, "b")
-    result = local_zeta_unramified(rep_a, rep_b, var=cfg.var, order=cfg.order)
-    payload = {"ranks": [cfg.n + 1, cfg.n], "order": cfg.order}
+    _check_terms("the lattice series", _lattice_terms(order, [(n + 1, n)]))
+    rep_a = UnramifiedRep.symbolic(n + 1, "a")
+    rep_b = UnramifiedRep.symbolic(n, "b")
+    result = local_zeta_unramified(rep_a, rep_b, var=args.var, order=order)
+    payload = {"ranks": [n + 1, n], "order": order}
     payload.update(result.to_json_obj())
-    if (cfg.n + 1) * cfg.n <= MAX_CLOSED_FORM_FACTORS:
-        den = l_factor_denominator(rep_a, rep_b, cfg.var)
+    if (n + 1) * n <= MAX_CLOSED_FORM_FACTORS:
+        den = l_factor_denominator(rep_a, rep_b, args.var)
         payload["closedForm"] = RationalFunction(LaurentPoly.one(), den).to_json_obj()
-        product = result.series * TruncatedSeries.from_poly(den, cfg.var, cfg.order)
+        product = result.series * TruncatedSeries.from_poly(den, args.var, order)
         payload["matchesClosedForm"] = product.is_one()
     return payload
 
 
-def _cmd_weight(cfg: RunConfig) -> dict:
-    if cfg.order < 0:
+def _cmd_weight(args: argparse.Namespace) -> dict:
+    n, order, level = args.n, args.order, args.level
+    if order < 0:
         raise ValueError("series order must be nonnegative")
-    level = 0 if cfg.level is None else cfg.level
-    if cfg.place == "unramified":
-        if cfg.n < 2:
+    if args.place == "unramified":
+        if n < 2:
             raise ValueError("the unramified weight needs the middle rank >= 2")
-        big = UnramifiedRep.symbolic(cfg.n + 1, "a")
-        mid = UnramifiedRep.symbolic(cfg.n, "b")
-        small = UnramifiedRep.symbolic(cfg.n - 1, "g")
-        result = weight_unramified(big, mid, small, order=cfg.order)
-        payload = {"ranks": [cfg.n + 1, cfg.n, cfg.n - 1], "order": cfg.order}
-    elif cfg.place == "l":
-        mid = UnramifiedRep.symbolic(cfg.n, "b")
-        small = UnramifiedRep.symbolic(cfg.n - 1, "g")
-        result = weight_at_l(mid, small, level, var=cfg.var, order=cfg.order)
-        payload = {"ranks": [cfg.n, cfg.n - 1], "level": level, "order": cfg.order}
-    elif cfg.place == "q":
-        if isinstance(cfg.p, str):
-            raise ValueError("the structural weight needs a numeric residue cardinality")
-        result = weight_at_q_structural(cfg.cond, level, cfg.n, cfg.p)
-        payload = {"rank": cfg.n, "conductorExponent": cfg.cond, "level": level, "p": cfg.p}
+        ranks = [(n + 1, n), (n, n - 1)]
+        _check_terms("the lattice series", _lattice_terms(order, ranks))
+        _check_terms("the L-factor denominators", _denominator_terms(order, ranks))
+        big = UnramifiedRep.symbolic(n + 1, "a")
+        mid = UnramifiedRep.symbolic(n, "b")
+        small = UnramifiedRep.symbolic(n - 1, "g")
+        result = weight_unramified(big, mid, small, order=order)
+        payload = {"ranks": [n + 1, n, n - 1], "order": order}
+    elif args.place == "l":
+        if n < 2:
+            raise ValueError("the twisted weight needs rank >= 2")
+        ranks = [(n, n - 1)]
+        _check_terms("the lattice series", _lattice_terms(order, ranks))
+        _check_terms("the L-factor denominator", _denominator_terms(order, ranks))
+        mid = UnramifiedRep.symbolic(n, "b")
+        small = UnramifiedRep.symbolic(n - 1, "g")
+        result = weight_at_l(mid, small, level, var=args.var, order=order)
+        payload = {"ranks": [n, n - 1], "level": level, "order": order}
     else:
-        raise ValueError(f"unknown place kind {cfg.place!r}")
+        if isinstance(args.p, str):
+            raise ValueError("the structural weight needs a numeric residue cardinality")
+        result = weight_at_q_structural(args.cond, level, n, args.p)
+        payload = {"rank": n, "conductorExponent": args.cond, "level": level, "p": args.p}
     payload.update(result.to_json_obj())
     return payload
 
 
-def _cmd_index(cfg: RunConfig) -> dict:
-    if isinstance(cfg.p, str):
+def _cmd_index(args: argparse.Namespace) -> dict:
+    if isinstance(args.p, str):
         raise ValueError("the congruence index needs a numeric residue cardinality")
-    level = 0 if cfg.level is None else cfg.level
     payload = {
-        "rank": cfg.n,
-        "p": cfg.p,
-        "level": level,
-        "index": congruence_index(cfg.n, cfg.p, level),
+        "rank": args.n,
+        "p": args.p,
+        "level": args.level,
+        "index": congruence_index(args.n, args.p, args.level),
     }
-    if cfg.bruteforce:
-        brute = congruence_index_bruteforce(cfg.n, cfg.p, level)
+    if args.bruteforce:
+        brute = congruence_index_bruteforce(args.n, args.p, args.level)
         payload["bruteForce"] = brute
         payload["agree"] = brute == payload["index"]
     return payload
 
 
-def _cmd_charsum(cfg: RunConfig) -> dict:
-    level = 0 if cfg.level is None else cfg.level
+def _cmd_charsum(args: argparse.Namespace) -> dict:
     numeric = None
-    if not isinstance(cfg.p, str):
+    if not isinstance(args.p, str):
         # first, so that its enumeration bound also bounds the exact value p^(r*m)
-        numeric = character_sum_numeric(cfg.p, level, cfg.valuations)
-    value = character_sum(cfg.p, level, cfg.valuations)
+        numeric = character_sum_numeric(args.p, args.level, args.valuations)
+    value = character_sum(args.p, args.level, args.valuations)
     payload = {
-        "p": "symbolic" if isinstance(cfg.p, str) else cfg.p,
-        "level": level,
-        "valuations": list(cfg.valuations),
+        "p": "symbolic" if isinstance(args.p, str) else args.p,
+        "level": args.level,
+        "valuations": list(args.valuations),
         "value": value.to_text(),
     }
     if numeric is not None:
@@ -302,16 +297,16 @@ def _cmd_charsum(cfg: RunConfig) -> dict:
     return payload
 
 
-def _cmd_params(cfg: RunConfig) -> dict:
-    if cfg.s is None and cfg.w is None:
-        pair = ParamPair.symbolic(cfg.n)
-    elif cfg.s is None or cfg.w is None:
+def _cmd_params(args: argparse.Namespace) -> dict:
+    if args.s is None and args.w is None:
+        pair = ParamPair.symbolic(args.n)
+    elif args.s is None or args.w is None:
         raise ValueError("give both --s and --w, or neither for symbolic parameters")
     else:
-        pair = ParamPair(_parse_fraction(cfg.s), _parse_fraction(cfg.w), cfg.n)
+        pair = ParamPair(_parse_fraction(args.s), _parse_fraction(args.w), args.n)
     image = dual_params(pair)
     return {
-        "n": cfg.n,
+        "n": args.n,
         "s": pair.s.to_text(),
         "w": pair.w.to_text(),
         "sDual": image.s.to_text(),
@@ -325,11 +320,13 @@ def _run_suite(name: str, cfg: SuiteConfig) -> SuiteReport:
     return SUITES[name](cfg)
 
 
-def _run_verify(cfg: RunConfig) -> SuiteReport:
-    suite_cfg = SuiteConfig(n_max=cfg.n_max, order=cfg.order, p=int(cfg.p), seed=cfg.seed)
-    if cfg.suite == "all":
+def _run_verify(args: argparse.Namespace) -> SuiteReport:
+    if args.jobs < 1:
+        raise ValueError("--jobs must be positive")
+    suite_cfg = SuiteConfig(n_max=args.n_max, order=args.order, p=args.p, seed=args.seed)
+    if args.suite == "all":
         names = list(SUITES)
-        if cfg.jobs == 1:
+        if args.jobs == 1:
             reports = [_run_suite(name, suite_cfg) for name in names]
         else:
             # a fork-based pool starts every worker up front, so ask for no
@@ -338,43 +335,14 @@ def _run_verify(cfg: RunConfig) -> SuiteReport:
             # higher peak RSS than the serial run), and no thread runs yet.
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(names))) as pool:
+            with ProcessPoolExecutor(max_workers=min(args.jobs, len(names))) as pool:
                 reports = list(pool.map(_run_suite, names, [suite_cfg] * len(names)))
         return merge_reports("all", reports)
-    fn = SUITES.get(cfg.suite) or HIDDEN_SUITES.get(cfg.suite)
+    fn = SUITES.get(args.suite) or HIDDEN_SUITES.get(args.suite)
     if fn is None:
         known = ", ".join(list(SUITES) + list(HIDDEN_SUITES) + ["all"])
-        raise ValueError(f"unknown suite {cfg.suite!r}; known suites: {known}")
+        raise ValueError(f"unknown suite {args.suite!r}; known suites: {known}")
     return fn(suite_cfg)
-
-
-_COMMANDS = {
-    "lfactor": _cmd_lfactor,
-    "whittaker": _cmd_whittaker,
-    "zeta": _cmd_zeta,
-    "weight": _cmd_weight,
-    "index": _cmd_index,
-    "charsum": _cmd_charsum,
-    "params": _cmd_params,
-}
-
-
-def run_command(cfg: RunConfig, out=None) -> int:
-    """Execute one configured command, write its output, return the exit code."""
-    out = sys.stdout if out is None else out
-    if cfg.emit not in EMIT_CHOICES:
-        raise ValueError(f"unknown emit format {cfg.emit!r}")
-    if cfg.command == "verify":
-        if cfg.jobs < 1:
-            raise ValueError("--jobs must be positive")
-        report = _run_verify(cfg)
-        out.write(_emit_report(report, cfg.emit, cfg.timings))
-        return 0 if report.passed else 1
-    handler = _COMMANDS.get(cfg.command)
-    if handler is None:
-        raise ValueError(f"unknown command {cfg.command!r}")
-    out.write(_emit_payload(handler(cfg), cfg.emit))
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -393,6 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lf.add_argument("--rank-a", type=int, default=2)
     p_lf.add_argument("--rank-b", type=int, default=1)
     p_lf.add_argument("--var", default="X")
+    p_lf.set_defaults(handler=_cmd_lfactor)
 
     p_wh = sub.add_parser("whittaker", parents=[common], help="normalized Whittaker values")
     p_wh.add_argument("--n", type=int, required=True, help="rank")
@@ -402,20 +371,23 @@ def build_parser() -> argparse.ArgumentParser:
                       help="evaluate the level-m vector instead of the spherical one")
     p_wh.add_argument("--dual", action="store_true",
                       help="evaluate in the contragredient model")
+    p_wh.set_defaults(handler=_cmd_whittaker)
 
     p_ze = sub.add_parser("zeta", parents=[common], help="unramified local zeta series")
     p_ze.add_argument("--n", type=int, required=True, help="smaller rank; the pair is (n+1, n)")
     p_ze.add_argument("--order", "-N", type=int, default=6)
     p_ze.add_argument("--var", default="X")
+    p_ze.set_defaults(handler=_cmd_zeta)
 
     p_we = sub.add_parser("weight", parents=[common], help="local weight at one place")
     p_we.add_argument("--place", choices=("unramified", "l", "q"), default="unramified")
     p_we.add_argument("--n", type=int, required=True, help="middle rank")
-    p_we.add_argument("--level", "-m", type=int, default=None)
+    p_we.add_argument("--level", "-m", type=int, default=0)
     p_we.add_argument("--cond", type=int, default=0, help="conductor exponent (place q)")
     p_we.add_argument("--order", "-N", type=int, default=6)
     p_we.add_argument("--p", type=_parse_p, default=2, help="residue cardinality (place q)")
     p_we.add_argument("--var", default="Y")
+    p_we.set_defaults(handler=_cmd_weight)
 
     p_ix = sub.add_parser("index", parents=[common], help="congruence subgroup index")
     p_ix.add_argument("--n", type=int, required=True)
@@ -423,6 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ix.add_argument("--level", "-m", type=int, default=0)
     p_ix.add_argument("--bruteforce", action="store_true",
                       help="also count the quotient directly and compare")
+    p_ix.set_defaults(handler=_cmd_index)
 
     p_cs = sub.add_parser("charsum", parents=[common], help="additive character sum")
     p_cs.add_argument("--p", type=_parse_p, required=True,
@@ -430,11 +403,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_cs.add_argument("--level", "-m", type=int, default=1)
     p_cs.add_argument("--valuations", type=_parse_int_tuple, required=True,
                       help="comma-separated coordinate valuations")
+    p_cs.set_defaults(handler=_cmd_charsum)
 
     p_pa = sub.add_parser("params", parents=[common], help="spectral parameter transform")
     p_pa.add_argument("--n", type=int, required=True)
     p_pa.add_argument("--s", default=None, help="rational value such as 1/2 (default symbolic)")
     p_pa.add_argument("--w", default=None)
+    p_pa.set_defaults(handler=_cmd_params)
 
     p_vf = sub.add_parser("verify", parents=[common], help="run a verification suite")
     p_vf.add_argument("--suite", default="all",
@@ -443,40 +418,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_vf.add_argument("--order", "-N", type=int, default=6)
     p_vf.add_argument("--p", type=int, default=2)
     p_vf.add_argument("--seed", type=int, default=0)
-    p_vf.add_argument("--jobs", type=int, default=None,
+    p_vf.add_argument("--jobs", type=int, default=1,
                       help="worker processes for --suite all, capped at the number of "
-                      f"suites; 1 runs in-process (default ${JOBS_ENV} or 1)")
+                      "suites; 1 (default) runs in-process")
     p_vf.add_argument("--timings", action="store_true",
                       help="include per-check milliseconds (not reproducible)")
+    p_vf.set_defaults(handler=_run_verify)
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {"command": args.command, "emit": args.emit}
-    for name in ("n", "order", "var", "s", "w", "place", "dual", "bruteforce",
-                 "suite", "n_max", "seed", "timings", "cond", "p"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            fields[name] = getattr(args, name)
-    if hasattr(args, "rank_a"):
-        fields["rank_a"] = args.rank_a
-        fields["rank_b"] = args.rank_b
-    if getattr(args, "mu", None) is not None:
-        fields["mu"] = args.mu
-    if getattr(args, "valuations", None) is not None:
-        fields["valuations"] = args.valuations
-    if hasattr(args, "level"):
-        fields["level"] = args.level
-    if hasattr(args, "jobs"):
-        fields["jobs"] = args.jobs if args.jobs is not None else _default_jobs()
-    return RunConfig(**fields)
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        return run_command(cfg)
+        result = args.handler(args)
+        if isinstance(result, SuiteReport):
+            sys.stdout.write(_emit_report(result, args.emit, args.timings))
+            return 0 if result.passed else 1
+        sys.stdout.write(_emit_payload(result, args.emit))
+        return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

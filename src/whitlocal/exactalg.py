@@ -7,13 +7,13 @@ zeta series, parameter bookkeeping) computes inside these immutable types:
                   as a dict from packed exponent keys (below) to
                   coefficients, with zero coefficients never present.  A
                   coefficient is an int when it is integral and a Fraction
-                  only when it is not.
-  Monomial        a read-only view of one packed key as canonical
-                  (name, exponent) pairs sorted by name.  Exponents are
-                  integers, except on the designated residue-cardinality
-                  variable ``q`` where half-integers are allowed; this is
-                  where modulus-character square roots like delta_B^(1/2)
-                  live, so no floating point ever enters.
+                  only when it is not.  Outside the kernel a monomial is a
+                  tuple of (name, exponent) pairs sorted by name, with zero
+                  exponents dropped.  Exponents are integers, except on the
+                  designated residue-cardinality variable ``q`` where
+                  half-integers are allowed; this is where modulus-character
+                  square roots like delta_B^(1/2) live, so no floating point
+                  ever enters.
   TruncatedSeries a power series in one distinguished variable, truncated
                   at a fixed order, whose coefficients are LaurentPolys
                   not mentioning that variable.
@@ -42,9 +42,9 @@ limit, or ExponentOutOfRange is raised.  So a field never carries into its
 neighbour.
 
 Keys are decoded to canonical (name, exponent) order only where order or
-names matter: text and JSON emission, sorted_terms and Monomial
-ordering; an emission decodes each key once.  variables, coefficients_in
-and substitute read single slot fields.
+names matter: text and JSON emission and sorted_terms; an emission decodes
+each key once.  variables decodes every slot through _ranked;
+coefficients_in and substitute read single slot fields.
 
 All values are immutable and all operations are pure: they return new
 objects and never mutate their inputs.  Serialization (text and JSON) is
@@ -63,6 +63,8 @@ from typing import Iterable, Mapping, Sequence, Union
 RESIDUE_CARDINALITY_VAR = "q"
 
 Scalar = Union[int, Fraction]
+# a monomial: (name, exponent) pairs sorted by name, zero exponents dropped
+Exps = tuple[tuple[str, Scalar], ...]
 
 FIELD_BITS = 32
 # the largest absolute value a field may hold; q's field holds twice its exponent
@@ -288,74 +290,12 @@ def _canonical(terms: Mapping[int, Scalar]):
     return rows, names
 
 
-def _code_exps(codes, names) -> tuple[tuple[str, Scalar], ...]:
+def _code_exps(codes, names) -> Exps:
     out = []
     for code in codes:
         name = names[code >> FIELD_BITS]
         out.append((name, _exponent(name, (code & _MASK) - _HALF)))
     return tuple(out)
-
-
-class Monomial:
-    """A read-only view of one packed key, e.g. q^(-1/2) * a1^2.
-
-    ``exps`` decodes the key to (name, exponent) pairs sorted by name, with
-    zero exponents dropped.  That tuple doubles as the canonical sort key
-    used everywhere for deterministic ordering.
-    """
-
-    __slots__ = ("key", "_exps")
-
-    def __init__(self, exps: Iterable[tuple[str, Scalar]] | Mapping[str, Scalar] = ()):
-        if isinstance(exps, Mapping):
-            exps = exps.items()
-        self.key = _pack(exps)
-        self._exps = None
-
-    @classmethod
-    def _view(cls, key: int, exps=None) -> "Monomial":
-        mon = object.__new__(cls)
-        mon.key = key
-        mon._exps = exps
-        return mon
-
-    @property
-    def exps(self) -> tuple[tuple[str, Scalar], ...]:
-        if self._exps is None:
-            pairs = sorted((_NAMES[slot], f) for slot, f in _fields(self.key))
-            self._exps = tuple((name, _exponent(name, f)) for name, f in pairs)
-        return self._exps
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        _product_span([self.key], [other.key])
-        return Monomial._view(self.key + other.key)
-
-    def __pow__(self, k: int) -> "Monomial":
-        if not isinstance(k, int):
-            raise TypeError("monomial powers must be integers")
-        _power_span(self.key, k)
-        return Monomial._view(self.key * k)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Monomial) and self.key == other.key
-
-    def __lt__(self, other: "Monomial") -> bool:
-        return self.exps < other.exps
-
-    def __le__(self, other: "Monomial") -> bool:
-        return self.exps <= other.exps
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-    def __reduce__(self):
-        # slots are process-local, so a key crosses processes by name
-        return Monomial, (self.exps,)
-
-    def __repr__(self) -> str:
-        return f"Monomial({self.exps!r})"
 
 
 def _text_exp(e: Scalar) -> str:
@@ -401,8 +341,8 @@ class LaurentPoly:
 
     __slots__ = ("terms", "_span", "_hash")
 
-    def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        p = _collect((mon.key, c) for mon, c in (terms or {}).items())
+    def __init__(self, terms: Mapping[Exps, Scalar] | None = None):
+        p = _collect((_pack(exps), c) for exps, c in (terms or {}).items())
         self.terms: dict[int, Scalar] = p.terms
         self._span = p._span
         self._hash: int | None = None
@@ -655,21 +595,21 @@ class LaurentPoly:
         if inexact:
             raise TypeError(f"bindings for {inexact!r} are not rational")
         total = Fraction(0)
-        for mon, c in self.sorted_terms():
+        for exps, c in self.sorted_terms():
             acc = c
-            for v, e in mon.exps:
+            for v, e in exps:
                 acc = acc * _rational_power(Fraction(bindings[v]), e, v)
             total += acc
         return total
 
     # -- serialization ----------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
+    def sorted_terms(self) -> list[tuple[Exps, Scalar]]:
         if not self.terms:
             return []
         rows, names = _canonical(self.terms)
         rows.sort()
-        return [(Monomial._view(key, _code_exps(codes, names)), c) for codes, key, c in rows]
+        return [(_code_exps(codes, names), c) for codes, _, c in rows]
 
     def to_text(self) -> str:
         """Canonical text form, e.g. ``3/2*q^(-1/2)*a1^2 + 1``."""
@@ -750,9 +690,9 @@ class LaurentPoly:
         return [
             {
                 "coeff": str(c),
-                "exps": {v: str(e) for v, e in mon.exps},
+                "exps": {v: str(e) for v, e in exps},
             }
-            for mon, c in self.sorted_terms()
+            for exps, c in self.sorted_terms()
         ]
 
     @classmethod
@@ -819,7 +759,7 @@ class TruncatedSeries:
     """A power series in one distinguished variable, truncated at a fixed order.
 
     coeffs[k] is the coefficient of var^k and never mentions var itself.
-    Arithmetic truncates to the shorter order of the two operands.
+    A product truncates to the shorter order of its two operands.
     """
 
     __slots__ = ("var", "coeffs")
@@ -874,23 +814,6 @@ class TruncatedSeries:
         n = min(self.order, other.order)
         return self.truncate(n), other.truncate(n)
 
-    def __add__(self, other) -> "TruncatedSeries":
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            other = TruncatedSeries.from_poly(LaurentPoly.coerce(other), self.var, self.order)
-        a, b = self._align(other)
-        return TruncatedSeries(a.var, [x + y for x, y in zip(a.coeffs, b.coeffs)])
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.var, [-c for c in self.coeffs])
-
-    def __sub__(self, other) -> "TruncatedSeries":
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            other = TruncatedSeries.from_poly(LaurentPoly.coerce(other), self.var, self.order)
-        a, b = self._align(other)
-        return TruncatedSeries(a.var, [x - y for x, y in zip(a.coeffs, b.coeffs)])
-
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, (int, Fraction)):
             other = LaurentPoly.const(other)
@@ -913,21 +836,10 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "TruncatedSeries":
-        if not isinstance(k, int) or k < 0:
-            raise TypeError("series powers must be nonnegative integers")
-        result = TruncatedSeries.one(self.var, self.order)
-        for _ in range(k):
-            result = result * self
-        return result
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return self.var == other.var and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.var, self.coeffs))
 
     def is_one(self) -> bool:
         return self.coeffs[0] == LaurentPoly.one() and all(
@@ -955,22 +867,3 @@ class TruncatedSeries:
             "order": self.order,
             "coeffs": [c.to_text() for c in self.coeffs],
         }
-
-
-def series_equal(a: TruncatedSeries, b: TruncatedSeries) -> bool:
-    """Exact coefficient agreement up to the shorter of the two orders."""
-    if not isinstance(a, TruncatedSeries) or not isinstance(b, TruncatedSeries):
-        raise TypeError("series_equal compares two TruncatedSeries")
-    if a.var != b.var:
-        raise VariableMismatch(f"series in {a.var!r} compared with series in {b.var!r}")
-    n = min(a.order, b.order)
-    return all(a.coeffs[k] == b.coeffs[k] for k in range(n + 1))
-
-
-def geometric_series(ratio: LaurentPoly, var: str, order: int) -> TruncatedSeries:
-    """Expansion of 1/(1 - ratio*var) without going through division."""
-    ratio = LaurentPoly.coerce(ratio)
-    coeffs = [LaurentPoly.one()]
-    for _ in range(order):
-        coeffs.append(coeffs[-1] * ratio)
-    return TruncatedSeries(var, coeffs)

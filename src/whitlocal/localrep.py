@@ -20,6 +20,8 @@ as an independent oracle for small cases.
 from __future__ import annotations
 
 import cmath
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -172,7 +174,9 @@ def require_prime(p) -> None:
 def congruence_index(n: int, p: int, m: int) -> int:
     """Index of the level-m bottom-row congruence subgroup in GL_n(o).
 
-    m = 0 gives the full group, index 1.  p must be a prime power.
+    m = 0 gives the full group, index 1.  p must be a prime power.  An index
+    with more decimal digits than ``str`` prints by default raises ValueError
+    before any power is formed.
     """
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"matrix size must be an integer >= 2, got {n!r}")
@@ -181,6 +185,12 @@ def congruence_index(n: int, p: int, m: int) -> int:
         raise ValueError(f"level exponent must be a nonnegative int, got {m!r}")
     if m == 0:
         return 1
+    # the index lies in [p^e, 2 p^e) for e = (n-1)m, so its digits are known first
+    digits = sys.int_info.default_max_str_digits
+    if (n - 1) * m * math.log10(p) + math.log10(2) > digits:
+        raise ValueError(
+            f"the index at n={n}, p={p}, m={m} would have more than {digits} digits"
+        )
     return p ** ((n - 1) * (m - 1)) * (p ** n - 1) // (p - 1)
 
 
@@ -218,7 +228,8 @@ def congruence_index_bruteforce(n: int, p: int, m: int) -> int:
         raise ValueError(f"level exponent must be a nonnegative int, got {m!r}")
     if m == 0:
         return 1
-    if p ** (m * n * n) > ENUMERATION_LIMIT:
+    # p >= 2, so m*n^2 bits or more already exceed the bound: no huge power is formed
+    if m * n * n >= ENUMERATION_LIMIT.bit_length() or p ** (m * n * n) > ENUMERATION_LIMIT:
         raise EnumerationTooLarge(
             f"p^(m*n^2) = {p}^{m * n * n} exceeds the bound {ENUMERATION_LIMIT}"
         )

@@ -45,7 +45,6 @@ from .exactalg import (
     RationalFunction,
     TruncatedSeries,
     qpow,
-    series_equal,
 )
 from .localrep import (
     RankMismatch,
@@ -345,7 +344,7 @@ def weight_at_l(rep_mid: UnramifiedRep, rep_small: UnramifiedRep, m: int,
                 small_side = central * schur(a, rep_small.satake)
                 regrouped[head + rest] = regrouped[head + rest] + big_side * small_side
     regrouped_series = TruncatedSeries(var, regrouped)
-    if not series_equal(direct_series, regrouped_series):
+    if direct_series != regrouped_series:
         raise ArithmeticError(
             "direct and regrouped lattice enumerations disagree: "
             f"{direct_series.to_text()} vs {regrouped_series.to_text()}"
@@ -390,7 +389,6 @@ def weight_at_q_structural(n0: int, m: int, n: int, p: int) -> WeightResult:
         for j in range(0, (m - a1) - n0 + 1)
     )
     vanishes = not index_set
-    paper_constant = LaurentPoly.const(Fraction(1, p ** ((n - 1) * m)))
     if vanishes:
         return WeightResult(
             value=LaurentPoly.zero(),
@@ -400,7 +398,9 @@ def weight_at_q_structural(n0: int, m: int, n: int, p: int) -> WeightResult:
             lattice_points=0,
         )
     if n0 == m:
+        # the index bounds its own size, and p^((n-1)m) is at most the index
         value = LaurentPoly.const(Fraction(1, congruence_index(n, p, m)))
+        paper_constant = LaurentPoly.const(Fraction(1, p ** ((n - 1) * m)))
         comparison = PaperComparison(paper_constant=paper_constant, computed_constant=value)
         return WeightResult(
             value=value,

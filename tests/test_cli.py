@@ -5,10 +5,10 @@ import csv
 import io
 import json
 import multiprocessing
-import os
 import pickle
 import subprocess
 import sys
+import time
 
 from fractions import Fraction
 
@@ -37,15 +37,11 @@ def run_cli(*argv, capsys=None):
     return code, out, err
 
 
-def run_process(*argv, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_process(*argv):
     return subprocess.run(
         [sys.executable, "-m", "whitlocal", *argv],
         capture_output=True,
         text=True,
-        env=env,
     )
 
 
@@ -77,11 +73,6 @@ class TestExitCodes:
 
     def test_bad_subcommand_exits_two(self):
         proc = run_process("frobnicate")
-        assert proc.returncode == 2
-
-    def test_bad_jobs_env_exits_two(self):
-        proc = run_process("verify", "--suite", "involution",
-                           env_extra={"WHITLOCAL_JOBS": "many"})
         assert proc.returncode == 2
 
     def test_mu_must_be_integers(self):
@@ -132,6 +123,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ("verify", "--suite", "unramified", "--order", "-2"),
         ("verify", "--suite", "cauchy", "--order", "-1"),
+        ("verify", "--suite", "weyl", "--jobs", "0"),
         ("whittaker", "--n", "2", "--mu", "100000000,0"),
         ("whittaker", "--n", "2", "--mu", "0,-100000000", "--dual"),
         ("whittaker", "--n", "3", "--mu", "100000000,0", "--level", "1"),
@@ -143,8 +135,8 @@ class TestExitCodes:
         assert err.startswith("error:")
 
     def test_whittaker_term_bound(self, monkeypatch, capsys):
-        # s_(9999) in two variables has exactly MAX_WHITTAKER_TERMS terms
-        assert cli.MAX_WHITTAKER_TERMS == 10_000
+        # s_(9999) in two variables has exactly MAX_TERMS terms
+        assert cli.MAX_TERMS == 10_000
         code, out, _ = run_cli("whittaker", "--n", "2", "--mu", "9999,0", capsys=capsys)
         assert code == 0
         assert json.loads(out)["value"].count("a1") == 9999
@@ -155,6 +147,60 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: the value may have up to 10001 terms, over the cap 10000\n"
         assert calls == []
+
+    @pytest.mark.parametrize("argv", [
+        ("zeta", "--n", "6", "--order", "8"),
+        ("zeta", "--n", "1", "--order", "5000"),
+        ("zeta", "--n", "1", "--order", "140"),
+        ("zeta", "--n", "100000000", "--order", "0"),
+        ("weight", "--place", "unramified", "--n", "6", "--order", "8"),
+        ("weight", "--n", "100000000", "--order", "0"),
+        ("weight", "--place", "l", "--n", "6", "--level", "1", "--order", "20"),
+        ("weight", "--place", "l", "--n", "13", "--order", "1"),
+        ("weight", "--place", "l", "--n", str(10 ** 30), "--order", str(10 ** 30)),
+    ])
+    def test_lattice_term_bound(self, argv, monkeypatch, capsys):
+        def unbuilt(*args):
+            raise AssertionError("the representation was built")
+
+        monkeypatch.setattr(UnramifiedRep, "symbolic", unbuilt)
+        code, out, err = run_cli(*argv, capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: the ") and err.endswith(" more than 10000 terms\n")
+
+    def test_lattice_term_bound_edge(self, capsys):
+        # ranks (2, 1): 2 products and sum_(k <= 139) (k + 1) = 9870 terms
+        code, out, _ = run_cli("zeta", "--n", "1", "--order", "139", capsys=capsys)
+        assert code == 0
+        assert json.loads(out)["series"]["order"] == 139
+
+    @pytest.mark.parametrize("argv", [
+        ("index", "--n", "100000", "--p", "2", "--level", "2"),
+        ("weight", "--place", "q", "--n", "100000", "--cond", "2", "--level", "2", "--p", "2"),
+        ("index", "--n", "100000000", "--p", "3", "--level", "3"),
+        ("weight", "--place", "q", "--n", "100000000", "--cond", "3", "--level", "3", "--p", "3"),
+        ("index", "--n", "3000", "--p", "3", "--level", "1", "--bruteforce"),
+        ("index", "--n", "8000", "--p", "3", "--level", "1", "--bruteforce"),
+    ])
+    def test_index_size_bound(self, argv, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(*argv, capsys=capsys)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "set_int_max_str_digits" not in err
+
+    def test_index_size_bound_edge(self, capsys):
+        # 2^14284 - 1 has 4300 digits, the most str() prints by default
+        code, out, _ = run_cli("index", "--n", "14284", "--p", "2", "--level", "1",
+                               capsys=capsys)
+        assert code == 0
+        assert len(str(json.loads(out)["index"])) == sys.int_info.default_max_str_digits
+        code, out, err = run_cli("index", "--n", "14285", "--p", "2", "--level", "1",
+                                 capsys=capsys)
+        assert code == 2
+        assert err == "error: the index at n=14285, p=2, m=1 would have more than 4300 digits\n"
 
     def test_exponent_field_bound(self, capsys):
         code, out, _ = run_cli("whittaker", "--n", "1", "--mu", str(EXPONENT_LIMIT),
@@ -220,6 +266,26 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, echoed", [
+    (("index", "--n", "2", "--p", "3"), {"level": 0}),
+    (("charsum", "--p", "3", "--valuations", "0"), {"level": 1}),
+    (("zeta", "--n", "1"), {"order": 6, "series.var": "X"}),
+    (("weight", "--n", "2"), {"placeKind": "unramified", "order": 6}),
+    (("weight", "--place", "l", "--n", "2"), {"level": 0, "value.var": "Y"}),
+    (("weight", "--place", "q", "--n", "2"), {"conductorExponent": 0, "level": 0, "p": 2}),
+    (("lfactor",), {"ranks": [2, 1], "variable": "X"}),
+])
+def test_parser_defaults(argv, echoed, capsys):
+    code, out, _ = run_cli(*argv, capsys=capsys)
+    assert code == 0
+    payload = json.loads(out)
+    for path, want in echoed.items():
+        value = payload
+        for key in path.split("."):
+            value = value[key]
+        assert value == want, path
 
 
 class TestInternalCheckFailure:

@@ -14,14 +14,11 @@ from whitlocal import (
     ExponentOutOfRange,
     InexactSquareRoot,
     LaurentPoly,
-    Monomial,
     NegativeUnderHalfExponent,
     NotExpandable,
     TruncatedSeries,
     VariableMismatch,
-    geometric_series,
     qpow,
-    series_equal,
 )
 from whitlocal import exactalg
 from whitlocal.exactalg import EXPONENT_LIMIT, RationalFunction
@@ -30,8 +27,13 @@ X = LaurentPoly.var("x")
 Y = LaurentPoly.var("y")
 
 
-def _mono(exps: dict) -> Monomial:
-    return Monomial(exps.items())
+def _term(exps: dict, c=1) -> LaurentPoly:
+    return LaurentPoly({tuple(exps.items()): c})
+
+
+def _powers(ratio: LaurentPoly, var: str, order: int) -> TruncatedSeries:
+    """1/(1 - ratio*var) through the order, from the list of powers of ratio."""
+    return TruncatedSeries(var, [ratio ** k for k in range(order + 1)])
 
 
 fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
@@ -57,29 +59,8 @@ def polys(draw, with_q=True, nonneg=False):
     total = LaurentPoly.zero()
     for _ in range(draw(st.integers(0, 5))):
         c = draw(fractions)
-        total = total + LaurentPoly({_mono(draw(monomial_exps(with_q, nonneg))): c})
+        total = total + _term(draw(monomial_exps(with_q, nonneg)), c)
     return total
-
-
-class TestMonomial:
-    def test_product_and_inverse(self):
-        m = _mono({"x": 2, "q": Fraction(1, 2)})
-        n = _mono({"x": -2, "y": 1})
-        assert (m * n).exps == (("q", Fraction(1, 2)), ("y", 1))
-        assert (m * m ** -1) == Monomial(())
-
-    def test_power_and_degree(self):
-        m = _mono({"x": 3, "y": -1})
-        assert (m ** 2).exps == (("x", 6), ("y", -2))
-        assert (m ** 0) == Monomial(())
-
-    def test_ordering_is_total(self):
-        ms = [_mono({"x": 1}), _mono({"q": Fraction(1, 2)}), Monomial(()), _mono({"y": -2})]
-        assert sorted(ms) == sorted(ms, key=lambda m: m.exps)
-
-    def test_non_integer_power_rejected(self):
-        with pytest.raises(TypeError):
-            _mono({"x": 1}) ** Fraction(1, 2)
 
 
 class TestRingLaws:
@@ -108,7 +89,7 @@ class TestRingLaws:
             a / 0
 
     def test_unit_negative_power(self):
-        u = LaurentPoly({_mono({"x": 2, "q": Fraction(-1, 2)}): Fraction(3, 4)})
+        u = _term({"x": 2, "q": Fraction(-1, 2)}, Fraction(3, 4))
         assert u ** -1 * u == LaurentPoly.one()
         with pytest.raises(DivisionByZero):
             (X + Y) ** -1
@@ -137,7 +118,9 @@ def term_lists(draw, max_terms=5, names=ORACLE_NAMES):
 def build(kernel, terms):
     total = kernel.LaurentPoly.zero()
     for exps, c in terms:
-        total = total + kernel.LaurentPoly({kernel.Monomial(exps.items()): c})
+        # the packed kernel keys a term by its exponent tuple, the reference by a Monomial
+        key = tuple(exps.items()) if kernel is exactalg else ref.Monomial(exps.items())
+        total = total + kernel.LaurentPoly({key: c})
     return total
 
 
@@ -217,13 +200,11 @@ class TestAgainstReference:
     @given(term_lists())
     def test_min_monomial_and_sort_order(self, t):
         a, ra = both(t)
-        assert [(m.exps, c) for m, c in a.sorted_terms()] == [
-            (m.exps, c) for m, c in ra.sorted_terms()
-        ]
+        assert a.sorted_terms() == [(m.exps, c) for m, c in ra.sorted_terms()]
         # the first sorted term is the least monomial
-        mons = [m for m, _ in a.sorted_terms()]
+        mons = [exps for exps, _ in a.sorted_terms()]
         if ra.terms:
-            assert mons[0].exps == ra.min_monomial().exps
+            assert mons[0] == ra.min_monomial().exps
         assert sorted(reversed(mons)) == mons
         assert a.variables() == ra.variables()
 
@@ -237,8 +218,7 @@ def test_pickles_by_variable_name(monkeypatch):
     LaurentPoly.var("y")
     back = pickle.loads(blob)
     assert back.to_text() == "2*q^(1/2)*x - 1/3*y^(-1)"
-    least = back.sorted_terms()[0][0]
-    assert pickle.loads(pickle.dumps(least)).exps == (("q", Fraction(1, 2)), ("x", 1))
+    assert back.sorted_terms()[0][0] == (("q", Fraction(1, 2)), ("x", 1))
 
 
 class TestExponentField:
@@ -299,7 +279,7 @@ class TestTextAndJson:
         assert LaurentPoly.from_json_obj(json.loads(packed)) == a
 
     def test_canonical_examples(self):
-        p = LaurentPoly.one() + LaurentPoly({_mono({"a1": 2, "q": Fraction(-1, 2)}): Fraction(3, 2)})
+        p = LaurentPoly.one() + _term({"a1": 2, "q": Fraction(-1, 2)}, Fraction(3, 2))
         assert p.to_text() == "1 + 3/2*a1^2*q^(-1/2)"
         assert LaurentPoly.parse("1 + 3/2*a1^2*q^(-1/2)") == p
         assert LaurentPoly.parse("-x + 2") == LaurentPoly.const(2) - X
@@ -396,25 +376,26 @@ class TestTruncatedSeries:
             TruncatedSeries("x", [X])
 
     def test_mul_aligns_to_shorter_order(self):
-        a = geometric_series(Y, "x", 5)
+        a = _powers(Y, "x", 5)
         b = TruncatedSeries.one("x", 3)
+        assert a * b == a.truncate(3)
+        assert b * a == a.truncate(3)
         assert (a * b).order == 3
-        assert (a + b).order == 3
-        assert (a - a).coeffs[2] == LaurentPoly.zero()
 
     def test_scalar_multiplication(self):
-        s = geometric_series(LaurentPoly.one(), "x", 4) * Fraction(1, 2)
+        s = _powers(LaurentPoly.one(), "x", 4) * Fraction(1, 2)
         assert s.coeffs[3] == LaurentPoly.const(Fraction(1, 2))
         assert (2 * s).coeffs[3] == LaurentPoly.one()
 
-    def test_series_equal_needs_same_variable(self):
+    def test_product_needs_same_variable(self):
         a = TruncatedSeries.one("x", 2)
         b = TruncatedSeries.one("t", 2)
         with pytest.raises(VariableMismatch):
-            series_equal(a, b)
+            a * b
+        assert a != b
 
     def test_json_round_trip(self):
-        s = geometric_series(qpow(Fraction(-1, 2)) * Y, "x", 3)
+        s = _powers(qpow(Fraction(-1, 2)) * Y, "x", 3)
         obj = s.to_json_obj()
         assert obj == {
             "var": "x",
@@ -433,7 +414,7 @@ class TestSeriesExpand:
     """Expansions of num/den, checked as the program checks them: times den."""
 
     def test_geometric(self):
-        assert _times(geometric_series(Y, "x", 6), LaurentPoly.one() - X * Y).is_one()
+        assert _times(_powers(Y, "x", 6), LaurentPoly.one() - X * Y).is_one()
 
     def test_long_division_oracle(self):
         # (1 - x^2) / (1 - x) = 1 + x

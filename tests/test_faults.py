@@ -121,7 +121,8 @@ def test_weight_unramified_perturbed_denominator_fails(monkeypatch):
     original = zeta.l_factor_denominator_series
 
     def perturbed(rep_a, rep_b, var, order):
-        return original(rep_a, rep_b, var, order) + LaurentPoly.var(var)
+        first, second, *rest = original(rep_a, rep_b, var, order).coeffs
+        return TruncatedSeries(var, [first, second + 1, *rest])
 
     monkeypatch.setattr(zeta, "l_factor_denominator_series", perturbed)
     report, statuses = _statuses("weight-unramified")

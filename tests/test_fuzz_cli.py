@@ -43,10 +43,11 @@ COMMANDS = {
                      "--var": VAR}),
     "whittaker": ({"--n": ints(-1, 4, huge=True), "--mu": int_lists(-3, 6, 4, huge=True)},
                   {"--level": ints(-1, 3), "--dual": FLAG}),
-    "zeta": ({"--n": ints(-1, 3)}, {"--order": ints(-2, 3), "--var": VAR}),
-    "weight": ({"--n": ints(-1, 3)},
+    "zeta": ({"--n": ints(-1, 3, huge=True)}, {"--order": ints(-2, 3, huge=True), "--var": VAR}),
+    "weight": ({"--n": ints(-1, 3, huge=True)},
                {"--place": st.sampled_from(["unramified", "l", "q", "x"]),
-                "--level": ints(-1, 2), "--cond": ints(-1, 3), "--order": ints(-2, 3),
+                "--level": ints(-1, 2), "--cond": ints(-1, 3),
+                "--order": ints(-2, 3, huge=True),
                 "--p": P_BOUNDED, "--var": VAR}),
     "index": ({"--n": ints(-1, 3), "--p": P_BOUNDED},
               {"--level": ints(-1, 1), "--bruteforce": FLAG}),

@@ -164,8 +164,8 @@ class TestSchur:
     def test_homogeneity_degree(self):
         lam = Partition((3, 2))
         poly = schur(lam, _vars(3))
-        for mon, _ in poly.sorted_terms():
-            assert sum(e for _, e in mon.exps) == lam.weight
+        for exps, _ in poly.sorted_terms():
+            assert sum(e for _, e in exps) == lam.weight
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_inversion_duality(self, n):
