@@ -47,8 +47,10 @@ EMIT_CHOICES = ("json", "csv", "text")
 MAX_CLOSED_FORM_FACTORS = 16
 
 # a Whittaker value at rank n is a Schur value s_lam with lam = mu - min(mu),
-# which has at most C(|lam| + n - 1, n - 1) terms, and a lattice series has
-# the term count of _lattice_terms; the cap bounds both (README "Scope")
+# which has at most C(|lam| + n - 1, n - 1) terms; a lattice series has the
+# term count of _lattice_terms, which also bounds each L-factor denominator
+# series of the same ranks; weight --place q has (d+1)(d+2)/2 index triples.
+# The cap bounds all of them (README "Scope")
 MAX_TERMS = 10_000
 
 
@@ -148,17 +150,6 @@ def _lattice_terms(order: int, ranks):
             yield math.comb(k + r - 1, r - 1) * math.comb(k + s - 1, s - 1)
 
 
-def _denominator_terms(order: int, ranks):
-    """At most the terms built while multiplying out each pair's r*s linear factors.
-
-    After f factors the X^k coefficient has at most C(f, k) terms, and the
-    sum over f is C(r*s + 1, k + 1).
-    """
-    for r, s in ranks:
-        for k in range(min(order, r * s) + 1):
-            yield math.comb(r * s + 1, k + 1)
-
-
 def _cmd_lfactor(args: argparse.Namespace) -> dict:
     if args.rank_a < 1 or args.rank_b < 1:
         raise ValueError("ranks must be positive")
@@ -237,7 +228,6 @@ def _cmd_weight(args: argparse.Namespace) -> dict:
             raise ValueError("the unramified weight needs the middle rank >= 2")
         ranks = [(n + 1, n), (n, n - 1)]
         _check_terms("the lattice series", _lattice_terms(order, ranks))
-        _check_terms("the L-factor denominators", _denominator_terms(order, ranks))
         big = UnramifiedRep.symbolic(n + 1, "a")
         mid = UnramifiedRep.symbolic(n, "b")
         small = UnramifiedRep.symbolic(n - 1, "g")
@@ -248,7 +238,6 @@ def _cmd_weight(args: argparse.Namespace) -> dict:
             raise ValueError("the twisted weight needs rank >= 2")
         ranks = [(n, n - 1)]
         _check_terms("the lattice series", _lattice_terms(order, ranks))
-        _check_terms("the L-factor denominator", _denominator_terms(order, ranks))
         mid = UnramifiedRep.symbolic(n, "b")
         small = UnramifiedRep.symbolic(n - 1, "g")
         result = weight_at_l(mid, small, level, var=args.var, order=order)
@@ -256,6 +245,9 @@ def _cmd_weight(args: argparse.Namespace) -> dict:
     else:
         if isinstance(args.p, str):
             raise ValueError("the structural weight needs a numeric residue cardinality")
+        # the (a1, a2, j) triples number (d+1)(d+2)/2 for d = level - cond >= 0
+        d = level - args.cond
+        _check_terms("the index set", [(d + 1) * (d + 2) // 2 if d >= 0 else 0])
         result = weight_at_q_structural(args.cond, level, n, args.p)
         payload = {"rank": n, "conductorExponent": args.cond, "level": level, "p": args.p}
     payload.update(result.to_json_obj())

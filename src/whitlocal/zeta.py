@@ -170,29 +170,34 @@ def _check_symbols(rep_a: UnramifiedRep, rep_b: UnramifiedRep, var: str) -> None
 
 def l_factor_denominator(rep_a: UnramifiedRep, rep_b: UnramifiedRep,
                          var: str = "X") -> LaurentPoly:
-    """prod (1 - alpha_i beta_j var): the local Rankin-Selberg L-factor is 1 over it."""
-    _check_symbols(rep_a, rep_b, var)
-    t = LaurentPoly.var(var)
-    den = LaurentPoly.one()
-    for a in rep_a.satake:
-        for b in rep_b.satake:
-            den = den * (LaurentPoly.one() - a * b * t)
-    return den
+    """prod (1 - alpha_i beta_j var): the local Rankin-Selberg L-factor is 1 over it.
+
+    The product has degree r*s in var, so it is the series at that order.
+    """
+    return _as_poly(l_factor_denominator_series(rep_a, rep_b, var, rep_a.rank * rep_b.rank))
 
 
 def l_factor_denominator_series(rep_a: UnramifiedRep, rep_b: UnramifiedRep,
                                 var: str, order: int) -> TruncatedSeries:
-    """prod (1 - alpha_i beta_j var) multiplied out with truncation.
+    """prod (1 - alpha_i beta_j var), truncated at the order.
 
-    Truncating at each factor bounds the work at larger ranks, where the
-    fully expanded polynomial has up to 2^(rank product) terms.
+    The factors of one alpha_i multiply to E(-alpha_i var), where
+    E(t) = prod_j (1 + beta_j t) = sum_k e_k(beta) t^k (Macdonald, I.2): one
+    pass over the beta_j gives e_0..e_min(order, s), and then the product is
+    one series product per alpha_i.  Before and after each of them the var^k
+    coefficient has degree k in the alpha and in the beta, so it has no more
+    terms than the var^k coefficient of the lattice series of the same
+    ranks, C(k+r-1, r-1) * C(k+s-1, s-1).
     """
     _check_symbols(rep_a, rep_b, var)
-    t = LaurentPoly.var(var)
+    e = [LaurentPoly.one()] + [LaurentPoly.zero()] * min(order, rep_b.rank)
+    for b in rep_b.satake:
+        for k in range(len(e) - 1, 0, -1):
+            e[k] = e[k] + e[k - 1] * b
     acc = TruncatedSeries.one(var, order)
     for a in rep_a.satake:
-        for b in rep_b.satake:
-            acc = acc * TruncatedSeries.from_poly(LaurentPoly.one() - a * b * t, var, order)
+        factor = [(-a) ** k * e_k for k, e_k in enumerate(e)]
+        acc = acc * TruncatedSeries(var, factor + [LaurentPoly.zero()] * (order + 1 - len(e)))
     return acc
 
 
@@ -385,7 +390,7 @@ def weight_at_q_structural(n0: int, m: int, n: int, p: int) -> WeightResult:
     require_prime_power(p)
     index_set = tuple(
         (a1, m - a1, j)
-        for a1 in range(0, m + 1)
+        for a1 in range(0, m - n0 + 1)
         for j in range(0, (m - a1) - n0 + 1)
     )
     vanishes = not index_set

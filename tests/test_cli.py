@@ -156,7 +156,7 @@ class TestExitCodes:
         ("weight", "--place", "unramified", "--n", "6", "--order", "8"),
         ("weight", "--n", "100000000", "--order", "0"),
         ("weight", "--place", "l", "--n", "6", "--level", "1", "--order", "20"),
-        ("weight", "--place", "l", "--n", "13", "--order", "1"),
+        ("weight", "--place", "l", "--n", "72", "--order", "1"),
         ("weight", "--place", "l", "--n", str(10 ** 30), "--order", str(10 ** 30)),
     ])
     def test_lattice_term_bound(self, argv, monkeypatch, capsys):
@@ -174,6 +174,45 @@ class TestExitCodes:
         code, out, _ = run_cli("zeta", "--n", "1", "--order", "139", capsys=capsys)
         assert code == 0
         assert json.loads(out)["series"]["order"] == 139
+
+    @pytest.mark.parametrize("argv", [
+        # ranks (71, 70): 4970 products alpha_i beta_j, 1 term at X^0 and 4970 at X^1
+        ("weight", "--place", "l", "--n", "71", "--order", "1"),
+        ("weight", "--n", "49", "--order", "1"),
+        ("weight", "--n", "4", "--order", "4"),
+    ])
+    def test_lattice_count_also_bounds_the_denominators(self, argv, capsys):
+        # the lattice count is the only bound on the denominators; multiplying
+        # in the r*s linear factors one at a time took 12-27 s on the first
+        # two of these (2-vCPU host, Python 3.11)
+        start = time.perf_counter()
+        code, out, _ = run_cli(*argv, capsys=capsys)
+        assert time.perf_counter() - start < 2
+        assert code == 0
+        assert json.loads(out)["placeKind"] in ("unramified", "dividing_l")
+
+    @pytest.mark.parametrize("level, cond, code", [
+        (139, 0, 0),  # 140 * 141 / 2 = 9870 triples
+        (140, 0, 2),  # 141 * 142 / 2 = 10011 triples
+        (142, 3, 0),
+        (10 ** 30, 0, 2),
+        (10 ** 30, 10 ** 30 - 139, 0),
+        (10 ** 30, 10 ** 30 + 1, 0),
+    ])
+    def test_weight_q_index_set_bound(self, level, cond, code, monkeypatch, capsys):
+        if code == 2:
+            monkeypatch.setattr(cli, "weight_at_q_structural", None)
+        start = time.perf_counter()
+        got, out, err = run_cli("weight", "--place", "q", "--n", "2", "--level", str(level),
+                                "--cond", str(cond), capsys=capsys)
+        assert time.perf_counter() - start < 1
+        assert got == code
+        if code == 2:
+            assert out == ""
+            assert err == "error: the index set would need more than 10000 terms\n"
+        else:
+            d = level - cond
+            assert len(json.loads(out)["indexSet"]) == max(d + 1, 0) * (d + 2) // 2
 
     @pytest.mark.parametrize("argv", [
         ("index", "--n", "100000", "--p", "2", "--level", "2"),

@@ -1,9 +1,10 @@
 """Generated command lines: never a traceback, only the documented exit codes.
 
 Values are small integers, malformed lists and fractions, or, on the flags
-whose work is bounded before it starts, huge numbers.  Flags without such a
-bound get small values only, because a large one would run as long as the
-computation it asks for.
+whose work is bounded before it starts, huge numbers.  Every `weight` place
+bounds its work before it starts, so each numeric `weight` flag draws huge
+values too.  Flags without such a bound get small values only, because a
+large one would run as long as the computation it asks for.
 """
 
 import contextlib
@@ -46,7 +47,7 @@ COMMANDS = {
     "zeta": ({"--n": ints(-1, 3, huge=True)}, {"--order": ints(-2, 3, huge=True), "--var": VAR}),
     "weight": ({"--n": ints(-1, 3, huge=True)},
                {"--place": st.sampled_from(["unramified", "l", "q", "x"]),
-                "--level": ints(-1, 2), "--cond": ints(-1, 3),
+                "--level": ints(-1, 2, huge=True), "--cond": ints(-1, 3, huge=True),
                 "--order": ints(-2, 3, huge=True),
                 "--p": P_BOUNDED, "--var": VAR}),
     "index": ({"--n": ints(-1, 3), "--p": P_BOUNDED},

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from whitlocal import symfunc, whittaker, zeta
+from whitlocal.cli import _lattice_terms
 from whitlocal.suites import SUITES, SuiteConfig
 from whitlocal import (
     LaurentPoly,
@@ -14,6 +15,7 @@ from whitlocal import (
     UnramifiedRep,
     complete_homogeneous,
     congruence_index,
+    contragredient,
     l_factor_denominator,
     l_factor_denominator_series,
     local_zeta_unramified,
@@ -33,7 +35,51 @@ def _times_l_denominator_is_one(result, rep_a, rep_b):
     return (series * l_factor_denominator_series(rep_a, rep_b, series.var, series.order)).is_one()
 
 
+def _one_factor_at_a_time(rep_a, rep_b, var, order):
+    """The reference: the r*s linear factors multiplied in one at a time, truncated."""
+    t = LaurentPoly.var(var)
+    acc = TruncatedSeries.one(var, order)
+    for a in rep_a.satake:
+        for b in rep_b.satake:
+            acc = acc * TruncatedSeries.from_poly(LaurentPoly.one() - a * b * t, var, order)
+    return acc
+
+
+def _satake_pairs(r, s):
+    """Symbolic, rational, inverted and one zero Satake parameter, at ranks (r, s)."""
+    rep_a, rep_b = UnramifiedRep.symbolic(r, "a"), UnramifiedRep.symbolic(s, "b")
+    yield "symbolic", rep_a, rep_b
+    yield ("rational", UnramifiedRep(r, [Fraction(i + 1, i + 3) for i in range(r)]),
+           UnramifiedRep(s, [Fraction(-2 * j - 1, 5) for j in range(s)]))
+    yield "inverted", contragredient(rep_a), rep_b
+    yield "zero", UnramifiedRep(r, (0,) + rep_a.satake[1:]), contragredient(rep_b)
+
+
 class TestLFactor:
+    @pytest.mark.parametrize("r, s", [(r, s) for r in range(1, 5) for s in range(1, 5)])
+    def test_denominator_matches_the_factor_by_factor_product(self, r, s):
+        for kind, rep_a, rep_b in _satake_pairs(r, s):
+            want = _one_factor_at_a_time(rep_a, rep_b, "X", r * s + 1)
+            for order in range(r * s + 2):
+                got = l_factor_denominator_series(rep_a, rep_b, "X", order)
+                assert got == want.truncate(order), (kind, order)
+            # the product has degree r*s in X, so order r*s+1 holds all of it
+            assert want.coeffs[-1].is_zero()
+            assert l_factor_denominator(rep_a, rep_b) == zeta._as_poly(want), kind
+
+    @pytest.mark.parametrize("r, s", [(r, s) for r in range(1, 5) for s in range(1, 5)])
+    def test_every_coefficient_is_within_the_lattice_count(self, r, s):
+        # the running product after i grouped factors is the series of the
+        # first i alpha, so each stage is checked against the bound at (r, s)
+        order = r * s + 1
+        bound = list(_lattice_terms(order, [(r, s)]))[1:]
+        rep_a, rep_b = UnramifiedRep.symbolic(r, "a"), UnramifiedRep.symbolic(s, "b")
+        for i in range(1, r + 1):
+            head = UnramifiedRep(i, rep_a.satake[:i])
+            series = l_factor_denominator_series(head, rep_b, "X", order)
+            for k, c in enumerate(series.coeffs):
+                assert len(c.terms) <= bound[k], (i, k)
+
     def test_rank_21_denominator(self):
         rep_a, rep_b = _reps(1)
         den = l_factor_denominator(rep_a, rep_b)
