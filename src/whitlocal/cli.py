@@ -30,10 +30,13 @@ from .localrep import (
 )
 from .reciprocity import ParamPair, dual_params
 from .report import SuiteReport, merge_reports, report_to_csv, report_to_json, report_to_text
-from .suites import HIDDEN_SUITES, SUITES, SuiteConfig
+from .suites import HIDDEN_SUITES, SUITES, SuiteConfig, check_work
 from .whittaker import TorusCocharacter, contragredient_value, spherical_value, twisted_value
 from .zeta import (
+    MAX_TERMS,
+    check_terms,
     l_factor_denominator,
+    lattice_terms,
     local_zeta_unramified,
     weight_at_l,
     weight_at_q_structural,
@@ -45,13 +48,6 @@ EMIT_CHOICES = ("json", "csv", "text")
 # full polynomial expansion of an L-factor denominator has 2^(rank product)
 # terms, so the closed-form paths are capped
 MAX_CLOSED_FORM_FACTORS = 16
-
-# a Whittaker value at rank n is a Schur value s_lam with lam = mu - min(mu),
-# which has at most C(|lam| + n - 1, n - 1) terms; a lattice series has the
-# term count of _lattice_terms, which also bounds each L-factor denominator
-# series of the same ranks; weight --place q has (d+1)(d+2)/2 index triples.
-# The cap bounds all of them (README "Scope")
-MAX_TERMS = 10_000
 
 
 def _parse_int_tuple(text: str) -> tuple[int, ...]:
@@ -128,28 +124,6 @@ def _emit_report(report: SuiteReport, emit: str, timings: bool) -> str:
     return report_to_text(report, include_timings=timings)
 
 
-def _check_terms(what: str, counts) -> None:
-    """Refuse once the running total of counts passes MAX_TERMS; counts may be endless."""
-    total = 0
-    for count in counts:
-        total += count
-        if total > MAX_TERMS:
-            raise ValueError(f"{what} would need more than {MAX_TERMS} terms")
-
-
-def _lattice_terms(order: int, ranks):
-    """The terms of rank (r, s) lattice series through the order.
-
-    The X^k coefficient is h_k(alpha_i beta_j), with exactly
-    C(k+r-1, r-1) * C(k+s-1, s-1) terms.  The r*s products alpha_i beta_j
-    count too, so the ranks are bounded at order 0 as well.
-    """
-    for r, s in ranks:
-        yield r * s
-        for k in range(order + 1):
-            yield math.comb(k + r - 1, r - 1) * math.comb(k + s - 1, s - 1)
-
-
 def _cmd_lfactor(args: argparse.Namespace) -> dict:
     if args.rank_a < 1 or args.rank_b < 1:
         raise ValueError("ranks must be positive")
@@ -205,7 +179,7 @@ def _cmd_zeta(args: argparse.Namespace) -> dict:
         raise ValueError("the smaller rank must be at least 1")
     if order < 0:
         raise ValueError("series order must be nonnegative")
-    _check_terms("the lattice series", _lattice_terms(order, [(n + 1, n)]))
+    check_terms("the lattice series", lattice_terms(order, [(n + 1, n)]))
     rep_a = UnramifiedRep.symbolic(n + 1, "a")
     rep_b = UnramifiedRep.symbolic(n, "b")
     result = local_zeta_unramified(rep_a, rep_b, var=args.var, order=order)
@@ -227,7 +201,7 @@ def _cmd_weight(args: argparse.Namespace) -> dict:
         if n < 2:
             raise ValueError("the unramified weight needs the middle rank >= 2")
         ranks = [(n + 1, n), (n, n - 1)]
-        _check_terms("the lattice series", _lattice_terms(order, ranks))
+        check_terms("the lattice series", lattice_terms(order, ranks))
         big = UnramifiedRep.symbolic(n + 1, "a")
         mid = UnramifiedRep.symbolic(n, "b")
         small = UnramifiedRep.symbolic(n - 1, "g")
@@ -237,7 +211,7 @@ def _cmd_weight(args: argparse.Namespace) -> dict:
         if n < 2:
             raise ValueError("the twisted weight needs rank >= 2")
         ranks = [(n, n - 1)]
-        _check_terms("the lattice series", _lattice_terms(order, ranks))
+        check_terms("the lattice series", lattice_terms(order, ranks))
         mid = UnramifiedRep.symbolic(n, "b")
         small = UnramifiedRep.symbolic(n - 1, "g")
         result = weight_at_l(mid, small, level, var=args.var, order=order)
@@ -247,7 +221,7 @@ def _cmd_weight(args: argparse.Namespace) -> dict:
             raise ValueError("the structural weight needs a numeric residue cardinality")
         # the (a1, a2, j) triples number (d+1)(d+2)/2 for d = level - cond >= 0
         d = level - args.cond
-        _check_terms("the index set", [(d + 1) * (d + 2) // 2 if d >= 0 else 0])
+        check_terms("the index set", [(d + 1) * (d + 2) // 2 if d >= 0 else 0])
         result = weight_at_q_structural(args.cond, level, n, args.p)
         payload = {"rank": n, "conductorExponent": args.cond, "level": level, "p": args.p}
     payload.update(result.to_json_obj())
@@ -316,25 +290,28 @@ def _run_verify(args: argparse.Namespace) -> SuiteReport:
     if args.jobs < 1:
         raise ValueError("--jobs must be positive")
     suite_cfg = SuiteConfig(n_max=args.n_max, order=args.order, p=args.p, seed=args.seed)
-    if args.suite == "all":
-        names = list(SUITES)
-        if args.jobs == 1:
-            reports = [_run_suite(name, suite_cfg) for name in names]
-        else:
-            # a fork-based pool starts every worker up front, so ask for no
-            # more workers than suites.  Fork is kept over spawn because forked
-            # workers share the parent's pages (a spawned pool measured a
-            # higher peak RSS than the serial run), and no thread runs yet.
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=min(args.jobs, len(names))) as pool:
-                reports = list(pool.map(_run_suite, names, [suite_cfg] * len(names)))
-        return merge_reports("all", reports)
-    fn = SUITES.get(args.suite) or HIDDEN_SUITES.get(args.suite)
-    if fn is None:
-        known = ", ".join(list(SUITES) + list(HIDDEN_SUITES) + ["all"])
+    runnable = {**SUITES, **HIDDEN_SUITES}
+    if args.suite != "all" and args.suite not in runnable:
+        known = ", ".join([*runnable, "all"])
         raise ValueError(f"unknown suite {args.suite!r}; known suites: {known}")
-    return fn(suite_cfg)
+    names = list(SUITES) if args.suite == "all" else [args.suite]
+    # every bound is checked before any suite runs
+    for name in names:
+        check_work(name, suite_cfg)
+    if args.suite != "all":
+        return runnable[args.suite](suite_cfg)
+    if args.jobs == 1:
+        reports = [_run_suite(name, suite_cfg) for name in names]
+    else:
+        # a fork-based pool starts every worker up front, so ask for no
+        # more workers than suites.  Fork is kept over spawn because forked
+        # workers share the parent's pages (a spawned pool measured a
+        # higher peak RSS than the serial run), and no thread runs yet.
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(names))) as pool:
+            reports = list(pool.map(_run_suite, names, [suite_cfg] * len(names)))
+    return merge_reports("all", reports)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,8 +13,8 @@ index in the full maximal compact has the closed form
 
     [K : K_0(m)] = p^((n-1)(m-1)) * (p^n - 1) / (p - 1)    for m >= 1
 
-and 1 for m = 0.  A brute-force count over matrices modulo p^m is provided
-as an independent oracle for small cases.
+and 1 for m = 0.  A brute-force count of the lines in (o/p^m)^n, over all
+p^(m*n) vectors, is provided as an independent oracle for small cases.
 """
 
 from __future__ import annotations
@@ -194,32 +194,16 @@ def congruence_index(n: int, p: int, m: int) -> int:
     return p ** ((n - 1) * (m - 1)) * (p ** n - 1) // (p - 1)
 
 
-def _det_mod(rows: tuple, n: int, q: int) -> int:
-    """Determinant of an n x n integer matrix modulo q by cofactor expansion."""
-    if n == 1:
-        return rows[0][0] % q
-    if n == 2:
-        return (rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]) % q
-    total = 0
-    sign = 1
-    for j in range(n):
-        a = rows[0][j]
-        if a:
-            minor = tuple(
-                tuple(rows[i][k] for k in range(n) if k != j) for i in range(1, n)
-            )
-            total += sign * a * _det_mod(minor, n - 1, q)
-        sign = -sign
-    return total % q
-
-
 def congruence_index_bruteforce(n: int, p: int, m: int) -> int:
-    """Count the index directly over matrices modulo p^m.
+    """Count the index directly as the number of lines in (o/p^m)^n.
 
-    Both the full unit group and the congruence subgroup reduce faithfully
-    modulo p^m, so the index is the ratio of the two counts.  Guarded by a
-    hard size bound; p must be prime here so that invertibility is just
-    det != 0 mod p, and a p that is not prime raises ValueError.
+    K_0(m) is the stabilizer of the line through e_n under right
+    multiplication on row vectors, and GL_n(o) acts transitively on the
+    lines, so the index is the number of primitive vectors modulo p^m (not
+    every entry divisible by p) over the number of units.  Guarded by a hard
+    size bound on the p^(m*n) vectors; p must be prime here so that a vector
+    is primitive when some entry is nonzero mod p, and a p that is not prime
+    raises ValueError.
     """
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"matrix size must be an integer >= 2, got {n!r}")
@@ -228,24 +212,18 @@ def congruence_index_bruteforce(n: int, p: int, m: int) -> int:
         raise ValueError(f"level exponent must be a nonnegative int, got {m!r}")
     if m == 0:
         return 1
-    # p >= 2, so m*n^2 bits or more already exceed the bound: no huge power is formed
-    if m * n * n >= ENUMERATION_LIMIT.bit_length() or p ** (m * n * n) > ENUMERATION_LIMIT:
+    # p >= 2, so m*n bits or more already exceed the bound: no huge power is formed
+    if m * n >= ENUMERATION_LIMIT.bit_length() or p ** (m * n) > ENUMERATION_LIMIT:
         raise EnumerationTooLarge(
-            f"p^(m*n^2) = {p}^{m * n * n} exceeds the bound {ENUMERATION_LIMIT}"
+            f"p^(m*n) = {p}^{m * n} exceeds the bound {ENUMERATION_LIMIT}"
         )
     q = p ** m
-    full = 0
-    sub = 0
-    for flat in product(range(q), repeat=n * n):
-        rows = tuple(flat[i * n:(i + 1) * n] for i in range(n))
-        if _det_mod(rows, n, q) % p == 0:
-            continue
-        full += 1
-        if all(x % q == 0 for x in rows[n - 1][: n - 1]):
-            sub += 1
-    if full % sub:
-        raise ArithmeticError("subgroup count does not divide the group count")
-    return full // sub
+    multiples = set(range(0, q, p))
+    primitive = sum(1 for v in product(range(q), repeat=n) if not multiples.issuperset(v))
+    units = sum(1 for x in range(q) if x not in multiples)
+    if primitive % units:
+        raise ArithmeticError("the unit count does not divide the primitive vector count")
+    return primitive // units
 
 
 def character_sum(p: Union[int, str], m: int, valuations: Sequence[int]) -> LaurentPoly:

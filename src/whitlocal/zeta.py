@@ -35,6 +35,7 @@ boundary, compared against the published approximation p^(-(n-1)m).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -67,6 +68,36 @@ from .whittaker import (
 PLACE_UNRAMIFIED = "unramified"
 PLACE_DIVIDING_L = "dividing_l"
 PLACE_DIVIDING_Q = "dividing_q"
+
+# a Whittaker value at rank n is a Schur value s_lam with lam = mu - min(mu),
+# which has at most C(|lam| + n - 1, n - 1) terms; a lattice series has the
+# term count of lattice_terms, which also bounds each L-factor denominator
+# series of the same ranks; weight --place q has (d+1)(d+2)/2 index triples.
+# The command line checks each of them, and the verify suites' series, against
+# this cap before the work starts (README "Scope")
+MAX_TERMS = 10_000
+
+
+def check_terms(what: str, counts) -> None:
+    """Refuse once the running total of counts passes MAX_TERMS; counts may be endless."""
+    total = 0
+    for count in counts:
+        total += count
+        if total > MAX_TERMS:
+            raise ValueError(f"{what} would need more than {MAX_TERMS} terms")
+
+
+def lattice_terms(order: int, ranks):
+    """The terms of rank (r, s) lattice series through the order.
+
+    The X^k coefficient is h_k(alpha_i beta_j), with exactly
+    C(k+r-1, r-1) * C(k+s-1, s-1) terms.  The r*s products alpha_i beta_j
+    count too, so the ranks are bounded at order 0 as well.
+    """
+    for r, s in ranks:
+        yield r * s
+        for k in range(order + 1):
+            yield math.comb(k + r - 1, r - 1) * math.comb(k + s - 1, s - 1)
 
 
 class SymbolCollision(ValueError):

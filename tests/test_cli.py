@@ -22,6 +22,7 @@ from whitlocal import (
     local_zeta_unramified,
     localrep,
     qpow,
+    suites,
     whittaker,
     zeta,
 )
@@ -240,6 +241,54 @@ class TestExitCodes:
                                  capsys=capsys)
         assert code == 2
         assert err == "error: the index at n=14285, p=2, m=1 would have more than 4300 digits\n"
+
+    @pytest.mark.parametrize("argv, err", [
+        # ran 6.6 s and 10.9 s while --order was unbounded (2-vCPU host, Python 3.11)
+        (("--suite", "cauchy", "--order", "20"), "the cauchy suite's lattice series"),
+        (("--suite", "weight-l", "--order", "40"), "the weight-l suite's lattice series"),
+        (("--suite", "cauchy", "--order", "9"), "the cauchy suite's lattice series"),
+        (("--suite", "all", "--order", "9"), "the cauchy suite's lattice series"),
+        (("--suite", "all", "--n-max", str(10 ** 30)), "the involution suite"),
+        (("--suite", "unramified", "--order", "15"), "the unramified suite's lattice series"),
+        (("--suite", "weight-l", "--order", "15"), "the weight-l suite's lattice series"),
+        (("--suite", "unramified", "--order", str(10 ** 30)),
+         "the unramified suite's lattice series"),
+        (("--suite", "involution", "--n-max", "1000000"), "the involution suite"),
+        (("--suite", "all", "--n-max", "10002", "--jobs", "2"), "the involution suite"),
+    ])
+    def test_verify_work_bound(self, argv, err, monkeypatch, capsys):
+        def unrun(*args):
+            raise AssertionError("a suite ran")
+
+        # refused before any suite runs, the cheap ones of "all" included
+        monkeypatch.setattr(suites, "run_checks", unrun)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", unrun)
+        start = time.perf_counter()
+        code, out, got = run_cli("verify", *argv, capsys=capsys)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert got.startswith(f"error: {err} ")
+
+    @pytest.mark.parametrize("suite, order", [
+        ("cauchy", 8), ("unramified", 14), ("weight-l", 14), ("all", 6),
+    ])
+    def test_verify_work_bound_edge(self, suite, order, monkeypatch):
+        # the largest admitted orders: 7977, 9934 and 7948 lattice terms
+        ran = []
+        monkeypatch.setattr(suites, "run_checks", lambda name, checks: ran.append(name))
+        monkeypatch.setattr(cli, "merge_reports", lambda name, reports: None)
+        args = cli.build_parser().parse_args(["verify", "--suite", suite, "--order", str(order)])
+        cli._run_verify(args)
+        assert ran == (list(cli.SUITES) if suite == "all" else [suite])
+
+    def test_verify_involution_rank_bound_edge(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(suites, "run_checks", lambda name, checks: ran.append(len(checks)))
+        args = cli.build_parser().parse_args(["verify", "--suite", "involution",
+                                              "--n-max", "10001"])
+        cli._run_verify(args)
+        assert ran == [10_000]
 
     def test_exponent_field_bound(self, capsys):
         code, out, _ = run_cli("whittaker", "--n", "1", "--mu", str(EXPONENT_LIMIT),

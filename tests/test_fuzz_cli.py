@@ -3,8 +3,9 @@
 Values are small integers, malformed lists and fractions, or, on the flags
 whose work is bounded before it starts, huge numbers.  Every `weight` place
 bounds its work before it starts, so each numeric `weight` flag draws huge
-values too.  Flags without such a bound get small values only, because a
-large one would run as long as the computation it asks for.
+values too, and so do `verify --order` and `--n-max`, which are bounded
+before any suite runs.  Flags without such a bound get small values only,
+because a large one would run as long as the computation it asks for.
 """
 
 import contextlib
@@ -55,9 +56,11 @@ COMMANDS = {
     "charsum": ({"--p": P_BOUNDED, "--valuations": int_lists(-1, 3, 3, huge=True)},
                 {"--level": ints(-1, 2, huge=True)}),
     "params": ({"--n": ints(-1, 5)}, {"--s": FRACTION, "--w": FRACTION}),
-    "verify": ({"--suite": st.sampled_from(["involution", "weyl", "cusp", "weight-q", "nosuch"])},
-               {"--n-max": ints(-1, 6), "--order": ints(-3, 6), "--p": P_BOUNDED,
-                "--seed": ints(-1, 3), "--jobs": ints(-1, 2), "--timings": FLAG}),
+    "verify": ({"--suite": st.sampled_from(["involution", "weyl", "cusp", "weight-q", "unramified",
+                                            "cauchy", "weight-l", "nosuch"])},
+               {"--n-max": ints(-1, 6, huge=True), "--order": ints(-3, 6, huge=True),
+                "--p": P_BOUNDED, "--seed": ints(-1, 3), "--jobs": ints(-1, 2),
+                "--timings": FLAG}),
 }
 
 

@@ -22,6 +22,7 @@ from whitlocal import (
     hecke_eigenvalue,
     qpow,
 )
+from whitlocal import localrep
 from whitlocal.localrep import MAX_RESIDUE_CARDINALITY
 
 
@@ -102,14 +103,28 @@ class TestCongruenceIndex:
     @pytest.mark.parametrize("n,p,m", [
         (2, 2, 1), (2, 2, 2), (2, 3, 1), (2, 3, 2),
         (2, 5, 1), (3, 2, 1), (3, 2, 2), (3, 3, 1),
+        # refused while the brute force enumerated p^(m*n^2) matrices
+        (3, 3, 2), (4, 2, 2), (5, 3, 1), (2, 7, 3), (4, 3, 2), (6, 2, 2),
     ])
     def test_against_bruteforce(self, n, p, m):
         assert congruence_index(n, p, m) == congruence_index_bruteforce(n, p, m)
 
-    def test_enumeration_bound(self):
-        assert 3 ** (2 * 3 * 3) > ENUMERATION_LIMIT
+    def test_enumeration_bound(self, monkeypatch):
+        # the bound is on the p^(m*n) vectors, checked before any is enumerated
+        assert 2 ** 24 == ENUMERATION_LIMIT
         with pytest.raises(EnumerationTooLarge):
-            congruence_index_bruteforce(3, 3, 2)
+            congruence_index_bruteforce(5, 2, 5)
+        with pytest.raises(EnumerationTooLarge):
+            congruence_index_bruteforce(2, 2, 10 ** 30)
+        with pytest.raises(EnumerationTooLarge):
+            congruence_index_bruteforce(10 ** 30, 2, 1)
+        # the edge, at a lower bound so that it enumerates quickly
+        monkeypatch.setattr(localrep, "ENUMERATION_LIMIT", 2 ** 12)
+        for n, p, m in ((2, 2, 6), (3, 2, 4), (4, 2, 3), (12, 2, 1), (2, 61, 1)):
+            assert congruence_index_bruteforce(n, p, m) == congruence_index(n, p, m)
+        for n, p, m in ((2, 2, 7), (13, 2, 1), (2, 67, 1), (3, 3, 3)):
+            with pytest.raises(EnumerationTooLarge):
+                congruence_index_bruteforce(n, p, m)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ import pkgutil
 import sys
 
 import whitlocal
-from whitlocal import cli, localrep, suites
+from whitlocal import cli, localrep
 
 ORACLE = "an independent oracle for the tests"
 ALLOWED = {
@@ -78,9 +78,8 @@ def public_code() -> dict[str, object]:
 
 
 def test_every_public_function_is_reached(monkeypatch):
-    # keeps the index and charsum brute force small; every oracle still runs
+    # keeps the charsum brute force small; every oracle still runs
     monkeypatch.setattr(localrep, "ENUMERATION_LIMIT", 2 ** 12)
-    monkeypatch.setattr(suites, "ENUMERATION_LIMIT", 2 ** 12)
     called = set()
 
     def profile(frame, event, arg):

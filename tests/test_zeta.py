@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from whitlocal import symfunc, whittaker, zeta
-from whitlocal.cli import _lattice_terms
+from whitlocal.zeta import lattice_terms
 from whitlocal.suites import SUITES, SuiteConfig
 from whitlocal import (
     LaurentPoly,
@@ -72,7 +72,7 @@ class TestLFactor:
         # the running product after i grouped factors is the series of the
         # first i alpha, so each stage is checked against the bound at (r, s)
         order = r * s + 1
-        bound = list(_lattice_terms(order, [(r, s)]))[1:]
+        bound = list(lattice_terms(order, [(r, s)]))[1:]
         rep_a, rep_b = UnramifiedRep.symbolic(r, "a"), UnramifiedRep.symbolic(s, "b")
         for i in range(1, r + 1):
             head = UnramifiedRep(i, rep_a.satake[:i])
