@@ -30,7 +30,7 @@ from .localrep import (
 )
 from .reciprocity import ParamPair, dual_params
 from .report import SuiteReport, merge_reports, report_to_csv, report_to_json, report_to_text
-from .suites import HIDDEN_SUITES, SUITES, SuiteConfig, check_work
+from .suites import HIDDEN_SUITES, SUITES, WORK_BOUNDS, SuiteConfig
 from .whittaker import TorusCocharacter, contragredient_value, spherical_value, twisted_value
 from .zeta import (
     MAX_TERMS,
@@ -297,7 +297,8 @@ def _run_verify(args: argparse.Namespace) -> SuiteReport:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     # every bound is checked before any suite runs
     for name in names:
-        check_work(name, suite_cfg)
+        if name in WORK_BOUNDS:
+            WORK_BOUNDS[name](suite_cfg)
     if args.suite != "all":
         return runnable[args.suite](suite_cfg)
     if args.jobs == 1:

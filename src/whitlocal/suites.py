@@ -161,6 +161,13 @@ def suite_involution(cfg: SuiteConfig) -> SuiteReport:
     ])
 
 
+def _involution_bound(cfg: SuiteConfig) -> None:
+    if cfg.n_max - 1 > MAX_TERMS:
+        raise ValueError(
+            f"the involution suite would run {cfg.n_max - 1} ranks, over the cap {MAX_TERMS}"
+        )
+
+
 def _weyl_checks(n: int) -> list[Check]:
     # The swap element of size n+1 conjugates the column of n-1 unipotent
     # symbols above coordinate n into the same column above coordinate n+1,
@@ -276,6 +283,12 @@ def suite_unramified(cfg: SuiteConfig) -> SuiteReport:
     return run_checks("unramified", checks)
 
 
+def _unramified_bound(cfg: SuiteConfig) -> None:
+    check_terms("the unramified suite's lattice series",
+                (count for n, order in _unramified_cases(cfg.order)
+                 for count in lattice_terms(order, [(n + 1, n)])))
+
+
 _CAUCHY_RANKS = tuple(product((1, 2, 3), repeat=2))
 
 
@@ -296,6 +309,10 @@ def suite_cauchy(cfg: SuiteConfig) -> SuiteReport:
             body,
         ))
     return run_checks("cauchy", checks)
+
+
+def _cauchy_bound(cfg: SuiteConfig) -> None:
+    check_terms("the cauchy suite's lattice series", lattice_terms(cfg.order, _CAUCHY_RANKS))
 
 
 def _weyl_dimension(lam: Partition, n: int) -> Fraction:
@@ -462,6 +479,11 @@ def suite_weight_l(cfg: SuiteConfig) -> SuiteReport:
     return run_checks("weight-l", checks)
 
 
+def _weight_l_bound(cfg: SuiteConfig) -> None:
+    check_terms("the weight-l suite's lattice series",
+                lattice_terms(cfg.order, [(n, n - 1) for n in _WEIGHT_L_LEVEL0_RANKS]))
+
+
 def suite_weight_q(cfg: SuiteConfig) -> SuiteReport:
     def check_verdicts():
         for n0 in range(5):
@@ -619,24 +641,12 @@ HIDDEN_SUITES = {"negative-control": suite_negative_control}
 
 ALL_SUITE_NAMES = tuple(SUITES)
 
+# the suites whose work grows with cfg.order or cfg.n_max, each with the
+# bound that refuses it; the other suites fix or cap their ranks and orders
+WORK_BOUNDS = {
+    "involution": _involution_bound,
+    "unramified": _unramified_bound,
+    "cauchy": _cauchy_bound,
+    "weight-l": _weight_l_bound,
+}
 
-def check_work(name: str, cfg: SuiteConfig) -> None:
-    """Raise ValueError if the named suite would pass MAX_TERMS at cfg.
-
-    Runs before any suite does.  ``involution`` runs one check per rank
-    2..n_max.  ``unramified``, ``cauchy`` and ``weight-l`` build lattice
-    series at cfg.order, counted exactly by ``lattice_terms``; the ranks and
-    orders of the other suites are fixed or capped.
-    """
-    if name == "involution" and cfg.n_max - 1 > MAX_TERMS:
-        raise ValueError(
-            f"the involution suite would run {cfg.n_max - 1} ranks, over the cap {MAX_TERMS}"
-        )
-    what = f"the {name} suite's lattice series"
-    if name == "unramified":
-        check_terms(what, (count for n, order in _unramified_cases(cfg.order)
-                           for count in lattice_terms(order, [(n + 1, n)])))
-    elif name == "cauchy":
-        check_terms(what, lattice_terms(cfg.order, _CAUCHY_RANKS))
-    elif name == "weight-l":
-        check_terms(what, lattice_terms(cfg.order, [(n, n - 1) for n in _WEIGHT_L_LEVEL0_RANKS]))

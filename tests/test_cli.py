@@ -29,7 +29,7 @@ from whitlocal import (
 from whitlocal.cli import main
 from whitlocal.exactalg import EXPONENT_LIMIT
 from whitlocal.report import CheckResult, SuiteReport, report_to_json
-from whitlocal.suites import SuiteConfig
+from whitlocal.suites import WORK_BOUNDS, SuiteConfig
 
 
 def run_cli(*argv, capsys=None):
@@ -289,6 +289,28 @@ class TestExitCodes:
                                               "--n-max", "10001"])
         cli._run_verify(args)
         assert ran == [10_000]
+
+    def test_every_suite_that_grows_with_order_or_n_max_is_bounded(self):
+        reads = set()
+
+        class Recording(SuiteConfig):
+            def __getattribute__(self, name):
+                reads.add(name)
+                return super().__getattribute__(name)
+
+        def outcome(report):
+            return [(c.id, c.status, c.witness) for c in report.checks]
+
+        for name, suite in cli.SUITES.items():
+            if name in WORK_BOUNDS:
+                continue
+            cfg = Recording()
+            reads.clear()
+            report = suite(cfg)
+            if reads & {"order", "n_max"}:
+                # read without a bound, so the suite must cap both itself
+                bigger = SuiteConfig(order=cfg.order + 4, n_max=cfg.n_max + 4)
+                assert outcome(suite(bigger)) == outcome(report), name
 
     def test_exponent_field_bound(self, capsys):
         code, out, _ = run_cli("whittaker", "--n", "1", "--mu", str(EXPONENT_LIMIT),

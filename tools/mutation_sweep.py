@@ -8,6 +8,10 @@ constant (DeMillo, Lipton and Sayward, "Hints on test data selection",
 the package, and the command runs against that copy.  A mutant is killed
 when the command exits nonzero or outlasts the time limit; a survivor is
 either a gap in the command's checks or a mutant that changes nothing.
+The limit is ten times the command's time on the unmutated module, and at
+least five seconds.  A timeout counts as a kill, so a mutant that only
+makes the command slow (say, one that loosens a size guard and then
+enumerates for long) is counted as killed.
 
     python3 tools/mutation_sweep.py --module localrep \\
         --function congruence_index --function congruence_index_bruteforce \\
@@ -27,6 +31,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from functools import partial
 from pathlib import Path
 
@@ -58,8 +63,9 @@ def mutations(tree: ast.Module, functions: set[str]):
                        partial(setattr, node, "value", node.value + 1))
 
 
-def killed(package: Path, module: Path, source: str, command: list[str],
-           timeout: float) -> bool:
+def run(package: Path, module: Path, source: str, command: list[str],
+        timeout: float | None) -> str:
+    """'survived', 'killed' (nonzero exit) or 'timed out'."""
     module.write_text(source)
     env = {**os.environ, "PYTHONPATH": str(package.parent)}
     try:
@@ -67,8 +73,8 @@ def killed(package: Path, module: Path, source: str, command: list[str],
                               cwd=package.parent, env=env, stdout=subprocess.DEVNULL,
                               stderr=subprocess.DEVNULL, timeout=timeout)
     except subprocess.TimeoutExpired:
-        return True
-    return proc.returncode != 0
+        return "timed out"
+    return "killed" if proc.returncode else "survived"
 
 
 def main() -> int:
@@ -77,7 +83,6 @@ def main() -> int:
                         help="directory holding the whitlocal package (default: ../src)")
     parser.add_argument("--module", required=True, help="module name inside whitlocal")
     parser.add_argument("--function", action="append", required=True, dest="functions")
-    parser.add_argument("--timeout", type=float, default=60.0, help="seconds per mutant")
     parser.add_argument("command", nargs="+", help="whitlocal arguments, after --")
     args = parser.parse_args()
 
@@ -88,19 +93,24 @@ def main() -> int:
         shutil.copytree(args.src / "whitlocal", package,
                         ignore=shutil.ignore_patterns("__pycache__"))
         module = package / f"{args.module}.py"
-        if killed(package, module, ast.unparse(ast.parse(original)), args.command,
-                  args.timeout):
+        start = time.perf_counter()
+        if run(package, module, ast.unparse(ast.parse(original)), args.command,
+               None) != "survived":
             print("error: the command fails on the unmutated module", file=sys.stderr)
             return 2
-        dead = 0
+        timeout = max(10 * (time.perf_counter() - start), 5.0)
+        print(f"time limit {timeout:.1f} s per mutant", flush=True)
+        dead = timed_out = 0
         for k in range(count):
             tree = ast.parse(original)
             line, what, apply = list(mutations(tree, set(args.functions)))[k]
             apply()
-            hit = killed(package, module, ast.unparse(tree), args.command, args.timeout)
-            dead += hit
-            print(f"{'killed  ' if hit else 'survived'} line {line}: {what}", flush=True)
-    print(f"killed {dead} of {count} mutants ({100 * dead / max(count, 1):.0f}%)")
+            result = run(package, module, ast.unparse(tree), args.command, timeout)
+            dead += result != "survived"
+            timed_out += result == "timed out"
+            print(f"{result:9} line {line}: {what}", flush=True)
+    print(f"killed {dead} of {count} mutants ({100 * dead / max(count, 1):.0f}%), "
+          f"{timed_out} of them by the time limit")
     return 0
 
 
