@@ -3,9 +3,11 @@ weight factors, with machine-checked verification suites.
 
 Everything is computed over the rationals: Laurent polynomials with
 half-integer powers of the residue cardinality, truncated power series,
-Schur polynomials, congruence indices and character sums.  Floating point
-enters one identity check only: the ``charsum`` suite compares each exact
-character sum with a ``cmath`` root-of-unity sum, within 1e-9.
+Schur polynomials, congruence indices and character sums.  No identity
+check uses floating point: the ``charsum`` suite checks each character sum
+against the same sum computed exactly in the cyclotomic ring Z[zeta_q].  The
+``cmath`` root-of-unity sum of ``character_sum_numeric`` only fills the
+``numericOracle`` display field of the ``charsum`` command.
 """
 
 from .exactalg import (
@@ -29,6 +31,7 @@ from .localrep import (
     UnramifiedRep,
     ZeroSatakeParameter,
     character_sum,
+    character_sum_cyclotomic,
     character_sum_numeric,
     congruence_index,
     congruence_index_bruteforce,
@@ -113,6 +116,7 @@ __all__ = [
     "ZetaResult",
     "cauchy_schur_side",
     "character_sum",
+    "character_sum_cyclotomic",
     "character_sum_numeric",
     "complete_homogeneous",
     "congruence_index",

@@ -24,6 +24,7 @@ from .localrep import (
     RankMismatch,
     UnramifiedRep,
     character_sum,
+    character_sum_cyclotomic,
     character_sum_numeric,
     congruence_index,
     congruence_index_bruteforce,
@@ -248,6 +249,7 @@ def _cmd_charsum(args: argparse.Namespace) -> dict:
     numeric = None
     if not isinstance(args.p, str):
         # first, so that its enumeration bound also bounds the exact value p^(r*m)
+        # and the cyclotomic oracle's q = p^m
         numeric = character_sum_numeric(args.p, args.level, args.valuations)
     value = character_sum(args.p, args.level, args.valuations)
     payload = {
@@ -257,9 +259,10 @@ def _cmd_charsum(args: argparse.Namespace) -> dict:
         "value": value.to_text(),
     }
     if numeric is not None:
-        exact = complex(int(value.constant_coefficient()))
+        oracle = character_sum_cyclotomic(args.p, args.level, args.valuations)
+        # numericOracle is shown, not compared: agree is decided in Z[zeta_q]
         payload["numericOracle"] = [numeric.real, numeric.imag]
-        payload["agree"] = abs(exact - numeric) <= 1e-9
+        payload["agree"] = not any(oracle[1:]) and value == LaurentPoly.const(oracle[0])
     return payload
 
 

@@ -15,6 +15,19 @@ index in the full maximal compact has the closed form
 
 and 1 for m = 0.  A brute-force count of the lines in (o/p^m)^n, over all
 p^(m*n) vectors, is provided as an independent oracle for small cases.
+
+The additive character sum over a box of level-m residues is p^(r*m) or 0
+by orthogonality.  Its independent oracle computes the same sum exactly in
+the cyclotomic ring Z[zeta_q], q = p^m, without orthogonality.  For q a
+power of the prime l, Z[zeta_q] = Z[x]/Phi_q(x) with
+
+    Phi_q(x) = sum_{j<l} x^(j*q/l)
+
+(Washington, Introduction to Cyclotomic Fields, ch. 2), so an element is a
+list of phi(q) = q - q/l integer coordinates in the basis 1, x, ...,
+x^(phi(q)-1), and x^e for phi(q) <= e < q reduces in one step to
+-sum_{j<l-1} x^(e - phi(q) + j*q/l).  A float root-of-unity sum,
+``character_sum_numeric``, is kept for display only.
 """
 
 from __future__ import annotations
@@ -246,11 +259,71 @@ def character_sum(p: Union[int, str], m: int, valuations: Sequence[int]) -> Laur
     return LaurentPoly.zero()
 
 
+def _add_root_of_unity(coords: list[int], e: int, c: int, step: int) -> None:
+    """Add c * x^e, 0 <= e < q, to coords in the power basis of Z[x]/Phi_q.
+
+    step is q/l; len(coords) is phi(q) = (l-1)*step.  An exponent at or past
+    phi(q) is (l-1)*step + t, and x^((l-1)*step) = -sum_{j<l-1} x^(j*step).
+    """
+    phi = len(coords)
+    if e < phi:
+        coords[e] += c
+    else:
+        for i in range(e - phi, phi, step):
+            coords[i] -= c
+
+
+def _one_coordinate_terms(q: int, u: int, step: int, phi: int) -> list[tuple[int, int]]:
+    """The nonzero coordinates (j, c) of sum_{b mod q} x^(b*u) modulo Phi_q."""
+    coords = [0] * phi
+    for b in range(q):
+        _add_root_of_unity(coords, b * u % q, 1, step)
+    return [(j, c) for j, c in enumerate(coords) if c]
+
+
+def character_sum_cyclotomic(p: int, m: int, valuations: Sequence[int]) -> tuple[int, ...]:
+    """The character sum as an exact element of Z[zeta_q], q = p^m.
+
+    Returns the phi(q) integer coordinates of sum_b zeta_q^(sum_i b_i p^(v_i))
+    over b in (Z/q)^r in the basis 1, x, ..., x^(phi(q)-1) of Z[x]/Phi_q(x);
+    q = 1 (m = 0) is the ring Z.  The sum is the product of r one-coordinate
+    sums, each built from its q terms without using orthogonality, so the
+    work is O(r*q) plus the products of the nonzero coordinates.  Raises
+    EnumerationTooLarge, before any power of p is formed, when q exceeds
+    ENUMERATION_LIMIT.
+    """
+    if isinstance(p, str):
+        raise ValueError("the cyclotomic oracle needs a numeric residue cardinality")
+    _validate_p(p)
+    vals = _validate_box(m, valuations)
+    # p >= 2, so m bits or more already exceed the bound: no huge power is formed
+    if m >= ENUMERATION_LIMIT.bit_length() or p ** m > ENUMERATION_LIMIT:
+        raise EnumerationTooLarge(
+            f"q = p^m = {p}^{m} residues exceed the bound {ENUMERATION_LIMIT}"
+        )
+    if m == 0:
+        return (1,)
+    q = p ** m
+    step = q // _smallest_prime_factor(p)
+    phi = q - step
+    total = [1] + [0] * (phi - 1)
+    for v in vals:
+        terms = _one_coordinate_terms(q, pow(p, v, q), step, phi)
+        next_total = [0] * phi
+        for i, a in enumerate(total):
+            if a:
+                for j, c in terms:
+                    _add_root_of_unity(next_total, (i + j) % q, a * c, step)
+        total = next_total
+    return tuple(total)
+
+
 def character_sum_numeric(p: int, m: int, valuations: Sequence[int]) -> complex:
     """Brute-force numeric character sum over all residue tuples.
 
     Sums exp(2 pi i * sum_i b_i p^(v_i) / p^m) over b in (Z/p^m)^r without
-    using orthogonality, as an independent oracle.  Raises
+    using orthogonality.  Only the ``numericOracle`` display field of the
+    ``charsum`` command reads it; no check compares it.  Raises
     EnumerationTooLarge, before summing, when (p^m)^r exceeds
     ENUMERATION_LIMIT.
     """

@@ -20,6 +20,7 @@ from whitlocal import (
     TruncatedSeries,
     UnramifiedRep,
     character_sum,
+    character_sum_cyclotomic,
     character_sum_numeric,
     complete_homogeneous,
     congruence_index,
@@ -37,9 +38,8 @@ from whitlocal import (
     weight_at_q_structural,
     weight_unramified,
 )
+from whitlocal import localrep
 from whitlocal.suites import SUITES, SuiteConfig
-
-ENUMERATION_CAP = 2 ** 24
 
 
 def _verdict(number: int, ok: bool, description: str) -> None:
@@ -206,7 +206,8 @@ def test_criterion_10_congruence_index_bruteforce():
     t0 = time.perf_counter()
     ok = congruence_index(2, 2, 1) == 3 and congruence_index(3, 2, 1) == 7
     for n, p, m in product((2, 3), (2, 3), (0, 1, 2)):
-        if p ** (m * n * n) > ENUMERATION_CAP:
+        # the brute force counts p^(m*n) vectors and refuses more than its bound
+        if p ** (m * n) > localrep.ENUMERATION_LIMIT:
             continue
         ok = ok and congruence_index(n, p, m) == congruence_index_bruteforce(n, p, m)
     elapsed = time.perf_counter() - t0
@@ -218,9 +219,13 @@ def test_criterion_11_character_sums():
     ok = True
     for p, m, r in product((2, 3, 5), (0, 1, 2), (1, 2, 3)):
         for vals in product(range(4), repeat=r):
-            exact = complex(int(character_sum(p, m, vals).constant_coefficient()))
-            ok = ok and abs(exact - character_sum_numeric(p, m, vals)) <= 1e-9
-    _verdict(11, ok, "orthogonality values match the numeric oracle to 1e-9")
+            exact = character_sum(p, m, vals)
+            oracle = character_sum_cyclotomic(p, m, vals)
+            ok = ok and not any(oracle[1:]) and exact == LaurentPoly.const(oracle[0])
+            numeric = complex(int(exact.constant_coefficient()))
+            ok = ok and abs(numeric - character_sum_numeric(p, m, vals)) <= 1e-9
+    _verdict(11, ok, "orthogonality values equal the sums in Z[zeta_q] and match "
+                     "the numeric oracle to 1e-9")
 
 
 def test_criterion_12_contragredient_consistency():

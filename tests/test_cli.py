@@ -569,6 +569,16 @@ class TestPayloadContent:
         assert obj["value"] == "9"
         assert obj["agree"] is True
 
+    def test_charsum_agree_is_exact(self, monkeypatch, capsys):
+        # a drift in the float sum shows in numericOracle, not in agree
+        monkeypatch.setattr(cli, "character_sum_numeric", lambda p, m, vals: 9 + 2e-9)
+        code, out, _ = run_cli("charsum", "--p", "3", "--level", "1",
+                               "--valuations", "1,2", capsys=capsys)
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["numericOracle"] == [9 + 2e-9, 0.0]
+        assert obj["agree"] is True
+
     def test_charsum_symbolic(self, capsys):
         code, out, _ = run_cli("charsum", "--p", "symbolic", "--level", "2",
                                "--valuations", "2,2", capsys=capsys)

@@ -15,6 +15,7 @@ from whitlocal import (
     UnramifiedRep,
     ZeroSatakeParameter,
     character_sum,
+    character_sum_cyclotomic,
     character_sum_numeric,
     congruence_index,
     congruence_index_bruteforce,
@@ -178,3 +179,68 @@ class TestCharacterSum:
         exact = complex(int(character_sum(p, m, vals).constant_coefficient()))
         numeric = character_sum_numeric(p, m, vals)
         assert abs(exact - numeric) <= 1e-9
+
+    @settings(max_examples=80)
+    @given(
+        st.sampled_from([2, 3, 4, 5, 8, 9]),
+        st.integers(0, 3),
+        st.lists(st.integers(0, 4), min_size=1, max_size=3),
+    )
+    def test_equals_the_cyclotomic_sum(self, p, m, vals):
+        oracle = character_sum_cyclotomic(p, m, vals)
+        q = p ** m
+        ell = {2: 2, 3: 3, 4: 2, 5: 5, 8: 2, 9: 3}[p]
+        assert len(oracle) == (q - q // ell if m else 1)
+        assert LaurentPoly.const(oracle[0]) == character_sum(p, m, vals)
+        assert not any(oracle[1:])
+
+    @pytest.mark.parametrize("q,ell", [(2, 2), (4, 2), (8, 2), (3, 3), (9, 3), (27, 3), (25, 5), (7, 7)])
+    def test_reduction_of_the_top_power(self, q, ell):
+        # x^(q/l*(l-1)) = -sum_{j<l-1} x^(j*q/l) modulo Phi_q
+        step = q // ell
+        coords = [0] * (q - step)
+        localrep._add_root_of_unity(coords, step * (ell - 1), 1, step)
+        assert coords == [-1 if i % step == 0 else 0 for i in range(q - step)]
+
+    def test_reduction_sums_to_zero_over_all_powers(self):
+        # 1 + zeta + ... + zeta^(q-1) = 0 for q > 1
+        for q, ell in ((16, 2), (27, 3), (25, 5)):
+            coords = [0] * (q - q // ell)
+            for e in range(q):
+                localrep._add_root_of_unity(coords, e, 1, q // ell)
+            assert coords == [0] * (q - q // ell)
+
+    def test_irrational_sum_keeps_its_coordinates(self):
+        # one term, zeta_9^4: not rational, so a non-constant coordinate survives
+        coords = [0] * 6
+        localrep._add_root_of_unity(coords, 4, 1, 3)
+        assert coords == [0, 0, 0, 0, 1, 0]
+        coords = [0] * 6
+        localrep._add_root_of_unity(coords, 7, 1, 3)
+        assert coords == [0, -1, 0, 0, -1, 0]
+
+    def test_cyclotomic_ring_of_level_zero_is_z(self):
+        assert character_sum_cyclotomic(5, 0, (0, 1, 2)) == (1,)
+        assert character_sum_cyclotomic(4096, 1, (0,)) == (0,) * 2048
+
+    def test_cyclotomic_bound_edge(self, monkeypatch):
+        # q = p^m is bounded, checked before any power of p is formed
+        for p, m in ((2, 25), (4096, 3), (3, 10 ** 30)):
+            with pytest.raises(EnumerationTooLarge):
+                character_sum_cyclotomic(p, m, (0,))
+        # the edge, at a lower bound so that it enumerates quickly
+        monkeypatch.setattr(localrep, "ENUMERATION_LIMIT", 2 ** 12)
+        for p, m, phi in ((2, 12, 2048), (4, 6, 2048), (64, 2, 2048), (4096, 1, 2048),
+                          (3, 7, 1458), (4093, 1, 4092)):
+            assert character_sum_cyclotomic(p, m, (0, m)) == (0,) * phi
+        for p, m in ((2, 13), (4, 7), (64, 3), (8192, 1), (3, 8), (4099, 1)):
+            with pytest.raises(EnumerationTooLarge):
+                character_sum_cyclotomic(p, m, (m,))
+
+    def test_cyclotomic_needs_a_numeric_prime_power(self):
+        with pytest.raises(ValueError):
+            character_sum_cyclotomic("q", 1, (0,))
+        with pytest.raises(ValueError, match="prime power"):
+            character_sum_cyclotomic(6, 1, (0,))
+        with pytest.raises(ValueError):
+            character_sum_cyclotomic(3, 1, (-1,))
