@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -289,6 +290,36 @@ def _run_suite(name: str, cfg: SuiteConfig) -> SuiteReport:
     return SUITES[name](cfg)
 
 
+def _pinned_pool_options(workers: int) -> dict:
+    """ProcessPoolExecutor options that give each worker CPUs of its own.
+
+    Left alone, the scheduler of a two-CPU virtual machine was seen to keep
+    both forked workers on one CPU for their whole run in most runs, so that
+    ``--jobs 2`` took the serial time in some runs and half of it in others.
+    Worker k is pinned to every workers-th allowed CPU from the k-th, so no
+    two workers share a CPU and each may still move among its own.  Without
+    the affinity call (not Linux), or with fewer allowed CPUs than workers,
+    the workers are left unpinned.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return {}
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) < workers:
+        return {}
+    import multiprocessing
+
+    cpu_sets = [cpus[k::workers] for k in range(workers)]
+    return {"initializer": _pin_worker, "initargs": (cpu_sets, multiprocessing.Value("i", 0))}
+
+
+def _pin_worker(cpu_sets: list[list[int]], claimed) -> None:
+    """Pool initializer: pin this worker to the next CPU set not yet claimed."""
+    with claimed.get_lock():
+        k = claimed.value % len(cpu_sets)
+        claimed.value += 1
+    os.sched_setaffinity(0, cpu_sets[k])
+
+
 def _run_verify(args: argparse.Namespace) -> SuiteReport:
     if args.jobs < 1:
         raise ValueError("--jobs must be positive")
@@ -313,7 +344,8 @@ def _run_verify(args: argparse.Namespace) -> SuiteReport:
         # higher peak RSS than the serial run), and no thread runs yet.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(names))) as pool:
+        workers = min(args.jobs, len(names))
+        with ProcessPoolExecutor(max_workers=workers, **_pinned_pool_options(workers)) as pool:
             reports = list(pool.map(_run_suite, names, [suite_cfg] * len(names)))
     return merge_reports("all", reports)
 

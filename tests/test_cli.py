@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import multiprocessing
+import os
 import pickle
 import subprocess
 import sys
@@ -424,12 +425,17 @@ def _stub_suite(cfg):
     return SuiteReport("stub", [check])
 
 
+def _affinity_after(barrier):
+    barrier.wait(timeout=60)
+    return sorted(os.sched_getaffinity(0))
+
+
 class RecordingExecutor:
     """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
 
     sizes: list[int] = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, **options):
         RecordingExecutor.sizes.append(max_workers)
 
     def __enter__(self):
@@ -463,6 +469,23 @@ class TestJobs:
         code, _, _ = run_cli("verify", "--suite", suite, "--jobs", jobs, capsys=capsys)
         assert code == 0
         assert executor == []
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+    def test_pool_workers_are_pinned_to_disjoint_cpus(self):
+        cpus = sorted(os.sched_getaffinity(0))
+        workers = min(2, len(cpus))
+        options = cli._pinned_pool_options(workers)
+        with (multiprocessing.Manager() as manager,
+              concurrent.futures.ProcessPoolExecutor(max_workers=workers, **options) as pool):
+            # each task holds its worker until every worker has one
+            barrier = manager.Barrier(workers)
+            held = list(pool.map(_affinity_after, [barrier] * workers))
+        assert sorted(c for cpu_set in held for c in cpu_set) == cpus
+        assert all(held)
+
+    def test_more_workers_than_cpus_stay_unpinned(self):
+        if hasattr(os, "sched_getaffinity"):
+            assert cli._pinned_pool_options(len(os.sched_getaffinity(0)) + 1) == {}
 
     def test_workers_need_no_inherited_state(self):
         # a spawned worker starts from a fresh import, so this fails if the
