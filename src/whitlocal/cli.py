@@ -9,41 +9,26 @@ deterministic for a fixed command line; timings are opt-in because they
 would break byte-for-byte reproducibility.  ``verify --suite all --jobs N``
 runs the suites in up to N worker processes and merges their reports by
 check id, so the bytes do not depend on N.
+
+Each command imports only the layers it runs, inside its handler: ``params``
+loads ``reciprocity``, ``index`` and ``charsum`` load ``localrep``, the
+series commands load ``zeta`` with what it needs, and only ``verify`` loads
+``suites`` and ``report``.  A start that finds no cached bytecode compiles
+every module it imports, so this keeps the small commands cheap.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .exactalg import LaurentPoly, RationalFunction, TruncatedSeries
-from .localrep import (
-    RankMismatch,
-    UnramifiedRep,
-    character_sum,
-    character_sum_cyclotomic,
-    character_sum_numeric,
-    congruence_index,
-    congruence_index_bruteforce,
-)
-from .reciprocity import ParamPair, dual_params
-from .report import SuiteReport, merge_reports, report_to_csv, report_to_json, report_to_text
-from .suites import HIDDEN_SUITES, SUITES, WORK_BOUNDS, SuiteConfig
-from .whittaker import TorusCocharacter, contragredient_value, spherical_value, twisted_value
-from .zeta import (
-    MAX_TERMS,
-    check_terms,
-    l_factor_denominator,
-    lattice_terms,
-    local_zeta_unramified,
-    weight_at_l,
-    weight_at_q_structural,
-    weight_unramified,
-)
+if TYPE_CHECKING:
+    from .report import SuiteReport
+    from .suites import SuiteConfig
 
 EMIT_CHOICES = ("json", "csv", "text")
 
@@ -112,6 +97,8 @@ def _payload_to_text(payload: dict) -> str:
 
 def _emit_payload(payload: dict, emit: str) -> str:
     if emit == "json":
+        import json
+
         return json.dumps(payload, indent=2) + "\n"
     if emit == "csv":
         return _payload_to_csv(payload)
@@ -119,6 +106,8 @@ def _emit_payload(payload: dict, emit: str) -> str:
 
 
 def _emit_report(report: SuiteReport, emit: str, timings: bool) -> str:
+    from .report import report_to_csv, report_to_json, report_to_text
+
     if emit == "json":
         return report_to_json(report, include_timings=timings) + "\n"
     if emit == "csv":
@@ -127,6 +116,9 @@ def _emit_report(report: SuiteReport, emit: str, timings: bool) -> str:
 
 
 def _cmd_lfactor(args: argparse.Namespace) -> dict:
+    from .localrep import UnramifiedRep
+    from .zeta import l_factor_denominator
+
     if args.rank_a < 1 or args.rank_b < 1:
         raise ValueError("ranks must be positive")
     if args.rank_a * args.rank_b > MAX_CLOSED_FORM_FACTORS:
@@ -145,6 +137,10 @@ def _cmd_lfactor(args: argparse.Namespace) -> dict:
 
 
 def _cmd_whittaker(args: argparse.Namespace) -> dict:
+    from .localrep import RankMismatch, UnramifiedRep
+    from .whittaker import TorusCocharacter, contragredient_value, spherical_value, twisted_value
+    from .zeta import MAX_TERMS
+
     # the point evaluated: mu, its reversed negation for --dual, (mu, 0) for --level
     point = args.mu + (0,) * (args.level is not None)
     if args.dual:
@@ -176,6 +172,10 @@ def _cmd_whittaker(args: argparse.Namespace) -> dict:
 
 
 def _cmd_zeta(args: argparse.Namespace) -> dict:
+    from .exactalg import LaurentPoly, RationalFunction, TruncatedSeries
+    from .localrep import UnramifiedRep
+    from .zeta import check_terms, l_factor_denominator, lattice_terms, local_zeta_unramified
+
     n, order = args.n, args.order
     if n < 1:
         raise ValueError("the smaller rank must be at least 1")
@@ -196,6 +196,15 @@ def _cmd_zeta(args: argparse.Namespace) -> dict:
 
 
 def _cmd_weight(args: argparse.Namespace) -> dict:
+    from .localrep import UnramifiedRep
+    from .zeta import (
+        check_terms,
+        lattice_terms,
+        weight_at_l,
+        weight_at_q_structural,
+        weight_unramified,
+    )
+
     n, order, level = args.n, args.order, args.level
     if order < 0:
         raise ValueError("series order must be nonnegative")
@@ -231,6 +240,8 @@ def _cmd_weight(args: argparse.Namespace) -> dict:
 
 
 def _cmd_index(args: argparse.Namespace) -> dict:
+    from .localrep import congruence_index, congruence_index_bruteforce
+
     if isinstance(args.p, str):
         raise ValueError("the congruence index needs a numeric residue cardinality")
     payload = {
@@ -247,6 +258,9 @@ def _cmd_index(args: argparse.Namespace) -> dict:
 
 
 def _cmd_charsum(args: argparse.Namespace) -> dict:
+    from .exactalg import LaurentPoly
+    from .localrep import character_sum, character_sum_cyclotomic, character_sum_numeric
+
     numeric = None
     if not isinstance(args.p, str):
         # first, so that its enumeration bound also bounds the exact value p^(r*m)
@@ -268,6 +282,8 @@ def _cmd_charsum(args: argparse.Namespace) -> dict:
 
 
 def _cmd_params(args: argparse.Namespace) -> dict:
+    from .reciprocity import ParamPair, dual_params
+
     if args.s is None and args.w is None:
         pair = ParamPair.symbolic(args.n)
     elif args.s is None or args.w is None:
@@ -287,6 +303,8 @@ def _cmd_params(args: argparse.Namespace) -> dict:
 
 def _run_suite(name: str, cfg: SuiteConfig) -> SuiteReport:
     """Run one listed suite; the worker entry, so it pickles by name."""
+    from .suites import SUITES
+
     return SUITES[name](cfg)
 
 
@@ -321,6 +339,9 @@ def _pin_worker(cpu_sets: list[list[int]], claimed) -> None:
 
 
 def _run_verify(args: argparse.Namespace) -> SuiteReport:
+    from .report import merge_reports
+    from .suites import HIDDEN_SUITES, SUITES, WORK_BOUNDS, SuiteConfig
+
     if args.jobs < 1:
         raise ValueError("--jobs must be positive")
     suite_cfg = SuiteConfig(n_max=args.n_max, order=args.order, p=args.p, seed=args.seed)
@@ -436,7 +457,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         result = args.handler(args)
-        if isinstance(result, SuiteReport):
+        if args.command == "verify":
             sys.stdout.write(_emit_report(result, args.emit, args.timings))
             return 0 if result.passed else 1
         sys.stdout.write(_emit_payload(result, args.emit))

@@ -38,10 +38,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .exactalg import LaurentPoly, RESIDUE_CARDINALITY_VAR, qpow
-from .symfunc import complete_homogeneous
 
 SYMBOLIC_Q = RESIDUE_CARDINALITY_VAR
 
@@ -137,6 +136,9 @@ def hecke_eigenvalue(rep: UnramifiedRep, k: int) -> LaurentPoly:
 
     In the unitary normalization this is h_k of the Satake parameters.
     """
+    # imported here, its only use, so that index and charsum skip symfunc
+    from .symfunc import complete_homogeneous
+
     if k < 0:
         raise ValueError("hecke_eigenvalue needs k >= 0")
     return complete_homogeneous(k, rep.satake)
@@ -338,10 +340,28 @@ def character_sum_numeric(p: int, m: int, valuations: Sequence[int]) -> complex:
             f"(p^m)^r = ({p}^{m})^{len(vals)} residue tuples exceed the bound {ENUMERATION_LIMIT}"
         )
     q = p ** m
-    units = [pow(p, v, q) for v in vals]
     total = 0j
     tau = 2j * cmath.pi
-    for b in product(range(q), repeat=len(vals)):
-        phase = sum(bi * u for bi, u in zip(b, units)) % q
+    for phase in _box_phases(q, [pow(p, v, q) for v in vals]):
         total += cmath.exp(tau * phase / q)
     return total
+
+
+def _box_phases(q: int, units: list[int]) -> Iterator[int]:
+    """sum_i b_i * units[i] mod q for b in (Z/q)^r, r = len(units).
+
+    The tuples b come in the lexicographic order of
+    ``product(range(q), repeat=r)``, but the last coordinate runs over
+    range(q) itself: product first stores range(q) as a tuple, 2^24 ints at
+    the enumeration bound for r = 1.  The leading r - 1 coordinates still go
+    through product, which for r >= 2 stores at most ENUMERATION_LIMIT^(1/2)
+    ints.
+    """
+    if not units:
+        yield 0
+        return
+    *lead, last = units
+    for head in product(range(q), repeat=len(lead)):
+        base = sum(bi * u for bi, u in zip(head, lead))
+        for b in range(q):
+            yield (base + b * last) % q

@@ -138,7 +138,7 @@ class TestExitCodes:
 
     def test_whittaker_term_bound(self, monkeypatch, capsys):
         # s_(9999) in two variables has exactly MAX_TERMS terms
-        assert cli.MAX_TERMS == 10_000
+        assert zeta.MAX_TERMS == 10_000
         code, out, _ = run_cli("whittaker", "--n", "2", "--mu", "9999,0", capsys=capsys)
         assert code == 0
         assert json.loads(out)["value"].count("a1") == 9999
@@ -203,7 +203,7 @@ class TestExitCodes:
     ])
     def test_weight_q_index_set_bound(self, level, cond, code, monkeypatch, capsys):
         if code == 2:
-            monkeypatch.setattr(cli, "weight_at_q_structural", None)
+            monkeypatch.setattr(zeta, "weight_at_q_structural", None)
         start = time.perf_counter()
         got, out, err = run_cli("weight", "--place", "q", "--n", "2", "--level", str(level),
                                 "--cond", str(cond), capsys=capsys)
@@ -278,10 +278,10 @@ class TestExitCodes:
         # the largest admitted orders: 7977, 9934 and 7948 lattice terms
         ran = []
         monkeypatch.setattr(suites, "run_checks", lambda name, checks: ran.append(name))
-        monkeypatch.setattr(cli, "merge_reports", lambda name, reports: None)
+        monkeypatch.setattr("whitlocal.report.merge_reports", lambda name, reports: None)
         args = cli.build_parser().parse_args(["verify", "--suite", suite, "--order", str(order)])
         cli._run_verify(args)
-        assert ran == (list(cli.SUITES) if suite == "all" else [suite])
+        assert ran == (list(suites.SUITES) if suite == "all" else [suite])
 
     def test_verify_involution_rank_bound_edge(self, monkeypatch):
         ran = []
@@ -302,7 +302,7 @@ class TestExitCodes:
         def outcome(report):
             return [(c.id, c.status, c.witness) for c in report.checks]
 
-        for name, suite in cli.SUITES.items():
+        for name, suite in suites.SUITES.items():
             if name in WORK_BOUNDS:
                 continue
             cfg = Recording()
@@ -454,7 +454,7 @@ class TestJobs:
         RecordingExecutor.sizes = []
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
         # five cheap suites stand in for the listed ones
-        monkeypatch.setattr(cli, "SUITES", {f"stub{i}": _stub_suite for i in range(5)})
+        monkeypatch.setattr(suites, "SUITES", {f"stub{i}": _stub_suite for i in range(5)})
         return RecordingExecutor.sizes
 
     @pytest.mark.parametrize("jobs, workers", [("2", 2), ("5", 5), ("6", 5), ("100000", 5)])
@@ -594,7 +594,7 @@ class TestPayloadContent:
 
     def test_charsum_agree_is_exact(self, monkeypatch, capsys):
         # a drift in the float sum shows in numericOracle, not in agree
-        monkeypatch.setattr(cli, "character_sum_numeric", lambda p, m, vals: 9 + 2e-9)
+        monkeypatch.setattr(localrep, "character_sum_numeric", lambda p, m, vals: 9 + 2e-9)
         code, out, _ = run_cli("charsum", "--p", "3", "--level", "1",
                                "--valuations", "1,2", capsys=capsys)
         assert code == 0

@@ -1,5 +1,9 @@
 """Unramified representation data, congruence indices, character sums."""
 
+import cmath
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -218,6 +222,36 @@ class TestCharacterSum:
         coords = [0] * 6
         localrep._add_root_of_unity(coords, 7, 1, 3)
         assert coords == [0, -1, 0, 0, -1, 0]
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    @pytest.mark.parametrize("vals", [(), (0,), (2,), (1, 3), (0, 2), (2, 2, 1), (3, 0, 1)])
+    def test_numeric_sum_adds_the_product_terms_in_order(self, p, m, vals):
+        # the terms of the sum over product(range(q), repeat=r), in its order,
+        # so the float is the same to the last bit
+        q = p ** m
+        units = [pow(p, v, q) for v in vals]
+        expected = 0j
+        for b in product(range(q), repeat=len(vals)):
+            phase = sum(bi * u for bi, u in zip(b, units)) % q
+            expected += cmath.exp(2j * cmath.pi * phase / q)
+        assert repr(character_sum_numeric(p, m, vals)) == repr(expected)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no VmHWM to read")
+    def test_numeric_sum_memory_does_not_grow_with_q(self):
+        # product(range(q), repeat=1) stored 2^18 ints, about 10 MB, at level 18.
+        # The peak is the child's VmHWM: ru_maxrss of a child also counts the
+        # memory of the process that started it, before the exec.
+        code = ("import sys; from whitlocal.localrep import character_sum_numeric; "
+                "character_sum_numeric(2, int(sys.argv[1]), [0]); "
+                "print(next(line.split()[1] for line in open('/proc/self/status') "
+                "if line.startswith('VmHWM:')))")
+        peak_kb = {}
+        for level in (12, 18):
+            proc = subprocess.run([sys.executable, "-c", code, str(level)],
+                                  capture_output=True, text=True, check=True)
+            peak_kb[level] = int(proc.stdout)
+        assert peak_kb[18] - peak_kb[12] < 4 * 1024
 
     def test_cyclotomic_ring_of_level_zero_is_z(self):
         assert character_sum_cyclotomic(5, 0, (0, 1, 2)) == (1,)
