@@ -412,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_we.add_argument("--cond", type=int, default=0, help="conductor exponent (place q)")
     p_we.add_argument("--order", "-N", type=int, default=6)
     p_we.add_argument("--p", type=_parse_p, default=2, help="residue cardinality (place q)")
-    p_we.add_argument("--var", default="Y")
+    p_we.add_argument("--var", default="Y",
+                      help="series variable (place l only; place unramified reports in X and Y)")
     p_we.set_defaults(handler=_cmd_weight)
 
     p_ix = sub.add_parser("index", parents=[common], help="congruence subgroup index")

@@ -312,7 +312,6 @@ def _poly(terms: dict[int, Scalar], span: int) -> "LaurentPoly":
     p = _new(LaurentPoly)
     p.terms = terms
     p._span = span
-    p._hash = None
     return p
 
 
@@ -339,13 +338,12 @@ class LaurentPoly:
     absolute value of every field of every key.
     """
 
-    __slots__ = ("terms", "_span", "_hash")
+    __slots__ = ("terms", "_span")
 
     def __init__(self, terms: Mapping[Exps, Scalar] | None = None):
         p = _collect((_pack(exps), c) for exps, c in (terms or {}).items())
         self.terms: dict[int, Scalar] = p.terms
         self._span = p._span
-        self._hash: int | None = None
 
     # -- constructors ---------------------------------------------------
 
@@ -527,10 +525,7 @@ class LaurentPoly:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
-        return self._hash
+    __hash__ = None
 
     def __bool__(self) -> bool:
         return bool(self.terms)

@@ -111,6 +111,8 @@ class UnramifiedRep:
             )
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "satake", params)
+        # partition -> Schur value at the Satake parameters, filled by schur()
+        object.__setattr__(self, "_schur", {})
 
     @classmethod
     def symbolic(cls, rank: int, prefix: str = "a") -> "UnramifiedRep":
@@ -129,6 +131,16 @@ class UnramifiedRep:
         for p in self.satake:
             prod = prod * p
         return prod
+
+    def schur(self, lam) -> LaurentPoly:
+        """s_lam at the Satake parameters, evaluated once per representation."""
+        value = self._schur.get(lam)
+        if value is None:
+            # imported here so that index and charsum skip symfunc
+            from .symfunc import schur
+
+            value = self._schur[lam] = schur(lam, self.satake)
+        return value
 
 
 def hecke_eigenvalue(rep: UnramifiedRep, k: int) -> LaurentPoly:
@@ -186,6 +198,13 @@ def require_prime(p) -> None:
         raise ValueError(f"residue cardinality must be prime, got {p}")
 
 
+def _refuse_enumeration(p: int, e: int, what: str) -> None:
+    """Refuse p^e > ENUMERATION_LIMIT, before forming p^e, as "{what} the bound ..."."""
+    # p >= 2, so e bits or more already exceed the bound: no huge power is formed
+    if e >= ENUMERATION_LIMIT.bit_length() or p ** e > ENUMERATION_LIMIT:
+        raise EnumerationTooLarge(f"{what} the bound {ENUMERATION_LIMIT}")
+
+
 def congruence_index(n: int, p: int, m: int) -> int:
     """Index of the level-m bottom-row congruence subgroup in GL_n(o).
 
@@ -227,11 +246,7 @@ def congruence_index_bruteforce(n: int, p: int, m: int) -> int:
         raise ValueError(f"level exponent must be a nonnegative int, got {m!r}")
     if m == 0:
         return 1
-    # p >= 2, so m*n bits or more already exceed the bound: no huge power is formed
-    if m * n >= ENUMERATION_LIMIT.bit_length() or p ** (m * n) > ENUMERATION_LIMIT:
-        raise EnumerationTooLarge(
-            f"p^(m*n) = {p}^{m * n} exceeds the bound {ENUMERATION_LIMIT}"
-        )
+    _refuse_enumeration(p, m * n, f"p^(m*n) = {p}^{m * n} exceeds")
     q = p ** m
     multiples = set(range(0, q, p))
     primitive = sum(1 for v in product(range(q), repeat=n) if not multiples.issuperset(v))
@@ -298,11 +313,7 @@ def character_sum_cyclotomic(p: int, m: int, valuations: Sequence[int]) -> tuple
         raise ValueError("the cyclotomic oracle needs a numeric residue cardinality")
     _validate_p(p)
     vals = _validate_box(m, valuations)
-    # p >= 2, so m bits or more already exceed the bound: no huge power is formed
-    if m >= ENUMERATION_LIMIT.bit_length() or p ** m > ENUMERATION_LIMIT:
-        raise EnumerationTooLarge(
-            f"q = p^m = {p}^{m} residues exceed the bound {ENUMERATION_LIMIT}"
-        )
+    _refuse_enumeration(p, m, f"q = p^m = {p}^{m} residues exceed")
     if m == 0:
         return (1,)
     q = p ** m
@@ -333,12 +344,9 @@ def character_sum_numeric(p: int, m: int, valuations: Sequence[int]) -> complex:
         raise ValueError("the numeric oracle needs a numeric residue cardinality")
     _validate_p(p)
     vals = _validate_box(m, valuations)
-    # p >= 2, so m*r bits or more already exceed the bound: no huge power is formed
-    if (m * len(vals) >= ENUMERATION_LIMIT.bit_length()
-            or p ** (m * len(vals)) > ENUMERATION_LIMIT):
-        raise EnumerationTooLarge(
-            f"(p^m)^r = ({p}^{m})^{len(vals)} residue tuples exceed the bound {ENUMERATION_LIMIT}"
-        )
+    _refuse_enumeration(
+        p, m * len(vals), f"(p^m)^r = ({p}^{m})^{len(vals)} residue tuples exceed"
+    )
     q = p ** m
     total = 0j
     tau = 2j * cmath.pi

@@ -24,19 +24,23 @@ survives, so the average collapses by character orthogonality to
 with mu of length n-1 evaluated inside the rank-n group.  The constant
 q^((n-1)m) printed alongside some published derivations is q^((n-2)m);
 ``twist_constants`` exposes both so reports can show the ratio.
+
+The Schur values come from ``UnramifiedRep.schur``, which evaluates each
+once per representation.  The lattice sum in ``zeta`` checks every
+Whittaker value it uses against the Schur value it must reduce to, and
+both draw on that cache, so the check costs no second evaluation; this
+module itself keeps no state.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .exactalg import LaurentPoly, qpow
 from .localrep import RankMismatch, UnramifiedRep
-from .symfunc import Partition, schur
+from .symfunc import Partition
 
 
 @dataclass(frozen=True)
@@ -91,37 +95,6 @@ def delta_half(mu: TorusCocharacter) -> LaurentPoly:
     return qpow(e)
 
 
-# (partition, Satake parameters) -> Schur value, while a shared_schur_values block is open
-_SHARED_SCHUR: ContextVar[dict | None] = ContextVar("shared_schur", default=None)
-
-
-@contextmanager
-def shared_schur_values() -> Iterator[None]:
-    """Evaluate each Schur value at most once inside the block.
-
-    A lattice sum checks each term built from spherical values against a
-    product of Schur values; inside this block both draw on one memo, so
-    the check costs no second Schur evaluation.  The memo is dropped when
-    the block exits.
-    """
-    token = _SHARED_SCHUR.set({})
-    try:
-        yield
-    finally:
-        _SHARED_SCHUR.reset(token)
-
-
-def shared_schur(lam: Partition, values: tuple[LaurentPoly, ...]) -> LaurentPoly:
-    """schur(lam, values), evaluated once per open shared_schur_values block."""
-    memo = _SHARED_SCHUR.get()
-    if memo is None:
-        return schur(lam, values)
-    value = memo.get((lam, values))
-    if value is None:
-        value = memo[lam, values] = schur(lam, values)
-    return value
-
-
 def spherical_value(rep: UnramifiedRep, mu) -> LaurentPoly:
     """Value of the normalized spherical Whittaker function at a torus point.
 
@@ -136,7 +109,7 @@ def spherical_value(rep: UnramifiedRep, mu) -> LaurentPoly:
         return LaurentPoly.zero()
     m_last = mu.exps[-1]
     lam = Partition(tuple(m - m_last for m in mu.exps))
-    value = delta_half(mu) * shared_schur(lam, rep.satake)
+    value = delta_half(mu) * rep.schur(lam)
     if m_last:
         value = value * rep.satake_product() ** m_last
     return value

@@ -2,15 +2,23 @@
 produce.
 
 Unramified local zeta integrals reduce, by Iwasawa decomposition, to sums
-over dominant cocharacter lattices.  Every lattice term is assembled here
-from Whittaker values and modulus characters, and an exact runtime check
-confirms that the half-power bookkeeping collapses each term to a product
-of two Schur values:
+over dominant cocharacter lattices.  One routine sums that lattice, both
+for the unramified integral and at a place dividing the twisting level:
+over mu of length n with mu_n >= m (m = 0 when unramified), the term is
 
-    delta_(n+1)^(1/2)((mu,0)) * delta_n^(-1/2)(mu) = q^(-|mu|/2),
+    W^(m)(pi^mu) q^(-nm) * W(pi^mu) * delta_n^(-1)(mu) * q^(|mu|/2),
 
-which the measure factor q^(|mu|/2) then cancels.  The resulting series
-identity
+built from the level-m vector of the larger representation and the
+spherical vector of the smaller one.  An exact runtime check confirms,
+value by value, that the half-power bookkeeping collapses each side to a
+Schur value,
+
+    W^(m)(pi^mu) q^(-nm) delta_n^(-1/2)(mu) q^(|mu|/2) = s_mu(alpha),
+    W(pi^mu) delta_n^(-1/2)(mu) = s_mu(beta),
+
+because delta_(n+1)^(1/2)((mu,0)) * delta_n^(-1/2)(mu) = q^(-|mu|/2).  The
+term is the product of the two checked values.  At m = 0 the resulting
+series identity
 
     sum_mu s_mu(alpha) s_mu(beta) X^|mu| = 1 / prod_(i,j) (1 - alpha_i beta_j X)
 
@@ -23,9 +31,10 @@ denominator, truncated, must be 1.  No series is ever inverted.
 
 At a place dividing the twisting level, the level-m vector restricts the
 lattice by mu_(n-1) >= m.  The weight there is computed two ways: directly,
-with the character-orthogonality constant, and through the regrouped
-enumeration used in published derivations, whose printed constant differs;
-both are returned together with their exact ratio.
+from the same lattice routine with the character-orthogonality constant,
+and through the regrouped enumeration used in published derivations, with
+its own Schur evaluations; the printed constant of the published form
+differs, and both are returned together with their exact ratio.
 
 At a place dividing the auxiliary modulus only the structural shape is
 computable: the basis index set, the vanishing verdict when the local
@@ -58,8 +67,6 @@ from .symfunc import Partition, partitions_of, schur
 from .whittaker import (
     TorusCocharacter,
     delta_half,
-    shared_schur,
-    shared_schur_values,
     spherical_value,
     twist_constants,
     twisted_value,
@@ -232,16 +239,46 @@ def l_factor_denominator_series(rep_a: UnramifiedRep, rep_b: UnramifiedRep,
     return acc
 
 
+def _lattice_series(rep_a: UnramifiedRep, rep_b: UnramifiedRep, var: str,
+                    order: int, m: int) -> ZetaResult:
+    """The Whittaker lattice sum over mu of length n = rep_b.rank with mu_n >= m.
+
+    rep_a has rank n + 1.  Each side of a term is checked exactly against
+    its Schur value before the two are multiplied, so a fault in the
+    modulus bookkeeping of one side raises even when the other side would
+    compensate it.
+    """
+    n = rep_b.rank
+    coeffs = [LaurentPoly.zero() for _ in range(order + 1)]
+    lattice = 0
+    for k in range(n * m, order + 1):
+        for lam in partitions_of(k - n * m, n):
+            mu = TorusCocharacter(p + m for p in lam.padded(n))
+            inv_delta = delta_half(mu) ** -1
+            s_a = twisted_value(rep_a, mu, m) * (qpow(Fraction(k, 2) - n * m) * inv_delta)
+            s_b = spherical_value(rep_b, mu) * inv_delta
+            parts = Partition(mu.exps)
+            for rep, value in ((rep_a, s_a), (rep_b, s_b)):
+                expected = rep.schur(parts)
+                if value != expected:
+                    raise ArithmeticError(
+                        f"modulus bookkeeping failed to collapse at mu={mu}: "
+                        f"{value.to_text()} != {expected.to_text()}"
+                    )
+            coeffs[k] = coeffs[k] + s_a * s_b
+            lattice += 1
+    return ZetaResult(TruncatedSeries(var, coeffs), lattice)
+
+
 def local_zeta_unramified(rep_a: UnramifiedRep, rep_b: UnramifiedRep,
                           var: str = "X", order: int = 6) -> ZetaResult:
     """The unramified local zeta integral as a dominant-lattice sum.
 
-    rep_a has rank one more than rep_b.  Each lattice term is built from
-    the two spherical values, the inverse modulus of the smaller group, and
-    the measure factor; the collapse of all residue-cardinality powers to a
-    product of Schur values is asserted exactly, term by term.  The spherical
-    values and that product share their Schur values, so each is evaluated
-    once and the assertion tests the modulus bookkeeping.
+    rep_a has rank one more than rep_b.  This is the lattice sum at level
+    m = 0, where the level-m value of rep_a is its spherical value at
+    (mu, 0): each term is the two spherical values times the inverse
+    modulus of the smaller group and the measure factor, and each side is
+    asserted exactly to collapse to its Schur value.
     """
     n = rep_b.rank
     if rep_a.rank != n + 1:
@@ -251,24 +288,7 @@ def local_zeta_unramified(rep_a: UnramifiedRep, rep_b: UnramifiedRep,
     _check_symbols(rep_a, rep_b, var)
     if order < 0:
         raise ValueError("series order must be nonnegative")
-    coeffs = [LaurentPoly.zero() for _ in range(order + 1)]
-    lattice = 0
-    with shared_schur_values():
-        for k in range(order + 1):
-            for lam in partitions_of(k, n):
-                mu = TorusCocharacter(lam.padded(n))
-                wa = spherical_value(rep_a, TorusCocharacter(lam.padded(n + 1)))
-                wb = spherical_value(rep_b, mu)
-                term = wa * wb * delta_half(mu) ** -2 * qpow(Fraction(k, 2))
-                expected = shared_schur(lam, rep_a.satake) * shared_schur(lam, rep_b.satake)
-                if term != expected:
-                    raise ArithmeticError(
-                        f"modulus bookkeeping failed to collapse at mu={mu}: "
-                        f"{term.to_text()} != {expected.to_text()}"
-                    )
-                coeffs[k] = coeffs[k] + term
-                lattice += 1
-    return ZetaResult(TruncatedSeries(var, coeffs), lattice)
+    return _lattice_series(rep_a, rep_b, var, order, 0)
 
 
 def _as_poly(series: TruncatedSeries) -> LaurentPoly:
@@ -341,31 +361,10 @@ def weight_at_l(rep_mid: UnramifiedRep, rep_small: UnramifiedRep, m: int,
         raise ValueError("series order must be nonnegative")
 
     paper_const, computed_const = twist_constants(n, m)
-    prefactor = computed_const ** -1  # the level-m vector normalization
-
-    # direct enumeration: mu = lam + m*(1,...,1), lam dominant of length <= n-1
-    direct = [LaurentPoly.zero() for _ in range(order + 1)]
-    lattice = 0
-    base_weight = (n - 1) * m
-    with shared_schur_values():
-        for k in range(base_weight, order + 1):
-            for lam in partitions_of(k - base_weight, n - 1):
-                mu = TorusCocharacter(tuple(p + m for p in lam.padded(n - 1)))
-                tv = twisted_value(rep_mid, mu, m)
-                wb = spherical_value(rep_small, mu)
-                term = prefactor * tv * wb * delta_half(mu) ** -2 * qpow(Fraction(k, 2))
-                parts = Partition(mu.exps)
-                expected = shared_schur(parts, rep_mid.satake) * shared_schur(
-                    parts, rep_small.satake
-                )
-                if term != expected:
-                    raise ArithmeticError(
-                        f"constants failed to cancel at mu={mu}: "
-                        f"{term.to_text()} != {expected.to_text()}"
-                    )
-                direct[k] = direct[k] + term
-                lattice += 1
-    direct_series = TruncatedSeries(var, direct)
+    # the direct sum: the level-m vector normalization q^(-(n-1)m) cancels
+    # the orthogonality constant of each twisted value
+    direct = _lattice_series(rep_mid, rep_small, var, order, m)
+    direct_series = direct.series
 
     # regrouped enumeration: fix the last coordinate nu >= m, split mu = a + nu*1
     small_product = rep_small.satake_product()
@@ -395,7 +394,7 @@ def weight_at_l(rep_mid: UnramifiedRep, rep_small: UnramifiedRep, m: int,
         place_kind=PLACE_DIVIDING_L,
         paper_comparison=comparison,
         paper_value=paper_value,
-        lattice_points=lattice,
+        lattice_points=direct.lattice_points,
     )
 
 

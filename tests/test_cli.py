@@ -24,7 +24,7 @@ from whitlocal import (
     localrep,
     qpow,
     suites,
-    whittaker,
+    symfunc,
     zeta,
 )
 from whitlocal.cli import main
@@ -143,7 +143,7 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["value"].count("a1") == 9999
         calls = []
-        monkeypatch.setattr(whittaker, "schur", lambda *args: calls.append(args))
+        monkeypatch.setattr(symfunc, "schur", lambda *args: calls.append(args))
         code, out, err = run_cli("whittaker", "--n", "2", "--mu", "10000,0", capsys=capsys)
         assert code == 2
         assert out == ""

@@ -135,22 +135,22 @@ class TestLocalZeta:
             local_zeta_unramified(UnramifiedRep.symbolic(2), UnramifiedRep.symbolic(1))
 
 
-def _count_schur(monkeypatch, *modules):
-    """Record the (partition, values) of every schur call made through modules."""
+def _count_schur(monkeypatch):
+    """Record (partition, values as text) for every evaluation of symfunc.schur."""
     seen = []
+    original = symfunc.schur
 
     def counting(lam, xs):
-        seen.append((lam, tuple(xs)))
-        return symfunc.schur(lam, xs)
+        seen.append((lam, tuple(x.to_text() for x in xs)))
+        return original(lam, xs)
 
-    for module in modules:
-        monkeypatch.setattr(module, "schur", counting)
+    monkeypatch.setattr(symfunc, "schur", counting)
     return seen
 
 
 class TestSharedSchurValues:
     def test_zeta_evaluates_each_schur_value_once(self, monkeypatch):
-        seen = _count_schur(monkeypatch, whittaker, zeta)
+        seen = _count_schur(monkeypatch)
         rep_a, rep_b = _reps(1)
         result = local_zeta_unramified(rep_a, rep_b, order=3)
         # lattice points (k), k = 0..3, need s_(k)(alpha) and s_(k)(beta);
@@ -159,29 +159,58 @@ class TestSharedSchurValues:
         assert len(seen) == len(set(seen)) == 8
 
     def test_weight_at_l_direct_sum_evaluates_each_schur_value_once(self, monkeypatch):
-        # only the direct enumeration goes through whittaker; the regrouped
-        # route keeps its own schur calls as the independent comparison
-        seen = _count_schur(monkeypatch, whittaker)
+        # only the direct sum reads the cache; the regrouped route keeps its
+        # own zeta.schur calls as the independent comparison
+        seen = _count_schur(monkeypatch)
         result = weight_at_l(UnramifiedRep.symbolic(3, "b"), UnramifiedRep.symbolic(2, "g"),
                              1, order=4)
         assert result.lattice_points == 4
         assert seen and len(seen) == len(set(seen))
 
-    def test_memo_lives_only_inside_the_lattice_sum(self, monkeypatch):
-        seen = _count_schur(monkeypatch, whittaker)
-        rep_a, rep_b = _reps(1)
-        local_zeta_unramified(rep_a, rep_b, order=2)
-        assert whittaker._SHARED_SCHUR.get() is None
-        seen.clear()
+    def test_a_fresh_representation_evaluates_again(self, monkeypatch):
+        seen = _count_schur(monkeypatch)
+        rep_a, _ = _reps(1)
         for _ in range(2):
             whittaker.spherical_value(rep_a, (2, 0))
+        assert len(seen) == 1
+        fresh, _ = _reps(1)
+        assert whittaker.spherical_value(fresh, (2, 0)) == whittaker.spherical_value(rep_a, (2, 0))
         assert len(seen) == 2
+
+    def test_the_contragredient_keeps_its_own_values(self, monkeypatch):
+        seen = _count_schur(monkeypatch)
+        rep, _ = _reps(1)
+        dual = contragredient(rep)
+        lam = symfunc.Partition((2,))
+        rep_value, dual_value = rep.schur(lam), dual.schur(lam)
+        assert seen == [(lam, ("a1", "a2")), (lam, ("a2^(-1)", "a1^(-1)"))]
+        assert rep_value != dual_value
+        assert dual_value == symfunc.schur(lam, dual.satake)
 
     def test_check_still_tests_the_modulus_bookkeeping(self, monkeypatch):
         monkeypatch.setattr(zeta, "qpow", lambda e: qpow(e + Fraction(1, 2)))
         rep_a, rep_b = _reps(1)
         with pytest.raises(ArithmeticError, match="modulus bookkeeping"):
             local_zeta_unramified(rep_a, rep_b, order=2)
+
+    @pytest.mark.parametrize("compute", [
+        lambda a, b: local_zeta_unramified(a, b, order=2),
+        lambda a, b: weight_at_l(a, b, 1, order=3),
+    ], ids=["local_zeta_unramified", "weight_at_l"])
+    def test_each_side_is_checked_on_its_own(self, monkeypatch, compute):
+        # the larger side off by q^(1/2) and the smaller by q^(-1/2): the term
+        # keeps its value, so only a check of each side sees the fault
+        rep_a, rep_b = _reps(1)
+        original = whittaker.spherical_value
+
+        def shifted(rep, mu):
+            shift = Fraction(1, 2) if rep.rank == rep_a.rank else Fraction(-1, 2)
+            return original(rep, mu) * qpow(shift)
+
+        monkeypatch.setattr(whittaker, "spherical_value", shifted)
+        monkeypatch.setattr(zeta, "spherical_value", shifted)
+        with pytest.raises(ArithmeticError, match="modulus bookkeeping failed to collapse"):
+            compute(rep_a, rep_b)
 
 
 class TestWeightUnramified:
