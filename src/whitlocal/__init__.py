@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "exactalg": (
         "DivisionByZero", "ExponentOutOfRange", "InexactDivision", "InexactSquareRoot",
-        "LaurentPoly", "NegativeUnderHalfExponent", "NotExpandable",
+        "LaurentPoly", "NegativeUnderHalfExponent",
         "RESIDUE_CARDINALITY_VAR", "TruncatedSeries", "UnboundVariable",
         "VariableMismatch", "qpow",
     ),
@@ -47,8 +47,9 @@ _EXPORTS = {
     ),
     "zeta": (
         "PaperComparison", "SymbolCollision", "WeightResult", "ZetaResult",
-        "l_factor_denominator", "l_factor_denominator_series", "local_zeta_unramified",
-        "weight_at_l", "weight_at_q_structural", "weight_unramified",
+        "check_series_var", "l_factor_denominator", "l_factor_denominator_series",
+        "local_zeta_unramified", "times_l_denominator", "weight_at_l", "weight_at_q_structural",
+        "weight_unramified",
     ),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -172,9 +172,15 @@ def _cmd_whittaker(args: argparse.Namespace) -> dict:
 
 
 def _cmd_zeta(args: argparse.Namespace) -> dict:
-    from .exactalg import LaurentPoly, RationalFunction, TruncatedSeries
+    from .exactalg import LaurentPoly, RationalFunction
     from .localrep import UnramifiedRep
-    from .zeta import check_terms, l_factor_denominator, lattice_terms, local_zeta_unramified
+    from .zeta import (
+        check_terms,
+        l_factor_denominator,
+        lattice_terms,
+        local_zeta_unramified,
+        times_l_denominator,
+    )
 
     n, order = args.n, args.order
     if n < 1:
@@ -190,7 +196,7 @@ def _cmd_zeta(args: argparse.Namespace) -> dict:
     if (n + 1) * n <= MAX_CLOSED_FORM_FACTORS:
         den = l_factor_denominator(rep_a, rep_b, args.var)
         payload["closedForm"] = RationalFunction(LaurentPoly.one(), den).to_json_obj()
-        product = result.series * TruncatedSeries.from_poly(den, args.var, order)
+        product = times_l_denominator(result.series, rep_a, rep_b)
         payload["matchesClosedForm"] = product.is_one()
     return payload
 
@@ -198,6 +204,7 @@ def _cmd_zeta(args: argparse.Namespace) -> dict:
 def _cmd_weight(args: argparse.Namespace) -> dict:
     from .localrep import UnramifiedRep
     from .zeta import (
+        check_series_var,
         check_terms,
         lattice_terms,
         weight_at_l,
@@ -208,6 +215,8 @@ def _cmd_weight(args: argparse.Namespace) -> dict:
     n, order, level = args.n, args.order, args.level
     if order < 0:
         raise ValueError("series order must be nonnegative")
+    # only --place l reads the variable, but every place refuses a bad one
+    check_series_var(args.var)
     if args.place == "unramified":
         if n < 2:
             raise ValueError("the unramified weight needs the middle rank >= 2")

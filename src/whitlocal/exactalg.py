@@ -41,10 +41,12 @@ bounds (made exact if their sum is too large) must add up to at most the
 limit, or ExponentOutOfRange is raised.  So a field never carries into its
 neighbour.
 
-Keys are decoded to canonical (name, exponent) order only where order or
-names matter: text and JSON emission and sorted_terms; an emission decodes
-each key once.  variables decodes every slot through _ranked;
-coefficients_in and substitute read single slot fields.
+Keys are put in canonical (name, exponent) order only where order or
+names matter: text and JSON emission and sorted_terms.  Each key sorts by
+one int, a chunk per used slot in name order (_ordered), so a sort makes
+no per-term tuple; text reads each factor string from a per-slot cache.
+variables decodes every slot through _ranked; coefficients_in and
+substitute read single slot fields.
 
 All values are immutable and all operations are pure: they return new
 objects and never mutate their inputs.  Serialization (text and JSON) is
@@ -96,10 +98,6 @@ class InexactSquareRoot(ValueError):
 
 class VariableMismatch(ValueError):
     """Two truncated series over different distinguished variables were mixed."""
-
-
-class NotExpandable(ValueError):
-    """A rational function has no power-series expansion in the given variable."""
 
 
 class InexactDivision(ArithmeticError):
@@ -246,12 +244,12 @@ def _pack(exps: Iterable[tuple[str, Scalar]]) -> int:
     return sum(_to_field(name, e) << (FIELD_BITS * _SLOTS[name]) for name, e in merged.items())
 
 
-def _ranked(keys) -> tuple[list[str], list[tuple[int, int]], int]:
+def _ranked(keys) -> tuple[list[str], list[int], int]:
     """How to decode a set of keys in canonical order.
 
-    Returns the names of the slots the keys use, sorted; for each of them,
-    in that order, (field shift, rank << FIELD_BITS); and the bias that
-    makes every field nonnegative.
+    Returns the names of the slots the keys use, sorted; the field shift of
+    each of them, in that order; and the bias that makes every field
+    nonnegative.
     """
     n = len(_NAMES)
     bias = _bias(n - 1)
@@ -267,35 +265,42 @@ def _ranked(keys) -> tuple[list[str], list[tuple[int, int]], int]:
         if (hi >> (FIELD_BITS * slot) & _MASK) != _HALF
         or (lo >> (FIELD_BITS * slot) & _MASK) != _HALF
     )
-    names = [name for name, _ in used]
-    reads = [(shift, rank << FIELD_BITS) for rank, (_, shift) in enumerate(used)]
-    return names, reads, bias
+    return [name for name, _ in used], [shift for _, shift in used], bias
 
 
-def _canonical(terms: Mapping[int, Scalar]):
-    """(codes, key, coefficient) for every term, and the names the codes rank.
+# A sort key has one chunk per used slot, a bit wider than a field, so that
+# _GAP, the chunk of a zero field with a nonzero one after it, is above every
+# biased field.
+_CHUNK_BITS = FIELD_BITS + 1
+_GAP = 1 << FIELD_BITS
 
-    codes has one int per nonzero field of the key, in name order: the
-    name's rank above FIELD_BITS bits of the biased field.  Comparing code
-    tuples compares the canonical (name, exponent) tuples, since q's field
-    orders like its exponent.  Each key is decoded once.
+
+def _ordered(terms: Mapping[int, Scalar]) -> tuple[list[str], list[int], int, list[int]]:
+    """_ranked of the keys, and the keys in canonical order.
+
+    Each key sorts by one int of _CHUNK_BITS-bit chunks, one per used slot
+    in name order: a nonzero field's chunk is its biased value, in
+    1 .. 2^FIELD_BITS - 1; a zero field's chunk is _GAP when a later field
+    is nonzero and 0 when none is.  So a tuple that ends sorts before one
+    that goes on, and an absent name after a present one, as in the
+    canonical (name, exponent) order; q's field orders like its exponent.
     """
-    names, reads, bias = _ranked(terms)
-    rows = []
-    for key, c in terms.items():
+    names, shifts, bias = _ranked(terms)
+    backwards = shifts[::-1]
+
+    def sort_key(key: int) -> int:
         u = key + bias
-        codes = tuple([base | v for shift, base in reads
-                       if (v := u >> shift & _MASK) != _HALF])
-        rows.append((codes, key, c))
-    return rows, names
+        out = width = 0
+        for shift in backwards:
+            v = u >> shift & _MASK
+            if v != _HALF:
+                out |= v << width
+            elif out:
+                out |= _GAP << width
+            width += _CHUNK_BITS
+        return out
 
-
-def _code_exps(codes, names) -> Exps:
-    out = []
-    for code in codes:
-        name = names[code >> FIELD_BITS]
-        out.append((name, _exponent(name, (code & _MASK) - _HALF)))
-    return tuple(out)
+    return names, shifts, bias, sorted(terms, key=sort_key)
 
 
 def _text_exp(e: Scalar) -> str:
@@ -600,29 +605,37 @@ class LaurentPoly:
     # -- serialization ----------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Exps, Scalar]]:
-        if not self.terms:
-            return []
-        rows, names = _canonical(self.terms)
-        rows.sort()
-        return [(_code_exps(codes, names), c) for codes, _, c in rows]
+        names, shifts, bias, keys = _ordered(self.terms)
+        slots = list(zip(names, shifts))
+        out = []
+        for key in keys:
+            u = key + bias
+            exps = tuple([(name, _exponent(name, v - _HALF)) for name, shift in slots
+                          if (v := u >> shift & _MASK) != _HALF])
+            out.append((exps, self.terms[key]))
+        return out
 
     def to_text(self) -> str:
         """Canonical text form, e.g. ``3/2*q^(-1/2)*a1^2 + 1``."""
         if not self.terms:
             return "0"
-        rows, names = _canonical(self.terms)
-        rows.sort()
-        factors: dict[int, str] = {}  # code -> "name^exponent"
+        names, shifts, bias, keys = _ordered(self.terms)
+        # per used slot: its shift, its name, and biased field -> "name^exponent"
+        slots = [(shift, name, {}) for name, shift in zip(names, shifts)]
+        terms = self.terms
         parts: list[str] = []
-        for codes, _, c in rows:
+        for key in keys:
+            u = key + bias
             pieces = []
-            for code in codes:
-                piece = factors.get(code)
-                if piece is None:
-                    name = names[code >> FIELD_BITS]
-                    e = _exponent(name, (code & _MASK) - _HALF)
-                    piece = factors[code] = name if e == 1 else f"{name}^{_text_exp(e)}"
-                pieces.append(piece)
+            for shift, name, factors in slots:
+                v = u >> shift & _MASK
+                if v != _HALF:
+                    piece = factors.get(v)
+                    if piece is None:
+                        e = _exponent(name, v - _HALF)
+                        piece = factors[v] = name if e == 1 else f"{name}^{_text_exp(e)}"
+                    pieces.append(piece)
+            c = terms[key]
             mag = abs(c)
             if not pieces:
                 piece = str(mag)
@@ -780,20 +793,6 @@ class TruncatedSeries:
     def one(cls, var: str, order: int) -> "TruncatedSeries":
         return cls(var, [LaurentPoly.one()] + [LaurentPoly.zero()] * order)
 
-    @classmethod
-    def from_poly(cls, p, var: str, order: int) -> "TruncatedSeries":
-        """Read a polynomial as a series, truncating degrees beyond the order."""
-        p = LaurentPoly.coerce(p)
-        coeffs = [LaurentPoly.zero() for _ in range(order + 1)]
-        for e, c in p.coefficients_in(var).items():
-            if not isinstance(e, int) or e < 0:
-                raise NotExpandable(
-                    f"{var} occurs with exponent {e}, so this is not a power series"
-                )
-            if e <= order:
-                coeffs[e] = c
-        return cls(var, coeffs)
-
     def truncate(self, order: int) -> "TruncatedSeries":
         if order >= self.order:
             return self
@@ -813,9 +812,7 @@ class TruncatedSeries:
         if isinstance(other, (int, Fraction)):
             other = LaurentPoly.const(other)
         if isinstance(other, LaurentPoly):
-            if self.var not in other.variables():
-                return TruncatedSeries(self.var, [c * other for c in self.coeffs])
-            other = TruncatedSeries.from_poly(other, self.var, self.order)
+            return TruncatedSeries(self.var, [c * other for c in self.coeffs])
         a, b = self._align(other)
         n = a.order
         out = [LaurentPoly.zero() for _ in range(n + 1)]

@@ -49,9 +49,9 @@ from .whittaker import TorusCocharacter, contragredient_value, spherical_value
 from .zeta import (
     MAX_TERMS,
     check_terms,
-    l_factor_denominator_series,
     lattice_terms,
     local_zeta_unramified,
+    times_l_denominator,
     weight_at_l,
     weight_at_q_structural,
     weight_unramified,
@@ -91,13 +91,13 @@ def _all_pass(checks: list[Check]) -> Body:
     return body
 
 
-def _times_denominator(name: str, series, den) -> tuple[bool, str | None]:
-    """Whether a series in X times an L-factor denominator is 1.
+def _times_denominator(name: str, product) -> tuple[bool, str | None]:
+    """Whether a series in X times an L-factor denominator, the product, is 1.
 
     The witness names the first coefficient of the product that is not 1
     (at X^0) or 0 (beyond).
     """
-    for k, c in enumerate((series * den).coeffs):
+    for k, c in enumerate(product.coeffs):
         if c != (1 if k == 0 else 0):
             return False, f"X^{k}: {name} times the L-factor denominator gives {c.to_text()}"
     return True, None
@@ -272,8 +272,7 @@ def suite_unramified(cfg: SuiteConfig) -> SuiteReport:
             rep_a = UnramifiedRep.symbolic(n + 1, "a")
             rep_b = UnramifiedRep.symbolic(n, "b")
             series = local_zeta_unramified(rep_a, rep_b, "X", order).series
-            den = l_factor_denominator_series(rep_a, rep_b, "X", order)
-            return _times_denominator("lattice sum", series, den)
+            return _times_denominator("lattice sum", times_l_denominator(series, rep_a, rep_b))
 
         checks.append((
             f"ranks=({n + 1},{n}),order={order}",
@@ -298,10 +297,10 @@ def suite_cauchy(cfg: SuiteConfig) -> SuiteReport:
     for n, m in _CAUCHY_RANKS:
         def body(n=n, m=m):
             series = cauchy_schur_side(n, m, "X", cfg.order)
-            den = l_factor_denominator_series(
-                UnramifiedRep.symbolic(n, "a"), UnramifiedRep.symbolic(m, "b"), "X", cfg.order
+            product = times_l_denominator(
+                series, UnramifiedRep.symbolic(n, "a"), UnramifiedRep.symbolic(m, "b")
             )
-            return _times_denominator("schur side", series, den)
+            return _times_denominator("schur side", product)
 
         checks.append((
             f"n={n},m={m},order={cfg.order}",

@@ -189,12 +189,17 @@ class WeightResult:
         return out
 
 
-def _check_symbols(rep_a: UnramifiedRep, rep_b: UnramifiedRep, var: str) -> None:
+def check_series_var(var: str) -> None:
+    """Refuse q, and a name outside the identifier grammar, as a series variable."""
     if var == RESIDUE_CARDINALITY_VAR:
         raise SymbolCollision(
             f"{var!r} is the residue cardinality and cannot be the series variable"
         )
     LaurentPoly.var(var)  # interning refuses a name outside the identifier grammar
+
+
+def _check_symbols(rep_a: UnramifiedRep, rep_b: UnramifiedRep, var: str) -> None:
+    check_series_var(var)
     va, vb = rep_a.variables(), rep_b.variables()
     shared = va & vb
     if shared:
@@ -217,26 +222,36 @@ def l_factor_denominator(rep_a: UnramifiedRep, rep_b: UnramifiedRep,
 
 def l_factor_denominator_series(rep_a: UnramifiedRep, rep_b: UnramifiedRep,
                                 var: str, order: int) -> TruncatedSeries:
-    """prod (1 - alpha_i beta_j var), truncated at the order.
+    """prod (1 - alpha_i beta_j var), truncated at the order."""
+    return times_l_denominator(TruncatedSeries.one(var, order), rep_a, rep_b)
+
+
+def times_l_denominator(series: TruncatedSeries, rep_a: UnramifiedRep,
+                        rep_b: UnramifiedRep) -> TruncatedSeries:
+    """The series times prod (1 - alpha_i beta_j var), truncated at its order.
 
     The factors of one alpha_i multiply to E(-alpha_i var), where
     E(t) = prod_j (1 + beta_j t) = sum_k e_k(beta) t^k (Macdonald, I.2): one
     pass over the beta_j gives e_0..e_min(order, s), and then the product is
-    one series product per alpha_i.  Before and after each of them the var^k
-    coefficient has degree k in the alpha and in the beta, so it has no more
-    terms than the var^k coefficient of the lattice series of the same
+    one series product per alpha_i, each by a factor with at most s + 1
+    nonzero coefficients.  Truncated products associate, so this is the
+    series times the truncated denominator.  Started from 1, as
+    l_factor_denominator_series is, the var^k coefficient has degree k in
+    the alpha and in the beta before and after each product, so it has no
+    more terms than the var^k coefficient of the lattice series of the same
     ranks, C(k+r-1, r-1) * C(k+s-1, s-1).
     """
+    var, order = series.var, series.order
     _check_symbols(rep_a, rep_b, var)
     e = [LaurentPoly.one()] + [LaurentPoly.zero()] * min(order, rep_b.rank)
     for b in rep_b.satake:
         for k in range(len(e) - 1, 0, -1):
             e[k] = e[k] + e[k - 1] * b
-    acc = TruncatedSeries.one(var, order)
+    padding = [LaurentPoly.zero()] * (order + 1 - len(e))
     for a in rep_a.satake:
-        factor = [(-a) ** k * e_k for k, e_k in enumerate(e)]
-        acc = acc * TruncatedSeries(var, factor + [LaurentPoly.zero()] * (order + 1 - len(e)))
-    return acc
+        series = series * TruncatedSeries(var, [(-a) ** k * e_k for k, e_k in enumerate(e)]
+                                          + padding)
+    return series
 
 
 def _lattice_series(rep_a: UnramifiedRep, rep_b: UnramifiedRep, var: str,
@@ -317,9 +332,9 @@ def weight_unramified(rep_big: UnramifiedRep, rep_mid: UnramifiedRep,
         )
     dual_mid = contragredient(rep_mid)
     z_s = local_zeta_unramified(rep_big, dual_mid, "X", order)
-    ratio_s = z_s.series * l_factor_denominator_series(rep_big, dual_mid, "X", order)
+    ratio_s = times_l_denominator(z_s.series, rep_big, dual_mid)
     z_w = local_zeta_unramified(rep_mid, rep_small, "Y", order)
-    ratio_w = z_w.series * l_factor_denominator_series(rep_mid, rep_small, "Y", order)
+    ratio_w = times_l_denominator(z_w.series, rep_mid, rep_small)
     return WeightResult(
         value=_as_poly(ratio_s) * _as_poly(ratio_w),
         place_kind=PLACE_UNRAMIFIED,
@@ -345,7 +360,7 @@ def weight_at_l(rep_mid: UnramifiedRep, rep_small: UnramifiedRep, m: int,
     and paper_comparison record that variant and the exact ratio.
 
     Division by the L-factor is exact: the series is multiplied by the
-    denominator polynomial of L, so no series inversion is involved.
+    denominator of L, so no series inversion is involved.
     """
     n = rep_mid.rank
     if rep_small.rank != n - 1:
@@ -385,9 +400,8 @@ def weight_at_l(rep_mid: UnramifiedRep, rep_small: UnramifiedRep, m: int,
             f"{direct_series.to_text()} vs {regrouped_series.to_text()}"
         )
 
-    lden = l_factor_denominator_series(rep_mid, rep_small, var, order)
-    value = direct_series * lden
-    paper_value = (regrouped_series * lden) * paper_const
+    value = times_l_denominator(direct_series, rep_mid, rep_small)
+    paper_value = times_l_denominator(regrouped_series, rep_mid, rep_small) * paper_const
     comparison = PaperComparison(paper_constant=paper_const, computed_constant=computed_const)
     return WeightResult(
         value=value,

@@ -17,7 +17,6 @@ from whitlocal import (
     ParamPair,
     Partition,
     TorusCocharacter,
-    TruncatedSeries,
     UnramifiedRep,
     character_sum,
     character_sum_cyclotomic,
@@ -38,6 +37,7 @@ from whitlocal import (
     weight_at_q_structural,
     weight_unramified,
 )
+from series_helpers import from_poly
 from whitlocal import localrep
 from whitlocal.suites import SUITES, SuiteConfig
 
@@ -165,7 +165,7 @@ def test_criterion_08_weight_at_twisting_level():
     for b in mid.satake:
         inverse_l = inverse_l * (LaurentPoly.one() - b * g1 * y)
     partial = LaurentPoly.one()  # only the weight-zero lattice point lies below m=1
-    second_path = TruncatedSeries.from_poly(
+    second_path = from_poly(
         LaurentPoly.one() - inverse_l * partial, "Y", 6
     )
     ok = ok and all(direct.coeffs[k] == second_path.coeffs[k] for k in range(7))

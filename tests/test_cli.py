@@ -122,6 +122,19 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("var", ["q", "1x"])
+    def test_weight_refuses_a_bad_variable_at_every_place(self, var, capsys):
+        # only --place l reads --var, but every place checks it the same way
+        errors = set()
+        for place in (("--place", "unramified", "--order", "1"),
+                      ("--place", "l", "--level", "1", "--order", "1"),
+                      ("--place", "q", "--cond", "1", "--level", "1")):
+            code, out, err = run_cli("weight", "--n", "2", *place, "--var", var, capsys=capsys)
+            assert (code, out) == (2, ""), place
+            errors.add(err)
+        (err,) = errors
+        assert err.startswith("error:")
+
     @pytest.mark.parametrize("argv", [
         ("verify", "--suite", "unramified", "--order", "-2"),
         ("verify", "--suite", "cauchy", "--order", "-1"),

@@ -2,6 +2,8 @@
 
 import json
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,13 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exactalg_reference as ref
+from series_helpers import from_poly
 from whitlocal import (
     DivisionByZero,
     ExponentOutOfRange,
     InexactSquareRoot,
     LaurentPoly,
     NegativeUnderHalfExponent,
-    NotExpandable,
     TruncatedSeries,
     VariableMismatch,
     qpow,
@@ -96,21 +98,31 @@ class TestRingLaws:
 
 
 # The w-names are interned by the examples that first draw them, mid-test,
-# and in no particular order, so slot order and name order differ.
-ORACLE_NAMES = ("x", "y", "q") + tuple(f"w{i}" for i in range(8))
+# and in no particular order, so slot order and name order differ; X and Y
+# sort before every lowercase name.
+ORACLE_NAMES = ("x", "y", "q", "X", "Y") + tuple(f"w{i}" for i in range(8))
+# fields at the limit: biased, +EXPONENT_LIMIT is 2^32 - 1 and -EXPONENT_LIMIT is 1
+LIMIT_FIELDS = (EXPONENT_LIMIT, EXPONENT_LIMIT - 1, 1 - EXPONENT_LIMIT, -EXPONENT_LIMIT)
 
 
 @st.composite
-def term_lists(draw, max_terms=5, names=ORACLE_NAMES):
-    """(exponents, coefficient) pairs, with negative and half-q exponents."""
+def term_lists(draw, max_terms=5, names=ORACLE_NAMES, at_limit=False):
+    """(exponents, coefficient) pairs, with negative and half-q exponents.
+
+    A term has up to 6 names, so runs of absent names lie between present
+    ones.  With at_limit, a field may also hold one of LIMIT_FIELDS, so the
+    terms can be rendered and sorted but not multiplied.
+    """
     terms = []
     for _ in range(draw(st.integers(0, max_terms))):
         exps = {}
-        for name in draw(st.lists(st.sampled_from(names), max_size=3, unique=True)):
-            if name == "q":
-                exps[name] = Fraction(draw(st.integers(-6, 6)), 2)
+        for name in draw(st.lists(st.sampled_from(names), max_size=6, unique=True)):
+            # the field: twice the exponent on q, the exponent elsewhere
+            if at_limit and draw(st.booleans()):
+                f = draw(st.sampled_from(LIMIT_FIELDS))
             else:
-                exps[name] = draw(st.integers(-3, 3))
+                f = draw(st.integers(-6, 6) if name == "q" else st.integers(-3, 3))
+            exps[name] = Fraction(f, 2) if name == "q" else f
         terms.append((exps, draw(fractions)))
     return terms
 
@@ -188,7 +200,7 @@ class TestAgainstReference:
         assert got == {e: c.to_text() for e, c in ra.coefficients_in(name).items()}
 
     @settings(max_examples=200)
-    @given(term_lists())
+    @given(term_lists(at_limit=True))
     def test_text_json_and_parse(self, t):
         a, ra = both(t)
         assert a.to_json_obj() == ra.to_json_obj()
@@ -197,7 +209,7 @@ class TestAgainstReference:
         assert LaurentPoly.from_json_obj(ra.to_json_obj()) == a
 
     @settings(max_examples=200)
-    @given(term_lists())
+    @given(term_lists(at_limit=True))
     def test_min_monomial_and_sort_order(self, t):
         a, ra = both(t)
         assert a.sorted_terms() == [(m.exps, c) for m, c in ra.sorted_terms()]
@@ -207,6 +219,26 @@ class TestAgainstReference:
             assert mons[0] == ra.min_monomial().exps
         assert sorted(reversed(mons)) == mons
         assert a.variables() == ra.variables()
+
+
+def test_rendering_the_4x4_denominator_adds_under_4_mb():
+    # Sorting by per-term tuples of codes took about 8.8 MB on top of the
+    # 16,145-term polynomial.  The peak is the child's VmHWM: ru_maxrss of a
+    # child also counts the memory of the process that started it.
+    code = ("from whitlocal.localrep import UnramifiedRep\n"
+            "from whitlocal.zeta import l_factor_denominator\n"
+            "def peak_kb():\n"
+            "    return int(next(line.split()[1] for line in open('/proc/self/status')\n"
+            "                    if line.startswith('VmHWM:')))\n"
+            "den = l_factor_denominator(UnramifiedRep.symbolic(4, 'a'),\n"
+            "                           UnramifiedRep.symbolic(4, 'b'))\n"
+            "assert len(den.terms) == 16145\n"
+            "before = peak_kb()\n"
+            "text = den.to_text()\n"
+            "print(peak_kb() - before)\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert int(proc.stdout) < 4 * 1024
 
 
 def test_pickles_by_variable_name(monkeypatch):
@@ -360,20 +392,13 @@ class TestRationalFunction:
 
 
 class TestTruncatedSeries:
-    def test_from_poly_truncates(self):
-        s = TruncatedSeries.from_poly(X ** 5 + X + LaurentPoly.one(), "x", 3)
-        assert s.coeffs[0] == LaurentPoly.one()
-        assert s.coeffs[1] == LaurentPoly.one()
-        assert s.coeffs[2] == LaurentPoly.zero()
-        assert s.order == 3
-
-    def test_from_poly_rejects_negative_powers(self):
-        with pytest.raises(NotExpandable):
-            TruncatedSeries.from_poly(LaurentPoly.var("x", -1), "x", 3)
-
     def test_coefficients_must_not_mention_var(self):
         with pytest.raises(ValueError):
             TruncatedSeries("x", [X])
+        # a scalar factor is a coefficient too: a series is never a polynomial in var
+        for factor in (X, LaurentPoly.var("x", -1) + Y):
+            with pytest.raises(ValueError, match="mentions the series variable"):
+                TruncatedSeries.one("x", 3) * factor
 
     def test_mul_aligns_to_shorter_order(self):
         a = _powers(Y, "x", 5)
@@ -407,7 +432,7 @@ class TestTruncatedSeries:
 
 
 def _times(series: TruncatedSeries, den: LaurentPoly) -> TruncatedSeries:
-    return series * TruncatedSeries.from_poly(den, series.var, series.order)
+    return series * from_poly(den, series.var, series.order)
 
 
 class TestSeriesExpand:
@@ -418,8 +443,8 @@ class TestSeriesExpand:
 
     def test_long_division_oracle(self):
         # (1 - x^2) / (1 - x) = 1 + x
-        series = TruncatedSeries.from_poly(LaurentPoly.one() + X, "x", 6)
-        want = TruncatedSeries.from_poly(LaurentPoly.one() - X ** 2, "x", 6)
+        series = from_poly(LaurentPoly.one() + X, "x", 6)
+        want = from_poly(LaurentPoly.one() - X ** 2, "x", 6)
         assert _times(series, LaurentPoly.one() - X) == want
 
     def test_two_factor_denominator(self):
@@ -439,11 +464,11 @@ class TestSeriesExpand:
     @given(polys(with_q=False, nonneg=True), st.integers(0, 5))
     def test_expand_times_denominator_recovers_numerator(self, num, order):
         den = LaurentPoly.one() - X * Y
-        series = TruncatedSeries.from_poly(num, "x", order)
-        assert _times(series, den) == TruncatedSeries.from_poly(num * den, "x", order)
+        series = from_poly(num, "x", order)
+        assert _times(series, den) == from_poly(num * den, "x", order)
 
     def test_half_exponent_coefficients_survive(self):
         # q^(-1/2) / (1 - q^(1/2) x) = sum_k q^((k-1)/2) x^k
         series = TruncatedSeries("x", [qpow(Fraction(k - 1, 2)) for k in range(4)])
         got = _times(series, LaurentPoly.one() - qpow(Fraction(1, 2)) * X)
-        assert got == TruncatedSeries.from_poly(qpow(Fraction(-1, 2)), "x", 3)
+        assert got == from_poly(qpow(Fraction(-1, 2)), "x", 3)

@@ -83,11 +83,12 @@ def test_cusp_sign_flip(monkeypatch):
 
 
 def test_unramified_shifted_l_factor_coefficient(monkeypatch):
-    def shifted(rep_a, rep_b, var, order):
-        coeffs = zeta.l_factor_denominator_series(rep_a, rep_b, var, order).coeffs
-        return TruncatedSeries(var, [LaurentPoly.zero(), *coeffs[:-1]])
+    # the series times the denominator times X
+    def shifted(series, rep_a, rep_b):
+        coeffs = zeta.times_l_denominator(series, rep_a, rep_b).coeffs
+        return TruncatedSeries(series.var, [LaurentPoly.zero(), *coeffs[:-1]])
 
-    monkeypatch.setattr(suites, "l_factor_denominator_series", shifted)
+    monkeypatch.setattr(suites, "times_l_denominator", shifted)
     report, statuses = _statuses("unramified")
     assert statuses == {"fail"}
     assert report.checks[0].witness == (
@@ -118,13 +119,15 @@ def test_weight_unramified_modulus_fault_errors(monkeypatch):
 
 def test_weight_unramified_perturbed_denominator_fails(monkeypatch):
     # a denominator off by one variable makes the computed value differ from 1
-    original = zeta.l_factor_denominator_series
+    original = zeta.times_l_denominator
 
-    def perturbed(rep_a, rep_b, var, order):
-        first, second, *rest = original(rep_a, rep_b, var, order).coeffs
-        return TruncatedSeries(var, [first, second + 1, *rest])
+    def perturbed(series, rep_a, rep_b):
+        # the series times (the denominator + X)
+        product = original(series, rep_a, rep_b).coeffs
+        shifted = (LaurentPoly.zero(), *series.coeffs[:-1])
+        return TruncatedSeries(series.var, [p + s for p, s in zip(product, shifted)])
 
-    monkeypatch.setattr(zeta, "l_factor_denominator_series", perturbed)
+    monkeypatch.setattr(zeta, "times_l_denominator", perturbed)
     report, statuses = _statuses("weight-unramified")
     assert statuses == {"fail"}
     assert all(c.witness.startswith("value ") and c.witness != "value 1" for c in report.checks)

@@ -24,6 +24,8 @@ from whitlocal import (
 )
 from whitlocal.suites import SUITES, SuiteConfig
 
+from series_helpers import from_poly
+
 
 def _vars(n, prefix="x"):
     return [LaurentPoly.var(f"{prefix}{i}") for i in range(1, n + 1)]
@@ -98,7 +100,7 @@ class TestHomogeneous:
         for x in xs:
             den = den * (LaurentPoly.one() - x * LaurentPoly.var("t"))
         series = TruncatedSeries("t", homogeneous_list(5, xs))
-        assert (series * TruncatedSeries.from_poly(den, "t", 5)).is_one()
+        assert (series * from_poly(den, "t", 5)).is_one()
 
 
 class TestSchur:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from series_helpers import from_poly
 from whitlocal import symfunc, whittaker, zeta
 from whitlocal.zeta import lattice_terms
 from whitlocal.suites import SUITES, SuiteConfig
@@ -41,7 +42,7 @@ def _one_factor_at_a_time(rep_a, rep_b, var, order):
     acc = TruncatedSeries.one(var, order)
     for a in rep_a.satake:
         for b in rep_b.satake:
-            acc = acc * TruncatedSeries.from_poly(LaurentPoly.one() - a * b * t, var, order)
+            acc = acc * from_poly(LaurentPoly.one() - a * b * t, var, order)
     return acc
 
 
@@ -87,7 +88,7 @@ class TestLFactor:
         want = (LaurentPoly.one() - a1 * b1 * x) * (LaurentPoly.one() - a2 * b1 * x)
         assert den == want
         # the truncated series is the same polynomial cut at the order
-        assert l_factor_denominator_series(rep_a, rep_b, "X", 1) == TruncatedSeries.from_poly(
+        assert l_factor_denominator_series(rep_a, rep_b, "X", 1) == from_poly(
             want, "X", 1
         )
 
@@ -226,16 +227,17 @@ class TestWeightUnramified:
     def test_value_is_the_product_of_both_ratios(self, monkeypatch):
         # a w-side denominator off by Y gives the ratio (lattice sum) * (den + Y),
         # which is 1 + Y through Y^1; the value carries it instead of raising
-        original = zeta.l_factor_denominator_series
+        original = zeta.times_l_denominator
 
-        def perturbed(rep_a, rep_b, var, order):
-            den = original(rep_a, rep_b, var, order)
-            if var != "Y":
-                return den
-            first, second, *rest = den.coeffs
-            return TruncatedSeries(var, [first, second + 1, *rest])
+        def perturbed(series, rep_a, rep_b):
+            product = original(series, rep_a, rep_b)
+            if series.var != "Y":
+                return product
+            # the series times (the denominator + Y)
+            shifted = (LaurentPoly.zero(), *series.coeffs[:-1])
+            return TruncatedSeries("Y", [p + s for p, s in zip(product.coeffs, shifted)])
 
-        monkeypatch.setattr(zeta, "l_factor_denominator_series", perturbed)
+        monkeypatch.setattr(zeta, "times_l_denominator", perturbed)
         result = weight_unramified(UnramifiedRep.symbolic(3, "a"), UnramifiedRep.symbolic(2, "b"),
                                    UnramifiedRep.symbolic(1, "g"), order=1)
         assert result.value == LaurentPoly.one() + LaurentPoly.var("Y")
