@@ -222,9 +222,9 @@ class TestAgainstReference:
 
 
 def test_rendering_the_4x4_denominator_adds_under_4_mb():
-    # Sorting by per-term tuples of codes took about 8.8 MB on top of the
-    # 16,145-term polynomial.  The peak is the child's VmHWM: ru_maxrss of a
-    # child also counts the memory of the process that started it.
+    # Sorting the 16,145 terms must not build a tuple per term, which adds
+    # about 7.5 MB.  The peak is the child's VmHWM: ru_maxrss of a child
+    # also counts the memory of the process that started it.
     code = ("from whitlocal.localrep import UnramifiedRep\n"
             "from whitlocal.zeta import l_factor_denominator\n"
             "def peak_kb():\n"
