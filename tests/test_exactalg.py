@@ -396,7 +396,14 @@ class TestTruncatedSeries:
         with pytest.raises(ValueError):
             TruncatedSeries("x", [X])
         # a scalar factor is a coefficient too: a series is never a polynomial in var
-        for factor in (X, LaurentPoly.var("x", -1) + Y):
+        with pytest.raises(ValueError, match="mentions the series variable"):
+            TruncatedSeries.one("x", 3) * X
+
+    def test_from_poly_rejects_negative_powers(self):
+        x_inv = LaurentPoly.var("x", -1)
+        with pytest.raises(ValueError, match="not a power series"):
+            from_poly(x_inv, "x", 3)
+        for factor in (x_inv, x_inv + Y):
             with pytest.raises(ValueError, match="mentions the series variable"):
                 TruncatedSeries.one("x", 3) * factor
 
