@@ -138,7 +138,7 @@ def _cmd_lfactor(args: argparse.Namespace) -> dict:
 
 def _cmd_whittaker(args: argparse.Namespace) -> dict:
     from .localrep import RankMismatch, UnramifiedRep
-    from .whittaker import TorusCocharacter, contragredient_value, spherical_value, twisted_value
+    from .whittaker import contragredient_value, spherical_value, twisted_value
     from .zeta import MAX_TERMS
 
     # the point evaluated: mu, its reversed negation for --dual, (mu, 0) for --level
@@ -157,14 +157,12 @@ def _cmd_whittaker(args: argparse.Namespace) -> dict:
     rep = UnramifiedRep.symbolic(args.n, "a")
     payload: dict = {"rank": args.n, "cocharacter": list(args.mu)}
     if args.level is None:
-        mu = TorusCocharacter(args.mu)
-        value = contragredient_value(rep, mu) if args.dual else spherical_value(rep, mu)
+        value = contragredient_value(rep, args.mu) if args.dual else spherical_value(rep, args.mu)
         payload["model"] = "contragredient" if args.dual else "spherical"
     else:
         if args.dual:
             raise ValueError("the level vector has no contragredient variant here")
-        mu = TorusCocharacter(args.mu)
-        value = twisted_value(rep, mu, args.level)
+        value = twisted_value(rep, args.mu, args.level)
         payload["model"] = "twisted"
         payload["level"] = args.level
     payload["value"] = value.to_text()

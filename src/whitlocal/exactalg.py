@@ -536,7 +536,10 @@ class LaurentPoly:
         return bool(self.terms)
 
     def __reduce__(self):
-        # slots are process-local, so terms cross processes by name
+        # no command pickles a polynomial (a worker gets a suite name and a
+        # SuiteConfig, and returns a SuiteReport of strings and ints), but
+        # pickle would otherwise copy the slots, whose packed keys name
+        # variables by this process's intern order; by name they load anywhere
         return LaurentPoly, (dict(self.sorted_terms()),)
 
     # -- substitution and evaluation --------------------------------------
@@ -735,10 +738,6 @@ def _rational_power(base: Fraction, e: Scalar, name: str) -> Fraction:
     if k < 0 and root == 0:
         raise DivisionByZero(f"zero binding for {name!r} under negative power")
     return root ** k
-
-
-ZERO = LaurentPoly.zero()
-ONE = LaurentPoly.one()
 
 
 def qpow(e) -> LaurentPoly:

@@ -42,8 +42,6 @@ from typing import Iterator, Sequence, Union
 
 from .exactalg import LaurentPoly, RESIDUE_CARDINALITY_VAR, qpow
 
-SYMBOLIC_Q = RESIDUE_CARDINALITY_VAR
-
 ENUMERATION_LIMIT = 2 ** 24
 
 # numeric residue cardinalities are tested for primality by trial division,
@@ -65,9 +63,9 @@ class RankMismatch(ValueError):
 
 def _validate_p(p: Union[int, str]) -> Union[int, str]:
     if isinstance(p, str):
-        if p != SYMBOLIC_Q:
+        if p != RESIDUE_CARDINALITY_VAR:
             raise ValueError(
-                f"symbolic residue cardinality must be named {SYMBOLIC_Q!r}, got {p!r}"
+                f"symbolic residue cardinality must be named {RESIDUE_CARDINALITY_VAR!r}, got {p!r}"
             )
         return p
     require_prime_power(p)
@@ -116,8 +114,8 @@ class UnramifiedRep:
 
     @classmethod
     def symbolic(cls, rank: int, prefix: str = "a") -> "UnramifiedRep":
-        if prefix == SYMBOLIC_Q:
-            raise ValueError(f"{SYMBOLIC_Q!r} is reserved for the residue cardinality")
+        if prefix == RESIDUE_CARDINALITY_VAR:
+            raise ValueError(f"{RESIDUE_CARDINALITY_VAR!r} is reserved for the residue cardinality")
         return cls(rank, [LaurentPoly.var(f"{prefix}{i}") for i in range(1, rank + 1)])
 
     def variables(self) -> frozenset[str]:
@@ -141,19 +139,6 @@ class UnramifiedRep:
 
             value = self._schur[lam] = schur(lam, self.satake)
         return value
-
-
-def hecke_eigenvalue(rep: UnramifiedRep, k: int) -> LaurentPoly:
-    """Spherical Hecke eigenvalue at the k-th elementary torus coset.
-
-    In the unitary normalization this is h_k of the Satake parameters.
-    """
-    # imported here, its only use, so that index and charsum skip symfunc
-    from .symfunc import complete_homogeneous
-
-    if k < 0:
-        raise ValueError("hecke_eigenvalue needs k >= 0")
-    return complete_homogeneous(k, rep.satake)
 
 
 def contragredient(rep: UnramifiedRep) -> UnramifiedRep:

@@ -41,10 +41,6 @@ class Partition:
         object.__setattr__(self, "parts", parts)
 
     @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-    @property
     def length(self) -> int:
         return len(self.parts)
 
@@ -101,27 +97,6 @@ def partitions_up_to(max_weight: int, max_length: int) -> Iterator[Partition]:
         yield from partitions_of(w, max_length)
 
 
-def _coerce_values(xs: Sequence) -> list[LaurentPoly]:
-    return [LaurentPoly.coerce(x) for x in xs]
-
-
-def homogeneous_list(kmax: int, xs: Sequence) -> list[LaurentPoly]:
-    """[h_0, h_1, ..., h_kmax] at the given argument values."""
-    values = _coerce_values(xs)
-    row = [LaurentPoly.one()] + [LaurentPoly.zero()] * kmax
-    for x in values:
-        for d in range(1, kmax + 1):
-            row[d] = row[d] + x * row[d - 1]
-    return row
-
-
-def complete_homogeneous(k: int, xs: Sequence) -> LaurentPoly:
-    """The complete homogeneous symmetric polynomial h_k at given values."""
-    if k < 0:
-        return LaurentPoly.zero()
-    return homogeneous_list(k, xs)[k]
-
-
 def _det(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
     """Determinant by cofactor expansion with memoized column subsets.
 
@@ -172,7 +147,7 @@ def schur(lam: Partition, xs: Sequence) -> LaurentPoly:
     """
     if not isinstance(lam, Partition):
         lam = Partition(lam)
-    values = _coerce_values(xs)
+    values = [LaurentPoly.coerce(x) for x in xs]
     n = len(values)
     if lam.length > n:
         return LaurentPoly.zero()

@@ -1,7 +1,7 @@
 """Whittaker function values on the torus for unramified representations.
 
 The normalized spherical Whittaker function, evaluated at the diagonal
-point with prime-power exponents mu = (m_1, ..., m_n), is
+point with prime-power exponents mu = (m_1, ..., m_n), a tuple of ints, is
 
     W(pi^mu) = delta_B^(1/2)(pi^mu) * s_(mu - m_n*1)(alpha) * (prod alpha_i)^(m_n)
 
@@ -34,96 +34,51 @@ module itself keeps no state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .exactalg import LaurentPoly, qpow
 from .localrep import RankMismatch, UnramifiedRep
 from .symfunc import Partition
 
 
-@dataclass(frozen=True)
-class TorusCocharacter:
-    """Integer exponent vector for a diagonal prime-power torus point."""
-
-    exps: tuple[int, ...]
-
-    def __init__(self, exps: Iterable[int]):
-        exps = tuple(int(e) for e in exps)
-        object.__setattr__(self, "exps", exps)
-
-    @property
-    def length(self) -> int:
-        return len(self.exps)
-
-    @property
-    def weight(self) -> int:
-        return sum(self.exps)
-
-    def is_dominant(self) -> bool:
-        return all(a >= b for a, b in zip(self.exps, self.exps[1:]))
-
-    def padded(self, extra_zeros: int) -> "TorusCocharacter":
-        return TorusCocharacter(self.exps + (0,) * extra_zeros)
-
-    def reversed_negated(self) -> "TorusCocharacter":
-        """The exponent vector of w0 * g^(-1) * w0 for diagonal g."""
-        return TorusCocharacter(tuple(-e for e in reversed(self.exps)))
-
-    def __iter__(self):
-        return iter(self.exps)
-
-    def __str__(self) -> str:
-        return "(" + ",".join(str(e) for e in self.exps) + ")"
-
-
-def _coerce_cochar(mu) -> TorusCocharacter:
-    if isinstance(mu, TorusCocharacter):
-        return mu
-    return TorusCocharacter(mu)
-
-
-def delta_half(mu: TorusCocharacter) -> LaurentPoly:
+def delta_half(mu: tuple[int, ...]) -> LaurentPoly:
     """The square root of the Borel modulus character at the torus point.
 
     delta_B^(1/2)(pi^mu) = q^(-sum_i m_i (n + 1 - 2i) / 2).
     """
-    mu = _coerce_cochar(mu)
-    n = mu.length
-    e = -Fraction(sum(m * (n + 1 - 2 * i) for i, m in enumerate(mu.exps, start=1)), 2)
+    n = len(mu)
+    e = -Fraction(sum(m * (n + 1 - 2 * i) for i, m in enumerate(mu, start=1)), 2)
     return qpow(e)
 
 
-def spherical_value(rep: UnramifiedRep, mu) -> LaurentPoly:
+def spherical_value(rep: UnramifiedRep, mu: tuple[int, ...]) -> LaurentPoly:
     """Value of the normalized spherical Whittaker function at a torus point.
 
     Zero off the dominant cone; at the identity cocharacter the value is 1.
     """
-    mu = _coerce_cochar(mu)
-    if mu.length != rep.rank:
+    if len(mu) != rep.rank:
         raise RankMismatch(
-            f"cocharacter length {mu.length} does not match rank {rep.rank}"
+            f"cocharacter length {len(mu)} does not match rank {rep.rank}"
         )
-    if not mu.is_dominant():
+    if any(a < b for a, b in zip(mu, mu[1:])):
         return LaurentPoly.zero()
-    m_last = mu.exps[-1]
-    lam = Partition(tuple(m - m_last for m in mu.exps))
+    m_last = mu[-1]
+    lam = Partition(m - m_last for m in mu)
     value = delta_half(mu) * rep.schur(lam)
     if m_last:
         value = value * rep.satake_product() ** m_last
     return value
 
 
-def contragredient_value(rep: UnramifiedRep, mu) -> LaurentPoly:
+def contragredient_value(rep: UnramifiedRep, mu: tuple[int, ...]) -> LaurentPoly:
     """Whittaker value of the dual model W~(g) = W(w0 (g^t)^(-1)).
 
     On diagonal points this is the spherical value of the same rep at the
-    reversed, negated cocharacter; it must agree with the spherical value
-    of the contragredient representation at mu itself.
+    reversed, negated cocharacter, the exponents of w0 * g^(-1) * w0; it
+    must agree with the spherical value of the contragredient
+    representation at mu itself.
     """
-    mu = _coerce_cochar(mu)
-    return spherical_value(rep, mu.reversed_negated())
+    return spherical_value(rep, tuple(-e for e in reversed(mu)))
 
 
 def twist_constants(rank: int, m: int) -> tuple[LaurentPoly, LaurentPoly]:
@@ -140,7 +95,7 @@ def twist_constants(rank: int, m: int) -> tuple[LaurentPoly, LaurentPoly]:
     return qpow((rank - 2) * m), qpow((rank - 1) * m)
 
 
-def twisted_value(rep: UnramifiedRep, mu, m: int) -> LaurentPoly:
+def twisted_value(rep: UnramifiedRep, mu: tuple[int, ...], m: int) -> LaurentPoly:
     """Torus value of the level-m twisted Whittaker vector.
 
     mu has length rank-1; the value lives at the embedded point (mu, 0).
@@ -148,20 +103,19 @@ def twisted_value(rep: UnramifiedRep, mu, m: int) -> LaurentPoly:
     at (mu, 0) times the orthogonality constant.  The additive character
     has conductor 0.
     """
-    mu = _coerce_cochar(mu)
     n = rep.rank
-    if mu.length != n - 1:
+    if len(mu) != n - 1:
         raise RankMismatch(
-            f"twisted values take a length {n - 1} cocharacter, got length {mu.length}"
+            f"twisted values take a length {n - 1} cocharacter, got length {len(mu)}"
         )
     if m < 0:
         raise ValueError("the twist level must be nonnegative")
-    if mu.exps and mu.exps[-1] < m:
+    if mu and mu[-1] < m:
         return LaurentPoly.zero()
-    if not mu.exps and m > 0:
+    if not mu and m > 0:
         # rank 1 has no constrained coordinate; keep the rank guard honest
         raise ValueError("twisted vectors need rank >= 2")
-    base = spherical_value(rep, mu.padded(1))
+    base = spherical_value(rep, (*mu, 0))
     if base.is_zero():
         return base
     return qpow((n - 1) * m) * base

@@ -64,13 +64,7 @@ from .localrep import (
     require_prime_power,
 )
 from .symfunc import Partition, partitions_of, schur
-from .whittaker import (
-    TorusCocharacter,
-    delta_half,
-    spherical_value,
-    twist_constants,
-    twisted_value,
-)
+from .whittaker import delta_half, spherical_value, twist_constants, twisted_value
 
 PLACE_UNRAMIFIED = "unramified"
 PLACE_DIVIDING_L = "dividing_l"
@@ -217,13 +211,8 @@ def l_factor_denominator(rep_a: UnramifiedRep, rep_b: UnramifiedRep,
 
     The product has degree r*s in var, so it is the series at that order.
     """
-    return _as_poly(l_factor_denominator_series(rep_a, rep_b, var, rep_a.rank * rep_b.rank))
-
-
-def l_factor_denominator_series(rep_a: UnramifiedRep, rep_b: UnramifiedRep,
-                                var: str, order: int) -> TruncatedSeries:
-    """prod (1 - alpha_i beta_j var), truncated at the order."""
-    return times_l_denominator(TruncatedSeries.one(var, order), rep_a, rep_b)
+    one = TruncatedSeries.one(var, rep_a.rank * rep_b.rank)
+    return _as_poly(times_l_denominator(one, rep_a, rep_b))
 
 
 def times_l_denominator(series: TruncatedSeries, rep_a: UnramifiedRep,
@@ -236,7 +225,7 @@ def times_l_denominator(series: TruncatedSeries, rep_a: UnramifiedRep,
     one series product per alpha_i, each by a factor with at most s + 1
     nonzero coefficients.  Truncated products associate, so this is the
     series times the truncated denominator.  Started from 1, as
-    l_factor_denominator_series is, the var^k coefficient has degree k in
+    l_factor_denominator is, the var^k coefficient has degree k in
     the alpha and in the beta before and after each product, so it has no
     more terms than the var^k coefficient of the lattice series of the same
     ranks, C(k+r-1, r-1) * C(k+s-1, s-1).
@@ -268,11 +257,11 @@ def _lattice_series(rep_a: UnramifiedRep, rep_b: UnramifiedRep, var: str,
     lattice = 0
     for k in range(n * m, order + 1):
         for lam in partitions_of(k - n * m, n):
-            mu = TorusCocharacter(p + m for p in lam.padded(n))
+            mu = tuple(p + m for p in lam.padded(n))
             inv_delta = delta_half(mu) ** -1
             s_a = twisted_value(rep_a, mu, m) * (qpow(Fraction(k, 2) - n * m) * inv_delta)
             s_b = spherical_value(rep_b, mu) * inv_delta
-            parts = Partition(mu.exps)
+            parts = Partition(mu)
             for rep, value in ((rep_a, s_a), (rep_b, s_b)):
                 expected = rep.schur(parts)
                 if value != expected:

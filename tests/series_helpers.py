@@ -1,6 +1,9 @@
-"""A polynomial read as a truncated series, for building test inputs."""
+"""Truncated series for building test inputs: a polynomial read as a series,
+and the L-factor denominator truncated at an order."""
 
-from whitlocal import LaurentPoly, TruncatedSeries
+from whitlocal.exactalg import LaurentPoly, TruncatedSeries
+from whitlocal.localrep import UnramifiedRep
+from whitlocal.zeta import times_l_denominator
 
 
 def from_poly(p: LaurentPoly, var: str, order: int) -> TruncatedSeries:
@@ -15,3 +18,9 @@ def from_poly(p: LaurentPoly, var: str, order: int) -> TruncatedSeries:
         if e <= order:
             coeffs[e] = c
     return TruncatedSeries(var, coeffs)
+
+
+def l_denominator_series(rep_a: UnramifiedRep, rep_b: UnramifiedRep,
+                         var: str, order: int) -> TruncatedSeries:
+    """prod (1 - alpha_i beta_j var), truncated at the order."""
+    return times_l_denominator(TruncatedSeries.one(var, order), rep_a, rep_b)

@@ -15,22 +15,13 @@ from fractions import Fraction
 
 import pytest
 
-from whitlocal import (
-    EnumerationTooLarge,
-    LaurentPoly,
-    UnramifiedRep,
-    cli,
-    local_zeta_unramified,
-    localrep,
-    qpow,
-    suites,
-    symfunc,
-    zeta,
-)
+from whitlocal import cli, localrep, suites, symfunc, zeta
 from whitlocal.cli import main
-from whitlocal.exactalg import EXPONENT_LIMIT
+from whitlocal.exactalg import EXPONENT_LIMIT, LaurentPoly, qpow
+from whitlocal.localrep import EnumerationTooLarge, UnramifiedRep
 from whitlocal.report import CheckResult, SuiteReport, report_to_json
 from whitlocal.suites import WORK_BOUNDS, SuiteConfig
+from whitlocal.zeta import local_zeta_unramified
 
 
 def run_cli(*argv, capsys=None):

@@ -12,18 +12,19 @@ from hypothesis import strategies as st
 
 import exactalg_reference as ref
 from series_helpers import from_poly
-from whitlocal import (
+from whitlocal import exactalg
+from whitlocal.exactalg import (
     DivisionByZero,
+    EXPONENT_LIMIT,
     ExponentOutOfRange,
     InexactSquareRoot,
     LaurentPoly,
     NegativeUnderHalfExponent,
+    RationalFunction,
     TruncatedSeries,
     VariableMismatch,
     qpow,
 )
-from whitlocal import exactalg
-from whitlocal.exactalg import EXPONENT_LIMIT, RationalFunction
 
 X = LaurentPoly.var("x")
 Y = LaurentPoly.var("y")

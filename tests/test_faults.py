@@ -10,19 +10,9 @@ from fractions import Fraction
 
 import pytest
 
-from whitlocal import (
-    LaurentPoly,
-    ParamPair,
-    SymbolicMatrix,
-    TruncatedSeries,
-    dual_params,
-    localrep,
-    qpow,
-    suites,
-    symfunc,
-    whittaker,
-    zeta,
-)
+from whitlocal import localrep, suites, symfunc, whittaker, zeta
+from whitlocal.exactalg import LaurentPoly, TruncatedSeries, qpow
+from whitlocal.reciprocity import ParamPair, SymbolicMatrix, dual_params
 from whitlocal.suites import SUITES, SuiteConfig
 
 CONFIG = SuiteConfig(n_max=3, order=2)

@@ -11,10 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whitlocal import (
+from whitlocal import localrep
+from whitlocal.exactalg import LaurentPoly, qpow
+from whitlocal.localrep import (
     ENUMERATION_LIMIT,
     EnumerationTooLarge,
-    LaurentPoly,
+    MAX_RESIDUE_CARDINALITY,
     RankMismatch,
     UnramifiedRep,
     ZeroSatakeParameter,
@@ -24,11 +26,8 @@ from whitlocal import (
     congruence_index,
     congruence_index_bruteforce,
     contragredient,
-    hecke_eigenvalue,
-    qpow,
 )
-from whitlocal import localrep
-from whitlocal.localrep import MAX_RESIDUE_CARDINALITY
+from whitlocal.symfunc import Partition, schur
 
 
 class TestUnramifiedRep:
@@ -52,22 +51,28 @@ class TestUnramifiedRep:
 
 
 
+def _hecke_eigenvalue(rep, k):
+    # at the k-th elementary torus coset, in the unitary normalization:
+    # h_k = s_(k) of the Satake parameters
+    return schur(Partition((k,)), rep.satake)
+
+
 class TestHeckeEigenvalue:
     def test_rank_two_values(self):
         rep = UnramifiedRep.symbolic(2)
         a1, a2 = (LaurentPoly.var(v) for v in ("a1", "a2"))
-        assert hecke_eigenvalue(rep, 0) == LaurentPoly.one()
-        assert hecke_eigenvalue(rep, 1) == a1 + a2
-        assert hecke_eigenvalue(rep, 2) == a1 ** 2 + a1 * a2 + a2 ** 2
+        assert _hecke_eigenvalue(rep, 0) == LaurentPoly.one()
+        assert _hecke_eigenvalue(rep, 1) == a1 + a2
+        assert _hecke_eigenvalue(rep, 2) == a1 ** 2 + a1 * a2 + a2 ** 2
 
     def test_rank_two_recursion(self):
         # lambda_k = lambda_1 lambda_(k-1) - (a1 a2) lambda_(k-2)
         rep = UnramifiedRep.symbolic(2)
         e2 = rep.satake_product()
         for k in range(2, 7):
-            assert hecke_eigenvalue(rep, k) == (
-                hecke_eigenvalue(rep, 1) * hecke_eigenvalue(rep, k - 1)
-                - e2 * hecke_eigenvalue(rep, k - 2)
+            assert _hecke_eigenvalue(rep, k) == (
+                _hecke_eigenvalue(rep, 1) * _hecke_eigenvalue(rep, k - 1)
+                - e2 * _hecke_eigenvalue(rep, k - 2)
             )
 
 

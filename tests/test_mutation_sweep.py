@@ -1,0 +1,21 @@
+"""tools/mutation_sweep.py tells a mutant that changes the output from one that changes nothing."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SWEEP = Path(__file__).resolve().parent.parent / "tools" / "mutation_sweep.py"
+
+
+def test_a_mutant_that_changes_the_payload_is_reported_changed():
+    # no check of the whittaker command reads delta_half's exponent, so a
+    # mutated exponent exits 0 with a different value
+    proc = subprocess.run(
+        [sys.executable, str(SWEEP), "--module", "whittaker", "--function", "delta_half",
+         "--", "whittaker", "--n", "2", "--mu", "1,0"],
+        capture_output=True, text=True, check=True,
+    )
+    lines = proc.stdout.splitlines()
+    changed = sum(line.startswith("changed ") for line in lines)
+    assert changed >= 1
+    assert lines[-1].endswith(f"; {changed} survivors changed the output")

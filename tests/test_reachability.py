@@ -3,13 +3,16 @@
 A compact list of command lines (every command and flag path once, and
 ``verify`` of every suite) runs in process under ``sys.setprofile``.  Any
 public function or method whose code never ran fails the test, unless it is
-allowed below with a reason.
+allowed below with a reason.  Every public module-level constant must be
+read by some module of the package.
 """
 
+import ast
 import contextlib
 import importlib
 import inspect
 import io
+import pathlib
 import pkgutil
 import sys
 
@@ -21,11 +24,8 @@ ALLOWED = {
     "exactalg.LaurentPoly.evaluate": ORACLE,
     "exactalg.LaurentPoly.parse": ORACLE,
     "exactalg.LaurentPoly.from_json_obj": ORACLE,
-    "localrep.hecke_eigenvalue": ORACLE,
-    "exactalg.LaurentPoly.__reduce__": "pickles a polynomial by variable name, "
-    "so it can cross to a worker process whose slots differ",
-    "symfunc.Partition.weight": "the size |lam| of a partition, kept with its type",
-    "whittaker.TorusCocharacter.weight": "the size |mu| of a cocharacter, kept with its type",
+    "exactalg.LaurentPoly.__reduce__": "no command pickles a polynomial, but without it "
+    "pickle would copy the slots, whose packed keys only this process can read",
 }
 # text for witnesses and debugging
 ALLOWED_METHODS = ("__str__", "__repr__", "__iter__")
@@ -108,3 +108,24 @@ def test_every_public_function_is_reached(monkeypatch):
         and not name.endswith(ALLOWED_METHODS)
     )
     assert unreached == []
+
+
+def test_every_public_constant_is_read():
+    """A public module-level assigned name that no module loads is dead surface."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in pathlib.Path(whitlocal.__path__[0]).glob("*.py")}
+    loaded = {node.id if isinstance(node, ast.Name) else node.attr
+              for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Assign):
+                targets = stmt.targets
+            elif isinstance(stmt, ast.AnnAssign):
+                targets = [stmt.target]
+            else:
+                continue
+            unread += [f"{module}.{t.id}" for t in targets if isinstance(t, ast.Name)
+                       and not t.id.startswith("_") and t.id not in loaded]
+    assert sorted(unread) == []

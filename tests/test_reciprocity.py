@@ -4,14 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from whitlocal import (
-    LaurentPoly,
+from whitlocal.exactalg import LaurentPoly
+from whitlocal.reciprocity import (
     ParamPair,
     SymbolicMatrix,
+    column_unipotent,
     dual_params,
     swap_last_two,
 )
-from whitlocal.reciprocity import column_unipotent
 from whitlocal.suites import HIDDEN_SUITES, SUITES, SuiteConfig
 
 

@@ -4,7 +4,7 @@ import csv
 import io
 import json
 
-from whitlocal import (
+from whitlocal.report import (
     CheckResult,
     SuiteReport,
     merge_reports,

@@ -1,30 +1,25 @@
 """Schur polynomials against independent oracles and classical identities."""
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from whitlocal import (
-    InexactDivision,
-    LaurentPoly,
+from whitlocal.exactalg import InexactDivision, LaurentPoly, TruncatedSeries
+from whitlocal.localrep import UnramifiedRep
+from whitlocal.suites import SUITES, SuiteConfig
+from whitlocal.symfunc import (
     Partition,
-    TruncatedSeries,
-    UnramifiedRep,
     cauchy_schur_side,
-    complete_homogeneous,
-    homogeneous_list,
-    l_factor_denominator_series,
     partitions_of,
     partitions_up_to,
     schur,
     schur_bialternant_oracle,
 )
-from whitlocal.suites import SUITES, SuiteConfig
 
-from series_helpers import from_poly
+from series_helpers import from_poly, l_denominator_series
 
 
 def _vars(n, prefix="x"):
@@ -53,7 +48,6 @@ class TestPartition:
 
     def test_accessors(self):
         lam = Partition((4, 2, 1))
-        assert lam.weight == 7
         assert lam.length == 3
         assert lam.part(2) == 2
         assert lam.part(9) == 0
@@ -81,17 +75,19 @@ class TestEnumeration:
         assert got == want
 
 
+def _row(k, xs):
+    # h_k = s_(k)
+    return schur(Partition((k,)), xs)
+
+
 class TestHomogeneous:
     def test_small_values(self):
         x, y = _vars(2)
-        hs = homogeneous_list(3, [x, y])
+        hs = [_row(k, [x, y]) for k in range(4)]
         assert hs[0] == LaurentPoly.one()
         assert hs[1] == x + y
         assert hs[2] == x ** 2 + x * y + y ** 2
         assert hs[3] == x ** 3 + x ** 2 * y + x * y ** 2 + y ** 3
-
-    def test_negative_degree_is_zero(self):
-        assert complete_homogeneous(-1, _vars(2)) == LaurentPoly.zero()
 
     def test_generating_function(self):
         # sum_k h_k t^k = prod_i 1/(1 - x_i t): times the product it is 1
@@ -99,7 +95,7 @@ class TestHomogeneous:
         den = LaurentPoly.one()
         for x in xs:
             den = den * (LaurentPoly.one() - x * LaurentPoly.var("t"))
-        series = TruncatedSeries("t", homogeneous_list(5, xs))
+        series = TruncatedSeries("t", [_row(k, xs) for k in range(6)])
         assert (series * from_poly(den, "t", 5)).is_one()
 
 
@@ -113,7 +109,14 @@ class TestSchur:
     def test_single_row_is_homogeneous(self):
         xs = _vars(3)
         for k in range(5):
-            assert schur(Partition((k,)), xs) == complete_homogeneous(k, xs)
+            # h_k is the sum of all monomials of degree k
+            want = LaurentPoly.zero()
+            for factors in combinations_with_replacement(xs, k):
+                term = LaurentPoly.one()
+                for x in factors:
+                    term = term * x
+                want = want + term
+            assert _row(k, xs) == want
 
     def test_single_column_is_elementary(self):
         x, y, z = _vars(3)
@@ -153,7 +156,7 @@ class TestSchur:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_pieri_rule(self, n):
         values = _vars(n)
-        h1 = complete_homogeneous(1, values)
+        h1 = sum(values, LaurentPoly.zero())
         for lam in partitions_up_to(4, n):
             rhs = LaurentPoly.zero()
             for i in range(min(lam.length + 1, n)):
@@ -167,7 +170,7 @@ class TestSchur:
         lam = Partition((3, 2))
         poly = schur(lam, _vars(3))
         for exps, _ in poly.sorted_terms():
-            assert sum(e for _, e in exps) == lam.weight
+            assert sum(e for _, e in exps) == sum(lam.parts)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_inversion_duality(self, n):
@@ -214,7 +217,7 @@ class TestCauchy:
 
     def test_sides_agree(self):
         lhs = cauchy_schur_side(2, 2, "X", 5)
-        den = l_factor_denominator_series(
+        den = l_denominator_series(
             UnramifiedRep.symbolic(2, "a"), UnramifiedRep.symbolic(2, "b"), "X", 5
         )
         assert (lhs * den).is_one()
@@ -237,7 +240,7 @@ class TestSchurProducts:
     def test_row_times_row_expands_by_pieri_chain(self, a, b):
         # h_a * h_b = sum of s_mu over two-row mu = (mu1, a+b-mu1), mu1 >= max(a,b)
         xs = _vars(3)
-        lhs = complete_homogeneous(a, xs) * complete_homogeneous(b, xs)
+        lhs = _row(a, xs) * _row(b, xs)
         rhs = LaurentPoly.zero()
         for mu1 in range(max(a, b), a + b + 1):
             rhs = rhs + schur(Partition((mu1, a + b - mu1)), xs)

@@ -4,23 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from series_helpers import from_poly
+from series_helpers import from_poly, l_denominator_series
 from whitlocal import symfunc, whittaker, zeta
-from whitlocal.zeta import lattice_terms
+from whitlocal.exactalg import LaurentPoly, TruncatedSeries, qpow
+from whitlocal.localrep import RankMismatch, UnramifiedRep, congruence_index, contragredient
 from whitlocal.suites import SUITES, SuiteConfig
-from whitlocal import (
-    LaurentPoly,
-    TruncatedSeries,
-    RankMismatch,
+from whitlocal.symfunc import Partition, schur
+from whitlocal.zeta import (
     SymbolCollision,
-    UnramifiedRep,
-    complete_homogeneous,
-    congruence_index,
-    contragredient,
     l_factor_denominator,
-    l_factor_denominator_series,
+    lattice_terms,
     local_zeta_unramified,
-    qpow,
     weight_at_l,
     weight_at_q_structural,
     weight_unramified,
@@ -33,7 +27,7 @@ def _reps(n):
 
 def _times_l_denominator_is_one(result, rep_a, rep_b):
     series = result.series
-    return (series * l_factor_denominator_series(rep_a, rep_b, series.var, series.order)).is_one()
+    return (series * l_denominator_series(rep_a, rep_b, series.var, series.order)).is_one()
 
 
 def _one_factor_at_a_time(rep_a, rep_b, var, order):
@@ -62,7 +56,7 @@ class TestLFactor:
         for kind, rep_a, rep_b in _satake_pairs(r, s):
             want = _one_factor_at_a_time(rep_a, rep_b, "X", r * s + 1)
             for order in range(r * s + 2):
-                got = l_factor_denominator_series(rep_a, rep_b, "X", order)
+                got = l_denominator_series(rep_a, rep_b, "X", order)
                 assert got == want.truncate(order), (kind, order)
             # the product has degree r*s in X, so order r*s+1 holds all of it
             assert want.coeffs[-1].is_zero()
@@ -77,7 +71,7 @@ class TestLFactor:
         rep_a, rep_b = UnramifiedRep.symbolic(r, "a"), UnramifiedRep.symbolic(s, "b")
         for i in range(1, r + 1):
             head = UnramifiedRep(i, rep_a.satake[:i])
-            series = l_factor_denominator_series(head, rep_b, "X", order)
+            series = l_denominator_series(head, rep_b, "X", order)
             for k, c in enumerate(series.coeffs):
                 assert len(c.terms) <= bound[k], (i, k)
 
@@ -88,7 +82,7 @@ class TestLFactor:
         want = (LaurentPoly.one() - a1 * b1 * x) * (LaurentPoly.one() - a2 * b1 * x)
         assert den == want
         # the truncated series is the same polynomial cut at the order
-        assert l_factor_denominator_series(rep_a, rep_b, "X", 1) == from_poly(
+        assert l_denominator_series(rep_a, rep_b, "X", 1) == from_poly(
             want, "X", 1
         )
 
@@ -99,7 +93,7 @@ class TestLFactor:
         with pytest.raises(SymbolCollision):
             l_factor_denominator(rep_x, UnramifiedRep.symbolic(1, "b"), var="X")
         with pytest.raises(SymbolCollision):
-            l_factor_denominator_series(rep_x, UnramifiedRep.symbolic(1, "b"), "X", 2)
+            l_denominator_series(rep_x, UnramifiedRep.symbolic(1, "b"), "X", 2)
 
 
 class TestLocalZeta:
@@ -108,7 +102,7 @@ class TestLocalZeta:
         result = local_zeta_unramified(rep_a, rep_b, order=4)
         b1 = LaurentPoly.var("b1")
         for k in range(5):
-            want = complete_homogeneous(k, rep_a.satake) * b1 ** k
+            want = schur(Partition((k,)), rep_a.satake) * b1 ** k
             assert result.series.coeffs[k] == want
         assert result.lattice_points == 5
         assert _times_l_denominator_is_one(result, rep_a, rep_b)
@@ -273,7 +267,7 @@ class TestWeightAtL:
         small = UnramifiedRep.symbolic(1, "g")
         result = weight_at_l(mid, small, 2, order=6)
         b1, b2, g1 = (LaurentPoly.var(v) for v in ("b1", "b2", "g1"))
-        h2 = complete_homogeneous(2, [b1, b2])
+        h2 = schur(Partition((2,)), [b1, b2])
         coeffs = result.value.coeffs
         assert coeffs[2] == h2 * g1 ** 2
         assert coeffs[3] == -(b1 + b2) * (b1 * b2) * g1 ** 3

@@ -6,8 +6,11 @@ Each mutant changes one site inside the named top-level functions of one
 constant (DeMillo, Lipton and Sayward, "Hints on test data selection",
 1978).  The mutated module is written with ``ast.unparse`` into a copy of
 the package, and the command runs against that copy.  A mutant is killed
-when the command exits nonzero or outlasts the time limit; a survivor is
-either a gap in the command's checks or a mutant that changes nothing.
+when the command exits nonzero or outlasts the time limit.  A mutant that
+exits 0 is ``changed`` when its stdout differs from the unmutated run's:
+the command's checks missed a fault that shows in its output, such as terms
+printed out of order.  The other survivors are either a gap in the checks or
+a mutant that changes nothing.
 The limit is ten times the command's time on the unmutated module, and at
 least five seconds.  A timeout counts as a kill, so a mutant that only
 makes the command slow (say, one that loosens a size guard and then
@@ -64,17 +67,17 @@ def mutations(tree: ast.Module, functions: set[str]):
 
 
 def run(package: Path, module: Path, source: str, command: list[str],
-        timeout: float | None) -> str:
-    """'survived', 'killed' (nonzero exit) or 'timed out'."""
+        timeout: float | None) -> tuple[str, bytes]:
+    """('survived', stdout), ('killed', stdout) on a nonzero exit, or ('timed out', b'')."""
     module.write_text(source)
     env = {**os.environ, "PYTHONPATH": str(package.parent)}
     try:
         proc = subprocess.run([sys.executable, "-m", "whitlocal", *command],
-                              cwd=package.parent, env=env, stdout=subprocess.DEVNULL,
+                              cwd=package.parent, env=env, stdout=subprocess.PIPE,
                               stderr=subprocess.DEVNULL, timeout=timeout)
     except subprocess.TimeoutExpired:
-        return "timed out"
-    return "killed" if proc.returncode else "survived"
+        return "timed out", b""
+    return ("killed" if proc.returncode else "survived"), proc.stdout
 
 
 def main() -> int:
@@ -94,23 +97,27 @@ def main() -> int:
                         ignore=shutil.ignore_patterns("__pycache__"))
         module = package / f"{args.module}.py"
         start = time.perf_counter()
-        if run(package, module, ast.unparse(ast.parse(original)), args.command,
-               None) != "survived":
+        result, expected = run(package, module, ast.unparse(ast.parse(original)),
+                               args.command, None)
+        if result != "survived":
             print("error: the command fails on the unmutated module", file=sys.stderr)
             return 2
         timeout = max(10 * (time.perf_counter() - start), 5.0)
         print(f"time limit {timeout:.1f} s per mutant", flush=True)
-        dead = timed_out = 0
+        dead = timed_out = changed = 0
         for k in range(count):
             tree = ast.parse(original)
             line, what, apply = list(mutations(tree, set(args.functions)))[k]
             apply()
-            result = run(package, module, ast.unparse(tree), args.command, timeout)
-            dead += result != "survived"
+            result, stdout = run(package, module, ast.unparse(tree), args.command, timeout)
+            if result == "survived" and stdout != expected:
+                result = "changed"
+            dead += result in ("killed", "timed out")
             timed_out += result == "timed out"
+            changed += result == "changed"
             print(f"{result:9} line {line}: {what}", flush=True)
     print(f"killed {dead} of {count} mutants ({100 * dead / max(count, 1):.0f}%), "
-          f"{timed_out} of them by the time limit")
+          f"{timed_out} of them by the time limit; {changed} survivors changed the output")
     return 0
 
 
