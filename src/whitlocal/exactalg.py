@@ -45,8 +45,11 @@ Keys are put in canonical (name, exponent) order only where order or
 names matter: text and JSON emission and sorted_terms.  Each key sorts by
 one int, a chunk per used slot in name order (_ordered), so a sort makes
 no per-term tuple; text reads each factor string from a per-slot cache.
-variables decodes every slot through _ranked; coefficients_in and
-substitute read single slot fields.
+_ranked, which variables and the emitters use, scans only the slots up to
+the highest one the keys use, so names interned after a polynomial's
+variables cost its decoding nothing.  coefficients_in reads a single
+slot's field, and substitute goes through coefficients_in.  There is no
+parser and no evaluator.
 
 All values are immutable and all operations are pure: they return new
 objects and never mutate their inputs.  Serialization (text and JSON) is
@@ -56,8 +59,6 @@ order.
 
 from __future__ import annotations
 
-import math
-import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -80,20 +81,8 @@ _SLOTS: dict[str, int] = {RESIDUE_CARDINALITY_VAR: 0}
 _NAMES: list[str] = [RESIDUE_CARDINALITY_VAR]
 
 
-class UnboundVariable(KeyError):
-    """A variable needed during evaluation has no binding."""
-
-
 class DivisionByZero(ZeroDivisionError):
     """A zero value was raised to a negative power or used as a divisor."""
-
-
-class NegativeUnderHalfExponent(ValueError):
-    """A negative rational sits under a half-integer exponent in exact mode."""
-
-
-class InexactSquareRoot(ValueError):
-    """A half-integer exponent was evaluated at a rational with no exact root."""
 
 
 class VariableMismatch(ValueError):
@@ -249,9 +238,11 @@ def _ranked(keys) -> tuple[list[str], list[int], int]:
 
     Returns the names of the slots the keys use, sorted; the field shift of
     each of them, in that order; and the bias that makes every field
-    nonnegative.
+    nonnegative.  Only the slots up to the highest one a key uses are
+    scanned: the key of largest absolute value is one that uses it, and
+    its bit length lies in that slot's field.
     """
-    n = len(_NAMES)
+    n = max((abs(key) for key in keys), default=0).bit_length() // FIELD_BITS + 1
     bias = _bias(n - 1)
     hi, lo = 0, -1
     for key in keys:
@@ -542,68 +533,24 @@ class LaurentPoly:
         # variables by this process's intern order; by name they load anywhere
         return LaurentPoly, (dict(self.sorted_terms()),)
 
-    # -- substitution and evaluation --------------------------------------
+    # -- substitution ---------------------------------------------------
 
     def substitute(self, name: str, value) -> "LaurentPoly":
         """Replace one variable by a polynomial value.
 
-        If the variable occurs with a negative or half-integer exponent the
-        value must be a single-term unit (or a nonzero constant) so the
-        power stays inside the ring.
+        The variable must occur with integer exponents only, or ValueError
+        is raised; where one is negative the value must be a single-term
+        unit (or a nonzero constant) so the power stays inside the ring.
         """
         value = LaurentPoly.coerce(value)
-        slot = _SLOTS.get(name)
-        if slot is None:
-            return self
-        bias = _bias(slot)
-        shift = FIELD_BITS * slot
+        parts = self.coefficients_in(name)
+        for e in parts:
+            if not isinstance(e, int):
+                raise ValueError(f"cannot substitute for {name!r} under the exponent {e}")
         out = LaurentPoly()
-        for key, c in self.terms.items():
-            f = ((key + bias) >> shift & _MASK) - _HALF
-            if f == 0:
-                out = out + _poly({key: c}, self._span)
-                continue
-            rest = _poly({key - (f << shift): c}, self._span)
-            e = _exponent(name, f)
-            if isinstance(e, int):
-                out = out + rest * value ** e
-            else:
-                # half-integer exponent: the value must itself be a power of q
-                if not value.is_unit():
-                    raise ValueError(
-                        "cannot substitute a non-unit under a half-integer exponent"
-                    )
-                ((vk, vc),) = value.terms.items()
-                # a key with no field but q's lies within q's field range
-                if vc != 1 or not -_HALF <= vk < _HALF:
-                    raise ValueError(
-                        "half-integer exponents only support substitution by "
-                        f"powers of {RESIDUE_CARDINALITY_VAR!r}"
-                    )
-                out = out + rest * qpow(Fraction(vk, 2) * e)
+        for e, c in parts.items():
+            out = out + c * value ** e
         return out
-
-    def evaluate(self, bindings: Mapping[str, Scalar]) -> Fraction:
-        """Evaluate exactly at a full set of rational variable bindings.
-
-        A binding that is not an int or Fraction raises TypeError.  Half
-        exponents require an exact square root and raise InexactSquareRoot
-        otherwise.
-        """
-        names = self.variables()
-        missing = [v for v in names if v not in bindings]
-        if missing:
-            raise UnboundVariable(f"no binding for {sorted(missing)!r}")
-        inexact = sorted(v for v in names if not isinstance(bindings[v], (int, Fraction)))
-        if inexact:
-            raise TypeError(f"bindings for {inexact!r} are not rational")
-        total = Fraction(0)
-        for exps, c in self.sorted_terms():
-            acc = c
-            for v, e in exps:
-                acc = acc * _rational_power(Fraction(bindings[v]), e, v)
-            total += acc
-        return total
 
     # -- serialization ----------------------------------------------------
 
@@ -657,46 +604,6 @@ class LaurentPoly:
     def __repr__(self) -> str:
         return f"LaurentPoly({self.to_text()})"
 
-    _TERM_RE = re.compile(
-        r"^(?P<coeff>-?\d+(?:/\d+)?)?"
-        r"(?P<vars>(?:\*?[A-Za-z_][A-Za-z0-9_]*(?:\^(?:-?\d+|\(-?\d+(?:/\d+)?\)))?)*)$"
-    )
-    _FACTOR_RE = re.compile(
-        r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(?:(-?\d+)|\((-?\d+(?:/\d+)?)\)))?"
-    )
-
-    @classmethod
-    def parse(cls, text: str) -> "LaurentPoly":
-        """Parse the canonical text form back into a polynomial."""
-        s = text.strip()
-        if s == "0":
-            return cls.zero()
-        s = s.replace(" - ", " + -")
-        terms = []
-        for raw in s.split(" + "):
-            raw = raw.strip()
-            if not raw:
-                raise ValueError(f"empty term in {text!r}")
-            neg = raw.startswith("-")
-            if neg:
-                raw = raw[1:]
-            m = cls._TERM_RE.match(raw)
-            if not m or (m.group("coeff") is None and not m.group("vars")):
-                raise ValueError(f"cannot parse term {raw!r}")
-            coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
-            if neg:
-                coeff = -coeff
-            exps = []
-            for name, int_exp, frac_exp in cls._FACTOR_RE.findall(m.group("vars")):
-                if int_exp:
-                    exps.append((name, int(int_exp)))
-                elif frac_exp:
-                    exps.append((name, Fraction(frac_exp)))
-                else:
-                    exps.append((name, 1))
-            terms.append((_pack(exps), coeff))
-        return _collect(terms)
-
     def to_json_obj(self) -> list:
         return [
             {
@@ -705,39 +612,6 @@ class LaurentPoly:
             }
             for exps, c in self.sorted_terms()
         ]
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "LaurentPoly":
-        return _collect(
-            (_pack((v, _norm_exp(Fraction(e))) for v, e in term["exps"].items()),
-             Fraction(term["coeff"]))
-            for term in obj
-        )
-
-
-def _rational_power(base: Fraction, e: Scalar, name: str) -> Fraction:
-    if isinstance(e, int):
-        if e >= 0:
-            return base ** e
-        if base == 0:
-            raise DivisionByZero(f"zero binding for {name!r} under negative power")
-        return base ** e
-    # half-integer exponent: need an exact square root of base
-    if base < 0:
-        raise NegativeUnderHalfExponent(
-            f"binding for {name!r} is negative under a half-integer exponent"
-        )
-    num_r = math.isqrt(base.numerator)
-    den_r = math.isqrt(base.denominator)
-    if num_r * num_r != base.numerator or den_r * den_r != base.denominator:
-        raise InexactSquareRoot(
-            f"binding {base} for {name!r} has no exact square root"
-        )
-    root = Fraction(num_r, den_r)
-    k = e.numerator  # denominator is 2, so base^e = root^numerator
-    if k < 0 and root == 0:
-        raise DivisionByZero(f"zero binding for {name!r} under negative power")
-    return root ** k
 
 
 def qpow(e) -> LaurentPoly:

@@ -1,5 +1,7 @@
 """tools/mutation_sweep.py tells a mutant that changes the output from one that changes nothing."""
 
+import ast
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -19,3 +21,12 @@ def test_a_mutant_that_changes_the_payload_is_reported_changed():
     changed = sum(line.startswith("changed ") for line in lines)
     assert changed >= 1
     assert lines[-1].endswith(f"; {changed} survivors changed the output")
+
+
+def test_a_method_of_a_class_is_swept():
+    spec = importlib.util.spec_from_file_location("mutation_sweep", SWEEP)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    tree = ast.parse("class C:\n    def f(self, x):\n        return x + 1\n")
+    sites = [(line, what) for line, what, _ in sweep.mutations(tree, {"f"})]
+    assert sites == [(3, "Add -> Sub"), (3, "1 -> 2")]

@@ -19,11 +19,7 @@ import sys
 import whitlocal
 from whitlocal import cli, localrep
 
-ORACLE = "an independent oracle for the tests"
 ALLOWED = {
-    "exactalg.LaurentPoly.evaluate": ORACLE,
-    "exactalg.LaurentPoly.parse": ORACLE,
-    "exactalg.LaurentPoly.from_json_obj": ORACLE,
     "exactalg.LaurentPoly.__reduce__": "no command pickles a polynomial, but without it "
     "pickle would copy the slots, whose packed keys only this process can read",
 }

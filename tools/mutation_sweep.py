@@ -1,16 +1,16 @@
 """Mutation sweep: how many one-site faults in chosen functions a command catches.
 
-Each mutant changes one site inside the named top-level functions of one
-``whitlocal`` module: it swaps ``+`` and ``-``, turns ``*`` into ``//``, swaps
-``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``, or adds 1 to an int
-constant (DeMillo, Lipton and Sayward, "Hints on test data selection",
-1978).  The mutated module is written with ``ast.unparse`` into a copy of
-the package, and the command runs against that copy.  A mutant is killed
-when the command exits nonzero or outlasts the time limit.  A mutant that
-exits 0 is ``changed`` when its stdout differs from the unmutated run's:
-the command's checks missed a fault that shows in its output, such as terms
-printed out of order.  The other survivors are either a gap in the checks or
-a mutant that changes nothing.
+Each mutant changes one site inside the named top-level functions (or
+methods of top-level classes) of one ``whitlocal`` module: it swaps ``+``
+and ``-``, turns ``*`` into ``//``, swaps ``<`` and ``<=``, ``>`` and
+``>=``, ``==`` and ``!=``, or adds 1 to an int constant (DeMillo, Lipton and
+Sayward, "Hints on test data selection", 1978).  The mutated module is
+written with ``ast.unparse`` into a copy of the package, and the command
+runs against that copy.  A mutant is killed when the command exits nonzero
+or outlasts the time limit.  A mutant that exits 0 is ``changed`` when its
+stdout differs from the unmutated run's: the command's checks missed a fault
+that shows in its output, such as terms printed out of order.  The other
+survivors are either a gap in the checks or a mutant that changes nothing.
 The limit is ten times the command's time on the unmutated module, and at
 least five seconds.  A timeout counts as a kill, so a mutant that only
 makes the command slow (say, one that loosens a size guard and then
@@ -47,7 +47,8 @@ SWAPS = {
 
 def mutations(tree: ast.Module, functions: set[str]):
     """(line, description, apply) for every site, in a fixed order."""
-    for fn in tree.body:
+    methods = [node for cls in tree.body if isinstance(cls, ast.ClassDef) for node in cls.body]
+    for fn in tree.body + methods:
         if not (isinstance(fn, ast.FunctionDef) and fn.name in functions):
             continue
         for node in ast.walk(fn):
