@@ -35,7 +35,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Iterator, Sequence, Union
@@ -91,12 +90,10 @@ def _coerce_param(x) -> LaurentPoly:
     )
 
 
-@dataclass(frozen=True)
 class UnramifiedRep:
     """An unramified representation given by its Satake parameters."""
 
-    rank: int
-    satake: tuple[LaurentPoly, ...]
+    __slots__ = ("rank", "satake", "_schur")
 
     def __init__(self, rank: int, satake: Sequence):
         if not isinstance(rank, int) or rank < 1:
@@ -107,10 +104,10 @@ class UnramifiedRep:
                 f"rank {rank} representation needs {rank} Satake parameters, "
                 f"got {len(params)}"
             )
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "satake", params)
+        self.rank = rank
+        self.satake = params
         # partition -> Schur value at the Satake parameters, filled by schur()
-        object.__setattr__(self, "_schur", {})
+        self._schur = {}
 
     @classmethod
     def symbolic(cls, rank: int, prefix: str = "a") -> "UnramifiedRep":

@@ -23,7 +23,6 @@ the ``weyl`` and ``cusp`` suites check both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -41,20 +40,17 @@ def _coerce_param(x) -> LaurentPoly:
     return LaurentPoly.const(Fraction(x))
 
 
-@dataclass(frozen=True)
 class ParamPair:
     """A pair of spectral parameters together with the rank parameter n."""
 
-    s: LaurentPoly
-    w: LaurentPoly
-    n: int
+    __slots__ = ("s", "w", "n")
 
     def __init__(self, s, w, n: int):
         if not isinstance(n, int) or n < 2:
             raise ValueError(f"the rank parameter must be an integer >= 2, got {n!r}")
-        object.__setattr__(self, "s", _coerce_param(s))
-        object.__setattr__(self, "w", _coerce_param(w))
-        object.__setattr__(self, "n", n)
+        self.s = _coerce_param(s)
+        self.w = _coerce_param(w)
+        self.n = n
 
     @classmethod
     def symbolic(cls, n: int) -> "ParamPair":

@@ -17,7 +17,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, Iterable, Sequence
 
 PASS = "pass"
@@ -25,23 +25,16 @@ FAIL = "fail"
 ERROR = "error"
 
 
-@dataclass
-class CheckResult:
-    id: str
-    description: str
-    status: str
-    witness: str | None
-    millis: int
+class CheckResult(namedtuple("CheckResult", "id description status witness millis")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return self.status == PASS
 
 
-@dataclass
-class SuiteReport:
-    suite: str
-    checks: list[CheckResult]
+class SuiteReport(namedtuple("SuiteReport", "suite checks")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -20,7 +20,7 @@ runs emit identical reports.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -57,20 +57,17 @@ from .zeta import (
 )
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
+class SuiteConfig(namedtuple("SuiteConfig", "n_max order p seed")):
     """Knobs shared by the suites; defaults match the standard battery."""
 
-    n_max: int = 10
-    order: int = 6
-    p: int = 2
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.order < 0:
+    def __new__(cls, n_max: int = 10, order: int = 6, p: int = 2, seed: int = 0):
+        if order < 0:
             raise ValueError("series order must be nonnegative")
         # weight-q feeds p to the congruence index, which needs a prime power
-        require_prime_power(self.p)
+        require_prime_power(p)
+        return super().__new__(cls, n_max, order, p, seed)
 
 
 def _all_pass(checks: list[Check]) -> Body:
@@ -324,7 +321,7 @@ def _weyl_dimension(lam: Partition, n: int) -> Fraction:
 
 def _pieri_add_one_box(lam: Partition, n: int) -> list[Partition]:
     out = []
-    parts = list(lam.padded(min(lam.length + 1, n)))
+    parts = list(lam.padded(min(len(lam) + 1, n)))
     for i in range(len(parts)):
         grown = parts.copy()
         grown[i] += 1
@@ -570,6 +567,12 @@ def suite_charsum(cfg: SuiteConfig) -> SuiteReport:
                         if any(oracle[1:]) or exact != LaurentPoly.const(oracle[0]):
                             return False, (
                                 f"vals={vals}: exact {exact.to_text()} vs cyclotomic {list(oracle)}"
+                            )
+                        at_p = character_sum("q", m, vals).substitute("q", p)
+                        if at_p != exact:
+                            return False, (
+                                f"vals={vals}: exact {exact.to_text()} vs symbolic at q={p} "
+                                f"{at_p.to_text()}"
                             )
                     return True, None
 

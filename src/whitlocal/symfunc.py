@@ -16,20 +16,18 @@ convention used by the spherical Whittaker values built on top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .exactalg import InexactDivision, LaurentPoly, TruncatedSeries
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(tuple):
     """A weakly decreasing tuple of nonnegative integers, trailing zeros dropped."""
 
-    parts: tuple[int, ...]
+    __slots__ = ()
 
-    def __init__(self, parts: Iterable[int] = ()):
+    def __new__(cls, parts: Iterable[int] = ()):
         parts = tuple(int(p) for p in parts)
         while parts and parts[-1] == 0:
             parts = parts[:-1]
@@ -38,26 +36,19 @@ class Partition:
                 raise ValueError(f"parts {parts} are not weakly decreasing")
         if parts and parts[-1] < 0:
             raise ValueError(f"parts {parts} contain a negative entry")
-        object.__setattr__(self, "parts", parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
+        return super().__new__(cls, parts)
 
     def part(self, i: int) -> int:
         """The i-th part (1-based), zero beyond the length."""
-        return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
+        return self[i - 1] if 1 <= i <= len(self) else 0
 
     def padded(self, n: int) -> tuple[int, ...]:
-        if n < self.length:
-            raise ValueError(f"cannot pad {self.parts} to shorter length {n}")
-        return self.parts + (0,) * (n - self.length)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
+        if n < len(self):
+            raise ValueError(f"cannot pad {tuple(self)} to shorter length {n}")
+        return self + (0,) * (n - len(self))
 
     def __str__(self) -> str:
-        return "(" + ",".join(str(p) for p in self.parts) + ")"
+        return "(" + ",".join(str(p) for p in self) + ")"
 
 
 def partitions_of(weight: int, max_length: int) -> Iterator[Partition]:
@@ -149,12 +140,12 @@ def schur(lam: Partition, xs: Sequence) -> LaurentPoly:
         lam = Partition(lam)
     values = [LaurentPoly.coerce(x) for x in xs]
     n = len(values)
-    if lam.length > n:
+    if len(lam) > n:
         return LaurentPoly.zero()
-    if lam.length == 0:
+    if not lam:
         return LaurentPoly.one()
     # |nu| - |mu| never exceeds nu_1 <= lam_1
-    top = lam.parts[0]
+    top = lam[0]
     powers = []
     for x in values:
         row = [LaurentPoly.one()]
@@ -231,7 +222,7 @@ def schur_bialternant_oracle(lam: Partition, names: Sequence[str]) -> LaurentPol
     n = len(names)
     if len(set(names)) != n:
         raise ValueError("bialternant oracle needs distinct variable names")
-    if lam.length > n:
+    if len(lam) > n:
         raise ValueError(
             f"partition {lam} has more parts than the {n} supplied variables"
         )

@@ -45,9 +45,8 @@ boundary, compared against the published approximation p^(-(n-1)m).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Optional, Union
 
 from .exactalg import (
     RESIDUE_CARDINALITY_VAR,
@@ -105,27 +104,23 @@ class SymbolCollision(ValueError):
     """Two data sets share a variable name that must stay independent."""
 
 
-@dataclass
-class ZetaResult:
+class ZetaResult(namedtuple("ZetaResult", "series lattice_points")):
     """A truncated lattice-sum series and the number of lattice points."""
 
-    series: TruncatedSeries
-    lattice_points: int
+    __slots__ = ()
 
     def to_json_obj(self) -> dict:
         return {"series": self.series.to_json_obj(), "latticePoints": self.lattice_points}
 
 
-@dataclass
-class PaperComparison:
+class PaperComparison(namedtuple("PaperComparison", "paper_constant computed_constant")):
     """A computed constant next to its published counterpart.
 
     Both constants are single terms, so ratio = computed * published^(-1)
     is exact.
     """
 
-    paper_constant: LaurentPoly
-    computed_constant: LaurentPoly
+    __slots__ = ()
 
     @property
     def ratio(self) -> LaurentPoly:
@@ -143,8 +138,10 @@ class PaperComparison:
         }
 
 
-@dataclass
-class WeightResult:
+class WeightResult(namedtuple(
+        "WeightResult",
+        "value place_kind paper_comparison paper_value index_set vanishes lattice_points",
+        defaults=(None,) * 5)):
     """The local weight attached to one place, with provenance of constants.
 
     value is the exact weight: a polynomial in X and Y at unramified places
@@ -153,13 +150,7 @@ class WeightResult:
     boundary case, and None when only the index set is determined.
     """
 
-    value: Union[LaurentPoly, TruncatedSeries, None]
-    place_kind: str
-    paper_comparison: Optional[PaperComparison] = None
-    paper_value: Union[LaurentPoly, TruncatedSeries, None] = None
-    index_set: Optional[tuple] = None
-    vanishes: Optional[bool] = None
-    lattice_points: Optional[int] = None
+    __slots__ = ()
 
     def to_json_obj(self) -> dict:
         def encode(v):
@@ -390,7 +381,7 @@ def weight_at_l(rep_mid: UnramifiedRep, rep_small: UnramifiedRep, m: int,
         )
 
     value = times_l_denominator(direct_series, rep_mid, rep_small)
-    paper_value = times_l_denominator(regrouped_series, rep_mid, rep_small) * paper_const
+    paper_value = value * paper_const
     comparison = PaperComparison(paper_constant=paper_const, computed_constant=computed_const)
     return WeightResult(
         value=value,

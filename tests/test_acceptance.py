@@ -121,8 +121,8 @@ def test_criterion_06_schur_oracles():
         h1 = sum(values, LaurentPoly.zero())
         for lam in partitions_up_to(4, n):
             rhs = LaurentPoly.zero()
-            for i in range(min(lam.length + 1, n)):
-                grown = list(lam.padded(min(lam.length + 1, n)))
+            for i in range(min(len(lam) + 1, n)):
+                grown = list(lam.padded(min(len(lam) + 1, n)))
                 grown[i] += 1
                 if all(a >= b for a, b in zip(grown, grown[1:])):
                     rhs = rhs + schur(Partition(grown), values)

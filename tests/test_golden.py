@@ -1,9 +1,11 @@
 """Committed bytes: the whole verification battery and five payloads.
 
-``golden/verify_all_seed0.json`` is the stdout of
-``whitlocal verify --suite all --jobs 1 --seed 0 --emit json``.  Any change
-to a check id, description, status or witness, or to the report layout,
-shows up here as a byte difference.
+``golden/verify_all_seed0.EMIT`` is the stdout of
+``whitlocal verify --suite all --jobs 1 --seed 0 --emit EMIT``, and
+``golden/verify_negative_control.json`` that of
+``whitlocal verify --suite negative-control --emit json``, whose witnesses
+print parameter pairs.  Any change to a check id, description, status or
+witness, or to the report layout, shows up here as a byte difference.
 
 ``golden/payloads/NAME.EMIT`` is the stdout of one command line of
 ``PAYLOADS`` with ``--emit EMIT``, so that a change in how ``closedForm``,
@@ -16,8 +18,8 @@ import pytest
 
 from whitlocal.cli import EMIT_CHOICES, main
 
-GOLDEN = Path(__file__).parent / "golden" / "verify_all_seed0.json"
-PAYLOAD_DIR = Path(__file__).parent / "golden" / "payloads"
+GOLDEN_DIR = Path(__file__).parent / "golden"
+PAYLOAD_DIR = GOLDEN_DIR / "payloads"
 
 PAYLOADS = {
     "zeta_n2_order4": ["zeta", "--n", "2", "--order", "4"],
@@ -35,7 +37,22 @@ def test_verify_all_matches_golden_bytes(capsys):
     code = main(["verify", "--suite", "all", "--jobs", "1", "--seed", "0", "--emit", "json"])
     out, _ = capsys.readouterr()
     assert code == 0
-    assert out == GOLDEN.read_text()
+    assert out == (GOLDEN_DIR / "verify_all_seed0.json").read_text()
+
+
+@pytest.mark.parametrize("emit", ["csv", "text"])
+def test_verify_all_matches_golden_bytes_in_other_formats(emit, capsys):
+    code = main(["verify", "--suite", "all", "--jobs", "1", "--seed", "0", "--emit", emit])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert out.encode() == (GOLDEN_DIR / f"verify_all_seed0.{emit}").read_bytes()
+
+
+def test_negative_control_matches_golden_bytes(capsys):
+    code = main(["verify", "--suite", "negative-control", "--emit", "json"])
+    out, _ = capsys.readouterr()
+    assert code == 1
+    assert out.encode() == (GOLDEN_DIR / "verify_negative_control.json").read_bytes()
 
 
 @pytest.mark.parametrize("emit", EMIT_CHOICES)

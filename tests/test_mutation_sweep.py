@@ -1,4 +1,5 @@
-"""tools/mutation_sweep.py tells a mutant that changes the output from one that changes nothing."""
+"""tools/mutation_sweep.py tells a mutant that changes the output from one that changes nothing,
+and refuses a function name it cannot sweep."""
 
 import ast
 import importlib.util
@@ -30,3 +31,15 @@ def test_a_method_of_a_class_is_swept():
     tree = ast.parse("class C:\n    def f(self, x):\n        return x + 1\n")
     sites = [(line, what) for line, what, _ in sweep.mutations(tree, {"f"})]
     assert sites == [(3, "Add -> Sub"), (3, "1 -> 2")]
+
+
+def test_an_unknown_function_is_refused():
+    # a tuple subclass has no __init__ to sweep, so the name matches nothing
+    proc = subprocess.run(
+        [sys.executable, str(SWEEP), "--module", "symfunc", "--function", "schur",
+         "--function", "__init__", "--", "verify", "--suite", "schur"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: symfunc has no function or method named __init__\n"

@@ -24,7 +24,7 @@ ALLOWED = {
     "pickle would copy the slots, whose packed keys only this process can read",
 }
 # text for witnesses and debugging
-ALLOWED_METHODS = ("__str__", "__repr__", "__iter__")
+ALLOWED_METHODS = ("__str__", "__repr__")
 
 ARGV = [
     ["lfactor"],
@@ -67,8 +67,7 @@ def public_code() -> dict[str, object]:
                     if attr.startswith("_") and not (attr.startswith("__") and attr.endswith("__")):
                         continue
                     fn = getattr(member, "__func__", None) or getattr(member, "fget", None) or member
-                    # dataclass-generated methods have no source file in the package
-                    if inspect.isfunction(fn) and fn.__code__.co_filename == mod.__file__:
+                    if inspect.isfunction(fn):
                         found[f"{info.name}.{name}.{attr}"] = fn.__code__
     return found
 

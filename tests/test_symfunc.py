@@ -1,5 +1,6 @@
 """Schur polynomials against independent oracles and classical identities."""
 
+import pickle
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
@@ -38,7 +39,7 @@ def weyl_dimension(lam: Partition, n: int) -> Fraction:
 class TestPartition:
     def test_trailing_zeros_dropped(self):
         assert Partition((3, 1, 0, 0)) == Partition((3, 1))
-        assert Partition(()).length == 0
+        assert len(Partition(())) == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -48,21 +49,29 @@ class TestPartition:
 
     def test_accessors(self):
         lam = Partition((4, 2, 1))
-        assert lam.length == 3
+        assert len(lam) == 3
         assert lam.part(2) == 2
         assert lam.part(9) == 0
         assert lam.padded(5) == (4, 2, 1, 0, 0)
 
+    def test_is_the_tuple_of_its_parts(self):
+        lam = Partition([2, 1, 0])
+        assert isinstance(lam, tuple) and lam == (2, 1) and lam[0] == 2
+        assert hash(lam) == hash((2, 1))
+        assert str(lam) == "(2,1)"
+        back = pickle.loads(pickle.dumps(lam))
+        assert type(back) is Partition and back == lam
+
 
 class TestEnumeration:
     def test_lex_descending_order(self):
-        got = [p.parts for p in partitions_of(4, 4)]
+        got = [tuple(p) for p in partitions_of(4, 4)]
         assert got == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
     def test_length_cap(self):
-        assert [p.parts for p in partitions_of(4, 2)] == [(4,), (3, 1), (2, 2)]
+        assert [tuple(p) for p in partitions_of(4, 2)] == [(4,), (3, 1), (2, 2)]
         assert list(partitions_of(3, 0)) == []
-        assert [p.parts for p in partitions_of(0, 0)] == [()]
+        assert [tuple(p) for p in partitions_of(0, 0)] == [()]
 
     def test_known_counts(self):
         # partition numbers p(0..8) with unrestricted length
@@ -159,8 +168,8 @@ class TestSchur:
         h1 = sum(values, LaurentPoly.zero())
         for lam in partitions_up_to(4, n):
             rhs = LaurentPoly.zero()
-            for i in range(min(lam.length + 1, n)):
-                grown = list(lam.padded(min(lam.length + 1, n)))
+            for i in range(min(len(lam) + 1, n)):
+                grown = list(lam.padded(min(len(lam) + 1, n)))
                 grown[i] += 1
                 if all(a >= b for a, b in zip(grown, grown[1:])):
                     rhs = rhs + schur(Partition(grown), values)
@@ -170,7 +179,7 @@ class TestSchur:
         lam = Partition((3, 2))
         poly = schur(lam, _vars(3))
         for exps, _ in poly.sorted_terms():
-            assert sum(e for _, e in exps) == sum(lam.parts)
+            assert sum(e for _, e in exps) == sum(lam)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_inversion_duality(self, n):

@@ -4,7 +4,9 @@ Each mutant changes one site inside the named top-level functions (or
 methods of top-level classes) of one ``whitlocal`` module: it swaps ``+``
 and ``-``, turns ``*`` into ``//``, swaps ``<`` and ``<=``, ``>`` and
 ``>=``, ``==`` and ``!=``, or adds 1 to an int constant (DeMillo, Lipton and
-Sayward, "Hints on test data selection", 1978).  The mutated module is
+Sayward, "Hints on test data selection", 1978).  A name that is neither
+function nor method of the module is refused with exit status 2, rather than
+swept as zero mutants.  The mutated module is
 written with ``ast.unparse`` into a copy of the package, and the command
 runs against that copy.  A mutant is killed when the command exits nonzero
 or outlasts the time limit.  A mutant that exits 0 is ``changed`` when its
@@ -45,11 +47,16 @@ SWAPS = {
 }
 
 
+def definitions(tree: ast.Module) -> list[ast.FunctionDef]:
+    """The top-level functions and the methods of top-level classes."""
+    methods = [node for cls in tree.body if isinstance(cls, ast.ClassDef) for node in cls.body]
+    return [fn for fn in tree.body + methods if isinstance(fn, ast.FunctionDef)]
+
+
 def mutations(tree: ast.Module, functions: set[str]):
     """(line, description, apply) for every site, in a fixed order."""
-    methods = [node for cls in tree.body if isinstance(cls, ast.ClassDef) for node in cls.body]
-    for fn in tree.body + methods:
-        if not (isinstance(fn, ast.FunctionDef) and fn.name in functions):
+    for fn in definitions(tree):
+        if fn.name not in functions:
             continue
         for node in ast.walk(fn):
             if isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in SWAPS:
@@ -91,7 +98,13 @@ def main() -> int:
     args = parser.parse_args()
 
     original = (args.src / "whitlocal" / f"{args.module}.py").read_text()
-    count = sum(1 for _ in mutations(ast.parse(original), set(args.functions)))
+    tree = ast.parse(original)
+    unknown = set(args.functions) - {fn.name for fn in definitions(tree)}
+    if unknown:
+        print(f"error: {args.module} has no function or method named "
+              f"{', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    count = sum(1 for _ in mutations(tree, set(args.functions)))
     with tempfile.TemporaryDirectory() as tmp:
         package = Path(tmp) / "whitlocal"
         shutil.copytree(args.src / "whitlocal", package,
