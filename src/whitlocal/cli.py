@@ -476,7 +476,3 @@ def main(argv: list[str] | None = None) -> int:
     except ArithmeticError as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

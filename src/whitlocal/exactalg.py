@@ -48,8 +48,8 @@ no per-term tuple; text reads each factor string from a per-slot cache.
 _ranked, which variables and the emitters use, scans only the slots up to
 the highest one the keys use, so names interned after a polynomial's
 variables cost its decoding nothing.  coefficients_in reads a single
-slot's field, and substitute goes through coefficients_in.  There is no
-parser and no evaluator.
+slot's field, as the TruncatedSeries constructor does, and substitute
+goes through coefficients_in.  There is no parser and no evaluator.
 
 All values are immutable and all operations are pure: they return new
 objects and never mutate their inputs.  Serialization (text and JSON) is
@@ -86,7 +86,7 @@ class DivisionByZero(ZeroDivisionError):
 
 
 class VariableMismatch(ValueError):
-    """Two truncated series over different distinguished variables were mixed."""
+    """Two truncated series in different variables or to different orders were multiplied."""
 
 
 class InexactDivision(ArithmeticError):
@@ -153,11 +153,6 @@ def _fields(key: int) -> list[tuple[int, int]]:
     return out
 
 
-def _key_span(key: int) -> int:
-    """The largest absolute field of a packed key."""
-    return max((abs(f) for _, f in _fields(key)), default=0)
-
-
 def _exponent(name: str, f: int) -> Scalar:
     """The exponent a field stands for: half of it on q."""
     if name != RESIDUE_CARDINALITY_VAR:
@@ -204,9 +199,11 @@ def _product_span(a: Iterable[int], b: Iterable[int]) -> int:
 
 def _power_span(key: int, k: int) -> int:
     """The largest field of the k-th power of a key; raises beyond the limit."""
+    span = 0
     for slot, f in _fields(key):
         _check_field(slot, f * k)
-    return _key_span(key) * abs(k)
+        span = max(span, abs(f * k))
+    return span
 
 
 def _to_field(name: str, e: Scalar) -> int:
@@ -222,15 +219,6 @@ def _to_field(name: str, e: Scalar) -> int:
         )
     _check_field(_SLOTS[name], f)
     return f
-
-
-def _pack(exps: Iterable[tuple[str, Scalar]]) -> int:
-    """The packed key of (name, exponent) pairs; repeated names multiply."""
-    merged: dict[str, Scalar] = {}
-    for name, e in exps:
-        _slot(name)
-        merged[name] = _norm_exp(merged.get(name, 0) + _norm_exp(e))
-    return sum(_to_field(name, e) << (FIELD_BITS * _SLOTS[name]) for name, e in merged.items())
 
 
 def _ranked(keys) -> tuple[list[str], list[int], int]:
@@ -311,20 +299,6 @@ def _poly(terms: dict[int, Scalar], span: int) -> "LaurentPoly":
     return p
 
 
-def _collect(pairs: Iterable[tuple[int, Scalar]]) -> "LaurentPoly":
-    """The sum of (packed key, coefficient) terms."""
-    terms: dict[int, Scalar] = {}
-    span = 0
-    for key, c in pairs:
-        s = terms.get(key, 0) + _coeff(c)
-        if s:
-            terms[key] = s if type(s) is int or s.denominator != 1 else s.numerator
-            span = max(span, _key_span(key))
-        else:
-            terms.pop(key, None)
-    return _poly(terms, span)
-
-
 class LaurentPoly:
     """A multivariate Laurent polynomial with rational coefficients.
 
@@ -337,9 +311,14 @@ class LaurentPoly:
     __slots__ = ("terms", "_span")
 
     def __init__(self, terms: Mapping[Exps, Scalar] | None = None):
-        p = _collect((_pack(exps), c) for exps, c in (terms or {}).items())
-        self.terms: dict[int, Scalar] = p.terms
-        self._span = p._span
+        total = LaurentPoly.zero()
+        for exps, c in (terms or {}).items():
+            term = LaurentPoly.const(c)
+            for name, e in exps:
+                term = term * LaurentPoly.var(name, e)
+            total = total + term
+        self.terms: dict[int, Scalar] = total.terms
+        self._span = total._span
 
     # -- constructors ---------------------------------------------------
 
@@ -369,8 +348,6 @@ class LaurentPoly:
             return x
         if isinstance(x, (int, Fraction)):
             return LaurentPoly.const(x)
-        if isinstance(x, str):
-            return LaurentPoly.var(x)
         raise TypeError(f"cannot interpret {x!r} as a Laurent polynomial")
 
     # -- structure ------------------------------------------------------
@@ -640,18 +617,20 @@ class TruncatedSeries:
     """A power series in one distinguished variable, truncated at a fixed order.
 
     coeffs[k] is the coefficient of var^k and never mentions var itself.
-    A product truncates to the shorter order of its two operands.
+    Two series multiply only in the same variable and to the same order.
     """
 
     __slots__ = ("var", "coeffs")
 
     def __init__(self, var: str, coeffs: Sequence):
-        _slot(var)
+        slot = _slot(var)
         coeffs = tuple(LaurentPoly.coerce(c) for c in coeffs)
         if not coeffs:
             raise ValueError("a truncated series needs at least the order-0 coefficient")
+        # the field of var in each key, read as coefficients_in reads it
+        bias, shift = _bias(slot), FIELD_BITS * slot
         for k, c in enumerate(coeffs):
-            if var in c.variables():
+            if any((key + bias) >> shift & _MASK != _HALF for key in c.terms):
                 raise ValueError(
                     f"coefficient of {var}^{k} mentions the series variable"
                 )
@@ -666,38 +645,27 @@ class TruncatedSeries:
     def one(cls, var: str, order: int) -> "TruncatedSeries":
         return cls(var, [LaurentPoly.one()] + [LaurentPoly.zero()] * order)
 
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order >= self.order:
-            return self
-        return TruncatedSeries(self.var, self.coeffs[: order + 1])
-
-    def _align(self, other) -> tuple["TruncatedSeries", "TruncatedSeries"]:
-        if not isinstance(other, TruncatedSeries):
-            raise TypeError(f"expected a TruncatedSeries, got {type(other).__name__}")
-        if other.var != self.var:
-            raise VariableMismatch(
-                f"series in {self.var!r} combined with series in {other.var!r}"
-            )
-        n = min(self.order, other.order)
-        return self.truncate(n), other.truncate(n)
-
     def __mul__(self, other) -> "TruncatedSeries":
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
         if isinstance(other, LaurentPoly):
             return TruncatedSeries(self.var, [c * other for c in self.coeffs])
-        a, b = self._align(other)
-        n = a.order
+        if not isinstance(other, TruncatedSeries):
+            raise TypeError(f"expected a TruncatedSeries, got {type(other).__name__}")
+        if other.var != self.var or other.order != self.order:
+            raise VariableMismatch(
+                f"series in {self.var!r} to order {self.order} times "
+                f"series in {other.var!r} to order {other.order}"
+            )
+        n = self.order
         out = [LaurentPoly.zero() for _ in range(n + 1)]
-        for i, ci in enumerate(a.coeffs):
+        for i, ci in enumerate(self.coeffs):
             if ci.is_zero():
                 continue
             for j in range(0, n - i + 1):
-                cj = b.coeffs[j]
+                cj = other.coeffs[j]
                 if cj.is_zero():
                     continue
                 out[i + j] = out[i + j] + ci * cj
-        return TruncatedSeries(a.var, out)
+        return TruncatedSeries(self.var, out)
 
     __rmul__ = __mul__
 

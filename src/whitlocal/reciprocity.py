@@ -35,8 +35,6 @@ W_VAR = "w"
 def _coerce_param(x) -> LaurentPoly:
     if isinstance(x, LaurentPoly):
         return x
-    if isinstance(x, str):
-        return LaurentPoly.var(x)
     return LaurentPoly.const(Fraction(x))
 
 

@@ -58,11 +58,11 @@ from .zeta import (
 
 
 class SuiteConfig(namedtuple("SuiteConfig", "n_max order p seed")):
-    """Knobs shared by the suites; defaults match the standard battery."""
+    """Knobs shared by the suites; the verify parser declares their defaults."""
 
     __slots__ = ()
 
-    def __new__(cls, n_max: int = 10, order: int = 6, p: int = 2, seed: int = 0):
+    def __new__(cls, n_max: int, order: int, p: int, seed: int):
         if order < 0:
             raise ValueError("series order must be nonnegative")
         # weight-q feeds p to the congruence index, which needs a prime power
@@ -99,6 +99,21 @@ def _times_denominator(name: str, product) -> tuple[bool, str | None]:
     return True, None
 
 
+def _out_of_order(*polys) -> str | None:
+    """A witness when some polynomial's terms are not in canonical order.
+
+    The monomials of sorted_terms() must strictly increase under plain
+    tuple comparison of their (name, exponent) pairs, an order that does not
+    rest on the packed sort key of exactalg._ordered.
+    """
+    for p in polys:
+        monomials = [exps for exps, _ in p.sorted_terms()]
+        for a, b in zip(monomials, monomials[1:]):
+            if not a < b:
+                return f"terms out of order in {p.to_text()}: {a} before {b}"
+    return None
+
+
 def _involution_checks(n: int, dual) -> list[Check]:
     # The transform at rank parameter n, over the symbols s, w: the two
     # exponent identities, the involution property, the fixed point
@@ -125,7 +140,10 @@ def _involution_checks(n: int, dual) -> list[Check]:
     def involution():
         s, w, im = image()
         twice = dual(im)
-        return twice.s == s and twice.w == w, f"double image is {twice}"
+        if twice.s != s or twice.w != w:
+            return False, f"double image is {twice}"
+        witness = _out_of_order(im.s, im.w)
+        return witness is None, witness
 
     def fixed_point():
         fp = dual(ParamPair(half, half, n))
@@ -341,6 +359,8 @@ def suite_schur(cfg: SuiteConfig) -> SuiteReport:
                 bi = schur_bialternant_oracle(lam, names)
                 if got != bi:
                     return False, f"lambda={lam}: {got.to_text()} != {bi.to_text()}"
+                if witness := _out_of_order(got):
+                    return False, f"lambda={lam}: {witness}"
             return True, None
 
         def check_dimension(n=n):
@@ -604,6 +624,8 @@ def suite_contragredient(cfg: SuiteConfig) -> SuiteReport:
                         f"mu={mu}: matrix path {via_matrix.to_text()} != "
                         f"dual path {via_dual.to_text()}"
                     )
+                if witness := _out_of_order(via_dual):
+                    return False, f"mu={mu}: {witness}"
             return True, None
 
         checks.append((

@@ -38,10 +38,6 @@ class Partition(tuple):
             raise ValueError(f"parts {parts} contain a negative entry")
         return super().__new__(cls, parts)
 
-    def part(self, i: int) -> int:
-        """The i-th part (1-based), zero beyond the length."""
-        return self[i - 1] if 1 <= i <= len(self) else 0
-
     def padded(self, n: int) -> tuple[int, ...]:
         if n < len(self):
             raise ValueError(f"cannot pad {tuple(self)} to shorter length {n}")
@@ -136,8 +132,6 @@ def schur(lam: Partition, xs: Sequence) -> LaurentPoly:
 
     Returns zero when the partition has more parts than there are values.
     """
-    if not isinstance(lam, Partition):
-        lam = Partition(lam)
     values = [LaurentPoly.coerce(x) for x in xs]
     n = len(values)
     if len(lam) > n:
@@ -217,8 +211,6 @@ def schur_bialternant_oracle(lam: Partition, names: Sequence[str]) -> LaurentPol
     det(x_i^(lam_j + n - j)) divided exactly by the Vandermonde determinant
     prod_{i<j} (x_i - x_j).  Needs distinct variable names.
     """
-    if not isinstance(lam, Partition):
-        lam = Partition(lam)
     n = len(names)
     if len(set(names)) != n:
         raise ValueError("bialternant oracle needs distinct variable names")
@@ -226,7 +218,7 @@ def schur_bialternant_oracle(lam: Partition, names: Sequence[str]) -> LaurentPol
         raise ValueError(
             f"partition {lam} has more parts than the {n} supplied variables"
         )
-    exps = [lam.part(j + 1) + n - (j + 1) for j in range(n)]
+    exps = [part + n - j for j, part in enumerate(lam.padded(n), start=1)]
     matrix = [
         [LaurentPoly.var(names[i], exps[j]) if exps[j] else LaurentPoly.one() for j in range(n)]
         for i in range(n)

@@ -115,7 +115,4 @@ def twisted_value(rep: UnramifiedRep, mu: tuple[int, ...], m: int) -> LaurentPol
     if not mu and m > 0:
         # rank 1 has no constrained coordinate; keep the rank guard honest
         raise ValueError("twisted vectors need rank >= 2")
-    base = spherical_value(rep, (*mu, 0))
-    if base.is_zero():
-        return base
-    return qpow((n - 1) * m) * base
+    return qpow((n - 1) * m) * spherical_value(rep, (*mu, 0))

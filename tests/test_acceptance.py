@@ -77,8 +77,8 @@ def test_criterion_02_exponent_identities():
 
 def test_criterion_03_matrix_identities():
     t0 = time.perf_counter()
-    weyl = SUITES["weyl"](SuiteConfig(n_max=6))  # n = 2..6
-    cusp = SUITES["cusp"](SuiteConfig(n_max=4))  # n = 2..4
+    weyl = SUITES["weyl"](SuiteConfig(n_max=6, order=6, p=2, seed=0))  # n = 2..6
+    cusp = SUITES["cusp"](SuiteConfig(n_max=4, order=6, p=2, seed=0))  # n = 2..4
     ok = weyl.passed and len(weyl.checks) == 10 and cusp.passed and len(cusp.checks) == 12
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 1.0
@@ -87,7 +87,7 @@ def test_criterion_03_matrix_identities():
 
 def test_criterion_04_unramified_local_identity():
     t0 = time.perf_counter()
-    report = SUITES["unramified"](SuiteConfig(order=6))
+    report = SUITES["unramified"](SuiteConfig(n_max=10, order=6, p=2, seed=0))
     ok = report.passed and [c.id for c in report.checks] == [
         "ranks=(2,1),order=6", "ranks=(3,2),order=6", "ranks=(4,3),order=5"
     ]
@@ -97,7 +97,7 @@ def test_criterion_04_unramified_local_identity():
 
 
 def test_criterion_05_cauchy_identity():
-    report = SUITES["cauchy"](SuiteConfig(order=6))
+    report = SUITES["cauchy"](SuiteConfig(n_max=10, order=6, p=2, seed=0))
     ok = report.passed and [c.id for c in report.checks] == [
         f"n={n},m={m},order=6" for n, m in product((1, 2, 3), repeat=2)
     ]

@@ -16,9 +16,9 @@ from fractions import Fraction
 import pytest
 
 import exactalg_reference as ref
-from whitlocal import cli, localrep, suites, symfunc, zeta
+from whitlocal import cli, exactalg, localrep, suites, symfunc, zeta
 from whitlocal.cli import main
-from whitlocal.exactalg import EXPONENT_LIMIT, qpow
+from whitlocal.exactalg import EXPONENT_LIMIT, LaurentPoly, qpow
 from whitlocal.localrep import EnumerationTooLarge, UnramifiedRep
 from whitlocal.report import CheckResult, SuiteReport, report_to_json
 from whitlocal.suites import WORK_BOUNDS, SuiteConfig
@@ -182,19 +182,34 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["series"]["order"] == 139
 
-    @pytest.mark.parametrize("argv", [
+    # each command line with the ranks of its lattice series
+    DENOMINATOR_CASES = {
         # ranks (71, 70): 4970 products alpha_i beta_j, 1 term at X^0 and 4970 at X^1
-        ("weight", "--place", "l", "--n", "71", "--order", "1"),
-        ("weight", "--n", "49", "--order", "1"),
-        ("weight", "--n", "4", "--order", "4"),
-    ])
-    def test_lattice_count_also_bounds_the_denominators(self, argv, capsys):
-        # the lattice count is the only bound on the denominators; multiplying
-        # in the r*s linear factors one at a time took 12-27 s on the first
-        # two of these (2-vCPU host, Python 3.11)
-        start = time.perf_counter()
+        ("weight", "--place", "l", "--n", "71", "--order", "1"): [(71, 70)],
+        ("weight", "--n", "49", "--order", "1"): [(50, 49), (49, 48)],
+        ("weight", "--n", "4", "--order", "4"): [(5, 4), (4, 3)],
+    }
+
+    @pytest.mark.parametrize("argv", list(DENOMINATOR_CASES))
+    def test_lattice_count_also_bounds_the_denominators(self, argv, monkeypatch, capsys):
+        # the lattice count is the only bound on the denominators, so the
+        # polynomial work stays within a multiple of it: the three commands
+        # make 210k, 142k and 33k term products, and multiplying in the r*s
+        # linear factors one at a time makes the first about 12M.  Counted as
+        # bench/tracer.py counts them, so the bound holds on any host.
+        mul = LaurentPoly.__mul__
+        products = 0
+
+        def counted(a, b):
+            nonlocal products
+            products += len(a.terms) * (len(b.terms) if hasattr(b, "terms") else 1 if b else 0)
+            return mul(a, b)
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+        monkeypatch.setattr(LaurentPoly, "__rmul__", counted)
         code, out, _ = run_cli(*argv, capsys=capsys)
-        assert time.perf_counter() - start < 2
+        ranks = self.DENOMINATOR_CASES[argv]
+        assert products <= 50 * sum(zeta.lattice_terms(int(argv[-1]), ranks))
         assert code == 0
         assert json.loads(out)["placeKind"] in ("unramified", "dividing_l")
 
@@ -310,13 +325,25 @@ class TestExitCodes:
         for name, suite in suites.SUITES.items():
             if name in WORK_BOUNDS:
                 continue
-            cfg = Recording()
+            cfg = Recording(n_max=10, order=6, p=2, seed=0)
             reads.clear()
             report = suite(cfg)
             if reads & {"order", "n_max"}:
                 # read without a bound, so the suite must cap both itself
-                bigger = SuiteConfig(order=cfg.order + 4, n_max=cfg.n_max + 4)
+                bigger = SuiteConfig(n_max=cfg.n_max + 4, order=cfg.order + 4, p=cfg.p, seed=cfg.seed)
                 assert outcome(suite(bigger)) == outcome(report), name
+
+    def test_terms_out_of_canonical_order_fail_verify(self, monkeypatch, capsys):
+        ordered = exactalg._ordered
+
+        def reversed_keys(terms):
+            names, shifts, bias, keys = ordered(terms)
+            return names, shifts, bias, keys[::-1]
+
+        monkeypatch.setattr(exactalg, "_ordered", reversed_keys)
+        code, out, _ = run_cli("verify", "--suite", "involution", "--n-max", "2", capsys=capsys)
+        assert code == 1
+        assert "out of order" in out
 
     def test_exponent_field_bound(self, capsys):
         code, out, _ = run_cli("whittaker", "--n", "1", "--mu", str(EXPONENT_LIMIT),
@@ -495,14 +522,14 @@ class TestJobs:
     def test_workers_need_no_inherited_state(self):
         # a spawned worker starts from a fresh import, so this fails if the
         # task relied on anything a forked worker would inherit
-        cfg = SuiteConfig(n_max=3)
+        cfg = SuiteConfig(n_max=3, order=6, p=2, seed=0)
         ctx = multiprocessing.get_context("spawn")
         with concurrent.futures.ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
             report = pool.submit(cli._run_suite, "weyl", cfg).result(timeout=120)
         assert report_to_json(report) == report_to_json(cli._run_suite("weyl", cfg))
 
     def test_worker_task_pickles(self):
-        task = (cli._run_suite, "weyl", SuiteConfig(n_max=3, seed=5))
+        task = (cli._run_suite, "weyl", SuiteConfig(n_max=3, order=6, p=2, seed=5))
         fn, name, cfg = pickle.loads(pickle.dumps(task))
         assert fn is cli._run_suite
         assert cfg == task[2]

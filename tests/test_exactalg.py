@@ -316,6 +316,21 @@ class TestExponentField:
         with pytest.raises(ValueError, match="half-integer"):
             LaurentPoly.var("v1", Fraction(1, 2))
 
+    def test_constructor_refuses_what_var_refuses(self):
+        # each term is a product of var factors, so repeated names multiply
+        assert LaurentPoly({(("x", 2), ("q", Fraction(1, 2)), ("x", -1)): 3}) == (
+            3 * qpow(Fraction(1, 2)) * X)
+        assert LaurentPoly({(("x", EXPONENT_LIMIT), ("x", -1)): 1}) == LaurentPoly.var(
+            "x", EXPONENT_LIMIT - 1)
+        with pytest.raises(ValueError, match="half-integer"):
+            LaurentPoly({(("x", Fraction(1, 2)),): 1})
+        with pytest.raises(ExponentOutOfRange):
+            LaurentPoly({(("x", EXPONENT_LIMIT + 1),): 1})
+        with pytest.raises(ExponentOutOfRange):
+            LaurentPoly({(("x", EXPONENT_LIMIT), ("x", 1)): 1})
+        with pytest.raises(ValueError, match="variable name"):
+            LaurentPoly({(("3x", 1),): 1})
+
     def test_a_bound_is_a_value_error(self):
         assert issubclass(ExponentOutOfRange, ValueError)
 
@@ -437,22 +452,31 @@ class TestTruncatedSeries:
             with pytest.raises(ValueError, match="mentions the series variable"):
                 TruncatedSeries.one("x", 3) * factor
 
-    def test_mul_aligns_to_shorter_order(self):
+    def test_product_needs_the_same_order(self):
         a = _powers(Y, "x", 5)
         b = TruncatedSeries.one("x", 3)
-        assert a * b == a.truncate(3)
-        assert b * a == a.truncate(3)
-        assert (a * b).order == 3
+        with pytest.raises(VariableMismatch, match="'x' to order 5 times series in 'x' to order 3"):
+            a * b
+        with pytest.raises(VariableMismatch, match="order 3 times .* order 5"):
+            b * a
+        assert a * TruncatedSeries.one("x", 5) == a
 
     def test_scalar_multiplication(self):
-        s = _powers(LaurentPoly.one(), "x", 4) * Fraction(1, 2)
-        assert s.coeffs[3] == LaurentPoly.const(Fraction(1, 2))
-        assert (2 * s).coeffs[3] == LaurentPoly.one()
+        half = LaurentPoly.const(Fraction(1, 2))
+        s = _powers(LaurentPoly.one(), "x", 4) * half
+        assert s.coeffs[3] == half
+        assert (LaurentPoly.const(2) * s).coeffs[3] == LaurentPoly.one()
+        # a scalar factor is a LaurentPoly, never a bare number
+        for number in (2, Fraction(1, 2)):
+            with pytest.raises(TypeError):
+                s * number
+            with pytest.raises(TypeError):
+                number * s
 
     def test_product_needs_same_variable(self):
         a = TruncatedSeries.one("x", 2)
         b = TruncatedSeries.one("t", 2)
-        with pytest.raises(VariableMismatch):
+        with pytest.raises(VariableMismatch, match="'x' to order 2 times series in 't'"):
             a * b
         assert a != b
 

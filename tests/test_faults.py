@@ -15,7 +15,7 @@ from whitlocal.exactalg import LaurentPoly, TruncatedSeries, qpow
 from whitlocal.reciprocity import ParamPair, SymbolicMatrix, dual_params
 from whitlocal.suites import SUITES, SuiteConfig
 
-CONFIG = SuiteConfig(n_max=3, order=2)
+CONFIG = SuiteConfig(n_max=3, order=2, p=2, seed=0)
 
 
 def _statuses(suite):
