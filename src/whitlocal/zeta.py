@@ -30,11 +30,10 @@ its denominator prod_(i,j) (1 - alpha_i beta_j X): the series times the
 denominator, truncated, must be 1.  No series is ever inverted.
 
 At a place dividing the twisting level, the level-m vector restricts the
-lattice by mu_(n-1) >= m.  The weight there is computed two ways: directly,
-from the same lattice routine with the character-orthogonality constant,
-and through the regrouped enumeration used in published derivations, with
-its own Schur evaluations; the printed constant of the published form
-differs, and both are returned together with their exact ratio.
+lattice by mu_(n-1) >= m.  The weight there is the same lattice sum, with
+the character-orthogonality constant carried explicitly; the printed
+constant of the published form differs, and both are returned together
+with their exact ratio.
 
 At a place dividing the auxiliary modulus only the structural shape is
 computable: the basis index set, the vanishing verdict when the local
@@ -62,7 +61,7 @@ from .localrep import (
     contragredient,
     require_prime_power,
 )
-from .symfunc import Partition, partitions_of, schur
+from .symfunc import Partition, partitions_of
 from .whittaker import delta_half, spherical_value, twist_constants, twisted_value
 
 PLACE_UNRAMIFIED = "unramified"
@@ -197,7 +196,7 @@ def _check_symbols(rep_a: UnramifiedRep, rep_b: UnramifiedRep, var: str) -> None
 
 
 def l_factor_denominator(rep_a: UnramifiedRep, rep_b: UnramifiedRep,
-                         var: str = "X") -> LaurentPoly:
+                         var: str) -> LaurentPoly:
     """prod (1 - alpha_i beta_j var): the local Rankin-Selberg L-factor is 1 over it.
 
     The product has degree r*s in var, so it is the series at that order.
@@ -238,12 +237,24 @@ def _lattice_series(rep_a: UnramifiedRep, rep_b: UnramifiedRep, var: str,
                     order: int, m: int) -> ZetaResult:
     """The Whittaker lattice sum over mu of length n = rep_b.rank with mu_n >= m.
 
-    rep_a has rank n + 1.  Each side of a term is checked exactly against
-    its Schur value before the two are multiplied, so a fault in the
-    modulus bookkeeping of one side raises even when the other side would
+    Every lattice sum of this module is computed here, and its inputs are
+    checked here: rep_a has rank n + 1, m and the order are nonnegative,
+    and the Satake symbols are independent and avoid var and q.  Each side
+    of a term is checked exactly against its Schur value, the sum's one
+    oracle, before the two are multiplied, so a fault in the modulus
+    bookkeeping of one side raises even when the other side would
     compensate it.
     """
     n = rep_b.rank
+    if rep_a.rank != n + 1:
+        raise RankMismatch(
+            f"expected ranks (n+1, n), got ({rep_a.rank}, {rep_b.rank})"
+        )
+    if m < 0:
+        raise ValueError("the level must be nonnegative")
+    _check_symbols(rep_a, rep_b, var)
+    if order < 0:
+        raise ValueError("series order must be nonnegative")
     coeffs = [LaurentPoly.zero() for _ in range(order + 1)]
     lattice = 0
     for k in range(n * m, order + 1):
@@ -266,7 +277,7 @@ def _lattice_series(rep_a: UnramifiedRep, rep_b: UnramifiedRep, var: str,
 
 
 def local_zeta_unramified(rep_a: UnramifiedRep, rep_b: UnramifiedRep,
-                          var: str = "X", order: int = 6) -> ZetaResult:
+                          var: str, order: int) -> ZetaResult:
     """The unramified local zeta integral as a dominant-lattice sum.
 
     rep_a has rank one more than rep_b.  This is the lattice sum at level
@@ -275,14 +286,6 @@ def local_zeta_unramified(rep_a: UnramifiedRep, rep_b: UnramifiedRep,
     modulus of the smaller group and the measure factor, and each side is
     asserted exactly to collapse to its Schur value.
     """
-    n = rep_b.rank
-    if rep_a.rank != n + 1:
-        raise RankMismatch(
-            f"expected ranks (n+1, n), got ({rep_a.rank}, {rep_b.rank})"
-        )
-    _check_symbols(rep_a, rep_b, var)
-    if order < 0:
-        raise ValueError("series order must be nonnegative")
     return _lattice_series(rep_a, rep_b, var, order, 0)
 
 
@@ -295,7 +298,7 @@ def _as_poly(series: TruncatedSeries) -> LaurentPoly:
 
 
 def weight_unramified(rep_big: UnramifiedRep, rep_mid: UnramifiedRep,
-                      rep_small: UnramifiedRep, order: int = 6) -> WeightResult:
+                      rep_small: UnramifiedRep, order: int) -> WeightResult:
     """The weight at an unramified place: the product of both normalized ratios.
 
     Computes the rank (n+1, n) integral against the contragredient of the
@@ -323,7 +326,7 @@ def weight_unramified(rep_big: UnramifiedRep, rep_mid: UnramifiedRep,
 
 
 def weight_at_l(rep_mid: UnramifiedRep, rep_small: UnramifiedRep, m: int,
-                var: str = "Y", order: int = 6) -> WeightResult:
+                var: str, order: int) -> WeightResult:
     """The weight at a place dividing the twisting level, to a given order.
 
     The level-m vector confines the lattice to mu_(n-1) >= m.  The value is
@@ -333,54 +336,19 @@ def weight_at_l(rep_mid: UnramifiedRep, rep_small: UnramifiedRep, m: int,
 
     computed from Whittaker values with every constant carried explicitly;
     the vector normalization and the orthogonality constant cancel exactly.
-    A second pass enumerates the same lattice grouped by the last
-    coordinate, evaluating the small side through the central-twist
-    identity, and must agree termwise.  The published form of this weight
-    carries q^((n-2)m) where orthogonality gives q^((n-1)m); paper_value
-    and paper_comparison record that variant and the exact ratio.
+    The lattice sum is the one of _lattice_series, which also checks the
+    inputs.  The published form of this weight carries q^((n-2)m) where
+    orthogonality gives q^((n-1)m); paper_value and paper_comparison record
+    that variant and the exact ratio.
 
     Division by the L-factor is exact: the series is multiplied by the
     denominator of L, so no series inversion is involved.
     """
-    n = rep_mid.rank
-    if rep_small.rank != n - 1:
-        raise RankMismatch(
-            f"expected ranks (n, n-1), got ({rep_mid.rank}, {rep_small.rank})"
-        )
-    if n < 2:
-        raise ValueError("the twisted weight needs rank >= 2")
-    if m < 0:
-        raise ValueError("the level must be nonnegative")
-    _check_symbols(rep_mid, rep_small, var)
-    if order < 0:
-        raise ValueError("series order must be nonnegative")
-
-    paper_const, computed_const = twist_constants(n, m)
-    # the direct sum: the level-m vector normalization q^(-(n-1)m) cancels
-    # the orthogonality constant of each twisted value
-    direct = _lattice_series(rep_mid, rep_small, var, order, m)
-    direct_series = direct.series
-
-    # regrouped enumeration: fix the last coordinate nu >= m, split mu = a + nu*1
-    small_product = rep_small.satake_product()
-    regrouped = [LaurentPoly.zero() for _ in range(order + 1)]
-    for nu in range(m, order // (n - 1) + 1):
-        head = (n - 1) * nu
-        central = small_product ** nu
-        for rest in range(order - head + 1):
-            for a in partitions_of(rest, n - 2):
-                mu_parts = tuple(p + nu for p in a.padded(n - 2)) + (nu,)
-                big_side = schur(Partition(mu_parts), rep_mid.satake)
-                small_side = central * schur(a, rep_small.satake)
-                regrouped[head + rest] = regrouped[head + rest] + big_side * small_side
-    regrouped_series = TruncatedSeries(var, regrouped)
-    if direct_series != regrouped_series:
-        raise ArithmeticError(
-            "direct and regrouped lattice enumerations disagree: "
-            f"{direct_series.to_text()} vs {regrouped_series.to_text()}"
-        )
-
-    value = times_l_denominator(direct_series, rep_mid, rep_small)
+    # the level-m vector normalization q^(-(n-1)m) cancels the
+    # orthogonality constant of each twisted value
+    z = _lattice_series(rep_mid, rep_small, var, order, m)
+    paper_const, computed_const = twist_constants(rep_mid.rank, m)
+    value = times_l_denominator(z.series, rep_mid, rep_small)
     paper_value = value * paper_const
     comparison = PaperComparison(paper_constant=paper_const, computed_constant=computed_const)
     return WeightResult(
@@ -388,7 +356,7 @@ def weight_at_l(rep_mid: UnramifiedRep, rep_small: UnramifiedRep, m: int,
         place_kind=PLACE_DIVIDING_L,
         paper_comparison=comparison,
         paper_value=paper_value,
-        lattice_points=direct.lattice_points,
+        lattice_points=z.lattice_points,
     )
 
 

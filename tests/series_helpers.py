@@ -1,5 +1,5 @@
-"""Truncated series for building test inputs: a polynomial read as a series,
-and the L-factor denominator truncated at an order."""
+"""Truncated series for tests: a polynomial read as a series, the L-factor
+denominator truncated at an order, and equality of two series."""
 
 from whitlocal.exactalg import LaurentPoly, TruncatedSeries
 from whitlocal.localrep import UnramifiedRep
@@ -18,6 +18,15 @@ def from_poly(p: LaurentPoly, var: str, order: int) -> TruncatedSeries:
         if e <= order:
             coeffs[e] = c
     return TruncatedSeries(var, coeffs)
+
+
+def same_series(a: TruncatedSeries, b: TruncatedSeries) -> bool:
+    """The same variable and the same coefficients, hence the same order.
+
+    TruncatedSeries defines no equality of its own, so == would compare
+    identity.
+    """
+    return a.var == b.var and a.coeffs == b.coeffs
 
 
 def l_denominator_series(rep_a: UnramifiedRep, rep_b: UnramifiedRep,

@@ -145,12 +145,12 @@ def test_criterion_08_weight_at_twisting_level():
     mid = UnramifiedRep.symbolic(2, "b")
     small = UnramifiedRep.symbolic(1, "g")
 
-    ok = weight_at_l(mid, small, 0, order=6).value.is_one()
+    ok = weight_at_l(mid, small, 0, "Y", 6).value.is_one()
     ok = ok and weight_at_l(UnramifiedRep.symbolic(3, "b"),
-                            UnramifiedRep.symbolic(2, "g"), 0, order=4).value.is_one()
+                            UnramifiedRep.symbolic(2, "g"), 0, "Y", 4).value.is_one()
 
     # path one: the library's direct tail enumeration
-    direct = weight_at_l(mid, small, 1, order=6).value
+    direct = weight_at_l(mid, small, 1, "Y", 6).value
 
     # path two, independently: 1 - L^(-1) * (partial sum below the level)
     y = LaurentPoly.var("Y")
@@ -175,7 +175,7 @@ def test_criterion_08_weight_at_twisting_level():
     for n, m in product((2, 3), (1, 2)):
         result = weight_at_l(
             UnramifiedRep.symbolic(n, "b"), UnramifiedRep.symbolic(n - 1, "g"),
-            m, order=8,
+            m, "Y", 8,
         )
         ok = ok and all(result.value.coeffs[k].is_zero() for k in range(n * m + 1, 9))
     _verdict(8, ok, "two-path level weight, explicit rank-2 form, degree bound")

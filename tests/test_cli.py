@@ -31,6 +31,24 @@ def run_cli(*argv, capsys=None):
     return code, out, err
 
 
+def count_term_products(monkeypatch) -> list[int]:
+    """Count the term products of LaurentPoly.__mul__ and __rmul__ from now on.
+
+    Counted as bench/tracer.py counts them, so a bound on the count holds on
+    any host.  The count so far is the one element of the returned list.
+    """
+    mul = LaurentPoly.__mul__
+    products = [0]
+
+    def counted(a, b):
+        products[0] += len(a.terms) * (len(b.terms) if hasattr(b, "terms") else 1 if b else 0)
+        return mul(a, b)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+    monkeypatch.setattr(LaurentPoly, "__rmul__", counted)
+    return products
+
+
 def run_process(*argv):
     return subprocess.run(
         [sys.executable, "-m", "whitlocal", *argv],
@@ -195,23 +213,23 @@ class TestExitCodes:
         # the lattice count is the only bound on the denominators, so the
         # polynomial work stays within a multiple of it: the three commands
         # make 210k, 142k and 33k term products, and multiplying in the r*s
-        # linear factors one at a time makes the first about 12M.  Counted as
-        # bench/tracer.py counts them, so the bound holds on any host.
-        mul = LaurentPoly.__mul__
-        products = 0
-
-        def counted(a, b):
-            nonlocal products
-            products += len(a.terms) * (len(b.terms) if hasattr(b, "terms") else 1 if b else 0)
-            return mul(a, b)
-
-        monkeypatch.setattr(LaurentPoly, "__mul__", counted)
-        monkeypatch.setattr(LaurentPoly, "__rmul__", counted)
+        # linear factors one at a time makes the first about 12M
+        products = count_term_products(monkeypatch)
         code, out, _ = run_cli(*argv, capsys=capsys)
         ranks = self.DENOMINATOR_CASES[argv]
-        assert products <= 50 * sum(zeta.lattice_terms(int(argv[-1]), ranks))
+        assert products[0] <= 50 * sum(zeta.lattice_terms(int(argv[-1]), ranks))
         assert code == 0
         assert json.loads(out)["placeKind"] in ("unramified", "dividing_l")
+
+    def test_the_twisted_weight_sums_its_lattice_once(self, monkeypatch, capsys):
+        # the level-1 lattice sum with the Schur check of each side, then the
+        # denominator: 5,610 term products.  A second, regrouped enumeration
+        # of the same lattice with Schur values of its own made 7,270.
+        products = count_term_products(monkeypatch)
+        code, _, _ = run_cli("weight", "--place", "l", "--n", "4", "--level", "1",
+                             "--order", "6", capsys=capsys)
+        assert code == 0
+        assert products[0] <= 5610
 
     @pytest.mark.parametrize("level, cond, code", [
         (139, 0, 0),  # 140 * 141 / 2 = 9870 triples
@@ -582,7 +600,7 @@ class TestPayloadContent:
         assert code == 0
         obj = json.loads(out)
         result = local_zeta_unramified(
-            UnramifiedRep.symbolic(2, "a"), UnramifiedRep.symbolic(1, "b"), order=4
+            UnramifiedRep.symbolic(2, "a"), UnramifiedRep.symbolic(1, "b"), "X", 4
         )
         assert obj["series"]["coeffs"] == [c.to_text() for c in result.series.coeffs]
         assert obj["matchesClosedForm"] is True

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exactalg_reference as ref
-from series_helpers import from_poly
+from series_helpers import from_poly, same_series
 from whitlocal import exactalg
 from whitlocal.exactalg import (
     DivisionByZero,
@@ -229,7 +229,7 @@ def test_rendering_the_4x4_denominator_adds_under_4_mb():
             "    return int(next(line.split()[1] for line in open('/proc/self/status')\n"
             "                    if line.startswith('VmHWM:')))\n"
             "den = l_factor_denominator(UnramifiedRep.symbolic(4, 'a'),\n"
-            "                           UnramifiedRep.symbolic(4, 'b'))\n"
+            "                           UnramifiedRep.symbolic(4, 'b'), 'X')\n"
             "assert len(den.terms) == 16145\n"
             "before = peak_kb()\n"
             "text = den.to_text()\n"
@@ -459,7 +459,7 @@ class TestTruncatedSeries:
             a * b
         with pytest.raises(VariableMismatch, match="order 3 times .* order 5"):
             b * a
-        assert a * TruncatedSeries.one("x", 5) == a
+        assert same_series(a * TruncatedSeries.one("x", 5), a)
 
     def test_scalar_multiplication(self):
         half = LaurentPoly.const(Fraction(1, 2))
@@ -478,7 +478,7 @@ class TestTruncatedSeries:
         b = TruncatedSeries.one("t", 2)
         with pytest.raises(VariableMismatch, match="'x' to order 2 times series in 't'"):
             a * b
-        assert a != b
+        assert not same_series(a, b)
 
     def test_json_round_trip(self):
         s = _powers(qpow(Fraction(-1, 2)) * Y, "x", 3)
@@ -490,7 +490,7 @@ class TestTruncatedSeries:
         }
         back = TruncatedSeries(obj["var"],
                                [packed(ref.LaurentPoly.parse(c)) for c in obj["coeffs"]])
-        assert back == s
+        assert same_series(back, s)
 
 
 def _times(series: TruncatedSeries, den: LaurentPoly) -> TruncatedSeries:
@@ -507,7 +507,7 @@ class TestSeriesExpand:
         # (1 - x^2) / (1 - x) = 1 + x
         series = from_poly(LaurentPoly.one() + X, "x", 6)
         want = from_poly(LaurentPoly.one() - X ** 2, "x", 6)
-        assert _times(series, LaurentPoly.one() - X) == want
+        assert same_series(_times(series, LaurentPoly.one() - X), want)
 
     def test_two_factor_denominator(self):
         z = LaurentPoly.var("z")
@@ -527,10 +527,10 @@ class TestSeriesExpand:
     def test_expand_times_denominator_recovers_numerator(self, num, order):
         den = LaurentPoly.one() - X * Y
         series = from_poly(num, "x", order)
-        assert _times(series, den) == from_poly(num * den, "x", order)
+        assert same_series(_times(series, den), from_poly(num * den, "x", order))
 
     def test_half_exponent_coefficients_survive(self):
         # q^(-1/2) / (1 - q^(1/2) x) = sum_k q^((k-1)/2) x^k
         series = TruncatedSeries("x", [qpow(Fraction(k - 1, 2)) for k in range(4)])
         got = _times(series, LaurentPoly.one() - qpow(Fraction(1, 2)) * X)
-        assert got == from_poly(qpow(Fraction(-1, 2)), "x", 3)
+        assert same_series(got, from_poly(qpow(Fraction(-1, 2)), "x", 3))

@@ -86,6 +86,24 @@ def test_unramified_shifted_l_factor_coefficient(monkeypatch):
     )
 
 
+@pytest.mark.parametrize("suite, witness", [
+    ("unramified", "4 lattice points, expected 3"),
+    ("weight-unramified", "25 lattice points, expected 23"),
+])
+def test_a_miscounted_lattice_fails(monkeypatch, suite, witness):
+    # one point too many per lattice sum; the series itself is right
+    original = zeta._lattice_series
+
+    def miscounted(*args):
+        result = original(*args)
+        return result._replace(lattice_points=result.lattice_points + 1)
+
+    monkeypatch.setattr(zeta, "_lattice_series", miscounted)
+    report, statuses = _statuses(suite)
+    assert statuses == {"fail"}
+    assert report.checks[0].witness == witness
+
+
 def test_cauchy_schur_plus_one_monomial(monkeypatch):
     monkeypatch.setattr(symfunc, "schur", _plus(symfunc.schur, LaurentPoly.var("a1")))
     _, statuses = _statuses("cauchy")

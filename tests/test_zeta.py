@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from series_helpers import from_poly, l_denominator_series
+from series_helpers import from_poly, l_denominator_series, same_series
 from whitlocal import symfunc, whittaker, zeta
 from whitlocal.exactalg import LaurentPoly, TruncatedSeries, qpow
 from whitlocal.localrep import RankMismatch, UnramifiedRep, congruence_index, contragredient
@@ -57,10 +57,10 @@ class TestLFactor:
             want = _one_factor_at_a_time(rep_a, rep_b, "X", r * s + 1)
             for order in range(r * s + 2):
                 got = l_denominator_series(rep_a, rep_b, "X", order)
-                assert got == TruncatedSeries("X", want.coeffs[: order + 1]), (kind, order)
+                assert same_series(got, TruncatedSeries("X", want.coeffs[: order + 1])), (kind, order)
             # the product has degree r*s in X, so order r*s+1 holds all of it
             assert want.coeffs[-1].is_zero()
-            assert l_factor_denominator(rep_a, rep_b) == zeta._as_poly(want), kind
+            assert l_factor_denominator(rep_a, rep_b, "X") == zeta._as_poly(want), kind
 
     @pytest.mark.parametrize("r, s", [(r, s) for r in range(1, 5) for s in range(1, 5)])
     def test_every_coefficient_is_within_the_lattice_count(self, r, s):
@@ -77,18 +77,16 @@ class TestLFactor:
 
     def test_rank_21_denominator(self):
         rep_a, rep_b = _reps(1)
-        den = l_factor_denominator(rep_a, rep_b)
+        den = l_factor_denominator(rep_a, rep_b, "X")
         a1, a2, b1, x = (LaurentPoly.var(v) for v in ("a1", "a2", "b1", "X"))
         want = (LaurentPoly.one() - a1 * b1 * x) * (LaurentPoly.one() - a2 * b1 * x)
         assert den == want
         # the truncated series is the same polynomial cut at the order
-        assert l_denominator_series(rep_a, rep_b, "X", 1) == from_poly(
-            want, "X", 1
-        )
+        assert same_series(l_denominator_series(rep_a, rep_b, "X", 1), from_poly(want, "X", 1))
 
     def test_symbol_hygiene(self):
         with pytest.raises(SymbolCollision):
-            l_factor_denominator(UnramifiedRep.symbolic(2, "a"), UnramifiedRep.symbolic(1, "a"))
+            l_factor_denominator(UnramifiedRep.symbolic(2, "a"), UnramifiedRep.symbolic(1, "a"), "X")
         rep_x = UnramifiedRep(2, [LaurentPoly.var("X"), LaurentPoly.var("c1")])
         with pytest.raises(SymbolCollision):
             l_factor_denominator(rep_x, UnramifiedRep.symbolic(1, "b"), var="X")
@@ -99,7 +97,7 @@ class TestLFactor:
 class TestLocalZeta:
     def test_rank_21_coefficients(self):
         rep_a, rep_b = _reps(1)
-        result = local_zeta_unramified(rep_a, rep_b, order=4)
+        result = local_zeta_unramified(rep_a, rep_b, "X", 4)
         b1 = LaurentPoly.var("b1")
         for k in range(5):
             want = schur(Partition((k,)), rep_a.satake) * b1 ** k
@@ -109,14 +107,14 @@ class TestLocalZeta:
 
     def test_rank_32_matches_l_factor(self):
         rep_a, rep_b = _reps(2)
-        result = local_zeta_unramified(rep_a, rep_b, order=4)
+        result = local_zeta_unramified(rep_a, rep_b, "X", 4)
         assert _times_l_denominator_is_one(result, rep_a, rep_b)
         # dominant lattice points of length 2 and weight <= 4
         assert result.lattice_points == 9
 
     def test_json_shape(self):
         rep_a, rep_b = _reps(1)
-        obj = local_zeta_unramified(rep_a, rep_b, order=2).to_json_obj()
+        obj = local_zeta_unramified(rep_a, rep_b, "X", 2).to_json_obj()
         assert set(obj) == {"series", "latticePoints"}
         assert obj["series"]["coeffs"][0] == "1"
 
@@ -127,7 +125,23 @@ class TestLocalZeta:
 
     def test_collision_guard(self):
         with pytest.raises(SymbolCollision):
-            local_zeta_unramified(UnramifiedRep.symbolic(2), UnramifiedRep.symbolic(1))
+            local_zeta_unramified(UnramifiedRep.symbolic(2), UnramifiedRep.symbolic(1), "X", 6)
+
+    @pytest.mark.parametrize("compute", [
+        lambda a, b, var, order: local_zeta_unramified(a, b, var, order),
+        lambda a, b, var, order: weight_at_l(a, b, 1, var, order),
+    ], ids=["local_zeta_unramified", "weight_at_l"])
+    def test_every_lattice_sum_refuses_the_same_inputs(self, compute):
+        # both are callers of the one lattice sum, which checks the inputs
+        rep_a, rep_b = _reps(2)
+        with pytest.raises(RankMismatch, match=r"expected ranks \(n\+1, n\), got \(2, 3\)"):
+            compute(rep_b, rep_a, "X", 2)
+        with pytest.raises(ValueError, match="series order must be nonnegative"):
+            compute(rep_a, rep_b, "X", -1)
+        with pytest.raises(SymbolCollision, match="share symbols"):
+            compute(rep_a, UnramifiedRep.symbolic(2, "a"), "X", 2)
+        with pytest.raises(SymbolCollision, match="'a1' is reserved"):
+            compute(rep_a, rep_b, "a1", 2)
 
 
 def _count_schur(monkeypatch):
@@ -147,18 +161,18 @@ class TestSharedSchurValues:
     def test_zeta_evaluates_each_schur_value_once(self, monkeypatch):
         seen = _count_schur(monkeypatch)
         rep_a, rep_b = _reps(1)
-        result = local_zeta_unramified(rep_a, rep_b, order=3)
+        result = local_zeta_unramified(rep_a, rep_b, "X", 3)
         # lattice points (k), k = 0..3, need s_(k)(alpha) and s_(k)(beta);
         # the spherical value of beta at (k) adds nothing new: s_()(beta) * beta^k
         assert result.lattice_points == 4
         assert len(seen) == len(set(seen)) == 8
 
     def test_weight_at_l_direct_sum_evaluates_each_schur_value_once(self, monkeypatch):
-        # only the direct sum reads the cache; the regrouped route keeps its
-        # own zeta.schur calls as the independent comparison
+        # the level-m lattice sum is the weight's one route, and both of its
+        # Schur checks read the representations' caches
         seen = _count_schur(monkeypatch)
         result = weight_at_l(UnramifiedRep.symbolic(3, "b"), UnramifiedRep.symbolic(2, "g"),
-                             1, order=4)
+                             1, "Y", 4)
         assert result.lattice_points == 4
         assert seen and len(seen) == len(set(seen))
 
@@ -186,11 +200,11 @@ class TestSharedSchurValues:
         monkeypatch.setattr(zeta, "qpow", lambda e: qpow(e + Fraction(1, 2)))
         rep_a, rep_b = _reps(1)
         with pytest.raises(ArithmeticError, match="modulus bookkeeping"):
-            local_zeta_unramified(rep_a, rep_b, order=2)
+            local_zeta_unramified(rep_a, rep_b, "X", 2)
 
     @pytest.mark.parametrize("compute", [
-        lambda a, b: local_zeta_unramified(a, b, order=2),
-        lambda a, b: weight_at_l(a, b, 1, order=3),
+        lambda a, b: local_zeta_unramified(a, b, "X", 2),
+        lambda a, b: weight_at_l(a, b, 1, "Y", 3),
     ], ids=["local_zeta_unramified", "weight_at_l"])
     def test_each_side_is_checked_on_its_own(self, monkeypatch, compute):
         # the larger side off by q^(1/2) and the smaller by q^(-1/2): the term
@@ -242,6 +256,7 @@ class TestWeightUnramified:
                 UnramifiedRep.symbolic(3, "a"),
                 UnramifiedRep.symbolic(2, "b"),
                 UnramifiedRep.symbolic(2, "g"),
+                6,
             )
 
 
@@ -249,12 +264,12 @@ class TestWeightAtL:
     def test_level_zero_is_one(self):
         mid = UnramifiedRep.symbolic(2, "b")
         small = UnramifiedRep.symbolic(1, "g")
-        assert weight_at_l(mid, small, 0, order=5).value.is_one()
+        assert weight_at_l(mid, small, 0, "Y", 5).value.is_one()
 
     def test_closed_form_level_one(self):
         mid = UnramifiedRep.symbolic(2, "b")
         small = UnramifiedRep.symbolic(1, "g")
-        result = weight_at_l(mid, small, 1, order=6)
+        result = weight_at_l(mid, small, 1, "Y", 6)
         b1, b2, g1 = (LaurentPoly.var(v) for v in ("b1", "b2", "g1"))
         coeffs = result.value.coeffs
         assert coeffs[0] == LaurentPoly.zero()
@@ -265,7 +280,7 @@ class TestWeightAtL:
     def test_closed_form_level_two(self):
         mid = UnramifiedRep.symbolic(2, "b")
         small = UnramifiedRep.symbolic(1, "g")
-        result = weight_at_l(mid, small, 2, order=6)
+        result = weight_at_l(mid, small, 2, "Y", 6)
         b1, b2, g1 = (LaurentPoly.var(v) for v in ("b1", "b2", "g1"))
         h2 = schur(Partition((2,)), [b1, b2])
         coeffs = result.value.coeffs
@@ -277,7 +292,7 @@ class TestWeightAtL:
     def test_constant_bookkeeping(self):
         mid = UnramifiedRep.symbolic(3, "b")
         small = UnramifiedRep.symbolic(2, "g")
-        result = weight_at_l(mid, small, 2, order=4)
+        result = weight_at_l(mid, small, 2, "Y", 4)
         cmp = result.paper_comparison
         assert cmp.computed_constant == qpow(4)
         assert cmp.paper_constant == qpow(2)
@@ -288,7 +303,7 @@ class TestWeightAtL:
     def test_published_value_is_rescaled(self):
         mid = UnramifiedRep.symbolic(2, "b")
         small = UnramifiedRep.symbolic(1, "g")
-        result = weight_at_l(mid, small, 1, order=5)
+        result = weight_at_l(mid, small, 1, "Y", 5)
         for k in range(6):
             assert result.paper_value.coeffs[k] == result.value.coeffs[k] * qpow(0)
 
@@ -296,9 +311,9 @@ class TestWeightAtL:
         mid = UnramifiedRep.symbolic(2, "b")
         small = UnramifiedRep.symbolic(1, "g")
         with pytest.raises(ValueError):
-            weight_at_l(mid, small, -1)
+            weight_at_l(mid, small, -1, "Y", 6)
         with pytest.raises(RankMismatch):
-            weight_at_l(small, mid, 1)
+            weight_at_l(small, mid, 1, "Y", 6)
 
 
 class TestWeightAtQ:

@@ -13,6 +13,9 @@ or outlasts the time limit.  A mutant that exits 0 is ``changed`` when its
 stdout differs from the unmutated run's: the command's checks missed a fault
 that shows in its output, such as terms printed out of order.  The other
 survivors are either a gap in the checks or a mutant that changes nothing.
+Each mutant's line names the function or ``Class.method`` that holds the
+site, so the sweeps of two versions can be matched site by site even where
+line numbers moved.
 The limit is ten times the command's time on the unmutated module, and at
 least five seconds.  A timeout counts as a kill, so a mutant that only
 makes the command slow (say, one that loosens a size guard and then
@@ -47,30 +50,34 @@ SWAPS = {
 }
 
 
-def definitions(tree: ast.Module) -> list[ast.FunctionDef]:
-    """The top-level functions and the methods of top-level classes."""
-    methods = [node for cls in tree.body if isinstance(cls, ast.ClassDef) for node in cls.body]
-    return [fn for fn in tree.body + methods if isinstance(fn, ast.FunctionDef)]
+def definitions(tree: ast.Module) -> list[tuple[str, ast.FunctionDef]]:
+    """(qualified name, node) of the top-level functions and the methods of top-level classes."""
+    found = [(fn.name, fn) for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            found += [(f"{cls.name}.{fn.name}", fn) for fn in cls.body
+                      if isinstance(fn, ast.FunctionDef)]
+    return found
 
 
 def mutations(tree: ast.Module, functions: set[str]):
-    """(line, description, apply) for every site, in a fixed order."""
-    for fn in definitions(tree):
+    """(qualified name, line, description, apply) for every site, in a fixed order."""
+    for name, fn in definitions(tree):
         if fn.name not in functions:
             continue
         for node in ast.walk(fn):
             if isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in SWAPS:
                 new = SWAPS[type(node.op)]
-                yield (node.lineno, f"{type(node.op).__name__} -> {new.__name__}",
+                yield (name, node.lineno, f"{type(node.op).__name__} -> {new.__name__}",
                        partial(setattr, node, "op", new()))
             elif isinstance(node, ast.Compare):
                 for i, op in enumerate(node.ops):
                     if type(op) in SWAPS:
                         new = SWAPS[type(op)]
-                        yield (node.lineno, f"{type(op).__name__} -> {new.__name__}",
+                        yield (name, node.lineno, f"{type(op).__name__} -> {new.__name__}",
                                partial(node.ops.__setitem__, i, new()))
             elif isinstance(node, ast.Constant) and type(node.value) is int:
-                yield (node.lineno, f"{node.value} -> {node.value + 1}",
+                yield (name, node.lineno, f"{node.value} -> {node.value + 1}",
                        partial(setattr, node, "value", node.value + 1))
 
 
@@ -99,7 +106,7 @@ def main() -> int:
 
     original = (args.src / "whitlocal" / f"{args.module}.py").read_text()
     tree = ast.parse(original)
-    unknown = set(args.functions) - {fn.name for fn in definitions(tree)}
+    unknown = set(args.functions) - {fn.name for _, fn in definitions(tree)}
     if unknown:
         print(f"error: {args.module} has no function or method named "
               f"{', '.join(sorted(unknown))}", file=sys.stderr)
@@ -121,7 +128,7 @@ def main() -> int:
         dead = timed_out = changed = 0
         for k in range(count):
             tree = ast.parse(original)
-            line, what, apply = list(mutations(tree, set(args.functions)))[k]
+            name, line, what, apply = list(mutations(tree, set(args.functions)))[k]
             apply()
             result, stdout = run(package, module, ast.unparse(tree), args.command, timeout)
             if result == "survived" and stdout != expected:
@@ -129,7 +136,7 @@ def main() -> int:
             dead += result in ("killed", "timed out")
             timed_out += result == "timed out"
             changed += result == "changed"
-            print(f"{result:9} line {line}: {what}", flush=True)
+            print(f"{result:9} {name} line {line}: {what}", flush=True)
     print(f"killed {dead} of {count} mutants ({100 * dead / max(count, 1):.0f}%), "
           f"{timed_out} of them by the time limit; {changed} survivors changed the output")
     return 0
