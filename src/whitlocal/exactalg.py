@@ -30,8 +30,8 @@ prod v^e_v is sum e_v * 2^(FIELD_BITS * slot_v).  The field of ``q`` holds
 twice its exponent, so half powers of q are integers too.  The product of
 two monomials is then the sum of their keys: one integer addition, with no
 merge, sort or validation.  The intern table maps names to slots in order
-of first use (``q`` always holds slot 0); it is the only process-wide
-state, and it checks a name against the identifier grammar of the text
+of first use (``q`` always holds slot 0); it is this module's only
+process-wide state, and it checks a name against the identifier grammar of the text
 form, [A-Za-z_][A-Za-z0-9_]*, once, when the name enters the table.
 
 Field bound.  A field may hold values up to EXPONENT_LIMIT in absolute
@@ -40,6 +40,15 @@ upper bound on its largest field; before a product starts, the operands'
 bounds (made exact if their sum is too large) must add up to at most the
 limit, or ExponentOutOfRange is raised.  So a field never carries into its
 neighbour.
+
+Sums of monomial products.  LaurentPoly.monomial_sum(values, weights)
+builds sum count * prod values_i^(w_i) over a {w: count} map at
+single-term values, the form of a Schur value by pattern counts; it is
+how symfunc evaluates schur, and it makes no polynomial product: each
+term's key is sum w_i * key_i.  It refuses any value that is not a single
+term, and checks the largest weight total times the largest field of a
+value against the limit before it forms any key, so the packed keys stay
+inside this module.
 
 Keys are put in canonical (name, exponent) order only where order or
 names matter: text and JSON emission and sorted_terms.  Each key sorts by
@@ -60,6 +69,8 @@ order.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
+from operator import mul
 from typing import Iterable, Mapping, Sequence, Union
 
 # Only this variable may carry half-integer exponents.
@@ -350,6 +361,31 @@ class LaurentPoly:
             return LaurentPoly.const(x)
         raise TypeError(f"cannot interpret {x!r} as a Laurent polynomial")
 
+    @staticmethod
+    def monomial_sum(values: Sequence[LaurentPoly], weights: Mapping[tuple, int]) -> LaurentPoly:
+        """sum over {w: count} of count * prod_i values_i^(w_i), at single-term values.
+
+        A weight has one nonnegative entry per value.  A value that is not
+        a single term raises ValueError.  Before any key is formed, the
+        largest weight total times the largest field of a value must be
+        within EXPONENT_LIMIT, or ExponentOutOfRange is raised.
+        """
+        span = 0
+        for v in values:
+            if not v.is_unit():
+                raise ValueError(f"monomial_sum takes single-term values, got {v.to_text()}")
+            span = max(span, v._span)
+        bound = max(map(sum, weights)) * span
+        if bound > EXPONENT_LIMIT:
+            raise ExponentOutOfRange(f"a field of the sum may reach {bound}, beyond {EXPONENT_LIMIT}")
+        keys = [next(iter(v.terms)) for v in values]
+        coeffs = [v.terms[key] for v, key in zip(values, keys)]
+        out: dict[int, Scalar] = {}
+        for w, count in weights.items():
+            key = sum(map(mul, keys, w))
+            out[key] = out.get(key, 0) + count * prod(map(pow, coeffs, w))
+        return _poly({key: _coeff(c) for key, c in out.items() if c}, bound)
+
     # -- structure ------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -499,9 +535,6 @@ class LaurentPoly:
         return self.terms == other.terms
 
     __hash__ = None
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     def __reduce__(self):
         # no command pickles a polynomial (a worker gets a suite name and a

@@ -116,6 +116,12 @@ def _lattice_points(order: int, *lengths: int) -> int:
     return total
 
 
+def _all_partitions(lams: list[Partition], weight: int, n: int) -> tuple[bool, str | None]:
+    """Pass when lams are as many as the partitions _lattice_points counts."""
+    want = _lattice_points(weight, n)
+    return len(lams) == want, f"checked {len(lams)} partitions, expected {want}"
+
+
 def _out_of_order(*polys) -> str | None:
     """A witness when some polynomial's terms are not in canonical order.
 
@@ -374,23 +380,26 @@ def suite_schur(cfg: SuiteConfig) -> SuiteReport:
         def check_oracle(n=n):
             names = [f"x{i}" for i in range(1, n + 1)]
             values = [LaurentPoly.var(v) for v in names]
-            for lam in partitions_up_to(6, n):
+            lams = list(partitions_up_to(6, n))
+            for lam in lams:
                 got = schur(lam, values)
                 bi = schur_bialternant_oracle(lam, names)
                 if got != bi:
                     return False, f"lambda={lam}: {got.to_text()} != {bi.to_text()}"
                 if witness := _out_of_order(got):
                     return False, f"lambda={lam}: {witness}"
-            return True, None
+            return _all_partitions(lams, 6, n)
 
         def check_dimension(n=n):
-            ones = [LaurentPoly.one()] * n
-            for lam in partitions_up_to(6, n):
-                got = schur(lam, ones).as_fraction()
-                want = _weyl_dimension(lam, n)
-                if got != want:
-                    return False, f"lambda={lam}: {got} != {want}"
-            return True, None
+            # s_lam(c,...,c) = c^|lam| * dim: the value 2 weighs each pattern
+            lams = list(partitions_up_to(6, n))
+            for lam in lams:
+                for c in (1, 2):
+                    got = schur(lam, [c] * n).as_fraction()
+                    want = c ** sum(lam) * _weyl_dimension(lam, n)
+                    if got != want:
+                        return False, f"lambda={lam} at {c}: {got} != {want}"
+            return _all_partitions(lams, 6, n)
 
         checks.append((
             f"oracle/n={n}",
@@ -406,14 +415,15 @@ def suite_schur(cfg: SuiteConfig) -> SuiteReport:
         def check_pieri(n=n):
             values = [LaurentPoly.var(f"x{i}") for i in range(1, n + 1)]
             h1 = sum(values, LaurentPoly.zero())
-            for lam in partitions_up_to(4, n):
+            lams = list(partitions_up_to(4, n))
+            for lam in lams:
                 lhs = schur(lam, values) * h1
                 rhs = LaurentPoly.zero()
                 for mu in _pieri_add_one_box(lam, n):
                     rhs = rhs + schur(mu, values)
                 if lhs != rhs:
                     return False, f"lambda={lam}: {lhs.to_text()} != {rhs.to_text()}"
-            return True, None
+            return _all_partitions(lams, 4, n)
 
         checks.append((
             f"pieri/n={n}",
@@ -640,6 +650,8 @@ def suite_contragredient(cfg: SuiteConfig) -> SuiteReport:
                     )
                 if witness := _out_of_order(via_dual):
                     return False, f"mu={mu}: {witness}"
+                if mu[0] != mu[-1] and not spherical_value(rep, mu[::-1]).is_zero():
+                    return False, f"mu={mu[::-1]}: nonzero off the dominant cone"
             return True, None
 
         checks.append((

@@ -1,21 +1,27 @@
 """Partitions and symmetric function values.
 
-Schur polynomials are computed by the branching rule over interlacing
-partitions (the Gelfand-Tsetlin recursion, Macdonald, Symmetric Functions
-and Hall Polynomials, I 5), which works at arbitrary LaurentPoly argument
-values (rationals, zero, variables, inverted variables) and builds no
-terms that later cancel.  A second, independent route through the
-bialternant quotient of alternants is kept for cross-checking; it requires
-distinct variable names because it divides by the Vandermonde determinant
-exactly.
+Schur polynomials are computed in two steps.  _weights counts the
+Gelfand-Tsetlin patterns of a partition by weight, through the branching
+rule over interlacing partitions (Macdonald, Symmetric Functions and Hall
+Polynomials, I 5); the counts depend on no values.  schur then evaluates
+sum count * x^w once, through LaurentPoly.monomial_sum, at single-term
+values: variables, their inverses and nonzero rationals.  A zero value is
+dropped, since s_lam(x, 0) = s_lam(x); a value of several terms is refused.
+The cache of _weights is this module's only process-wide state: every
+representation, partition and suite in a process shares it.
 
-A Schur value at fewer variables than the partition has parts is zero; the
-library returns that zero rather than raising, matching the support
-convention used by the spherical Whittaker values built on top.
+A second, independent route through the bialternant quotient of
+alternants is kept for cross-checking; it requires distinct variable
+names because it divides by the Vandermonde determinant exactly.
+
+A Schur value at fewer nonzero values than the partition has parts is
+zero; the library returns that zero rather than raising, matching the
+support convention used by the spherical Whittaker values built on top.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
@@ -51,14 +57,9 @@ def partitions_of(weight: int, max_length: int) -> Iterator[Partition]:
     """All partitions of the given weight into at most max_length parts.
 
     Emitted in lexicographically descending order: (k) first, then (k-1,1), ...
+    Weight 0 gives the empty partition at any length; a negative weight, or
+    a positive one at a length below 1, gives none.
     """
-    if weight < 0:
-        return
-    if weight == 0:
-        yield Partition(())
-        return
-    if max_length <= 0:
-        return
 
     def rec(remaining: int, cap: int, slots: int, prefix: list[int]) -> Iterator[Partition]:
         if remaining == 0:
@@ -117,61 +118,41 @@ def _det(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
     return minor(0, tuple(range(n)))
 
 
-def _interlacing(nu: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Every mu of length len(nu) - 1 with nu_1 >= mu_1 >= nu_2 >= ... >= mu_(k-1) >= nu_k."""
-    return product(*(range(nu[i + 1], nu[i] + 1) for i in range(len(nu) - 1)))
+@cache
+def _weights(nu: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """The Gelfand-Tsetlin patterns with top row nu, counted by weight.
+
+    s_nu(x_1..x_k) = sum over {w: count} of count * x_1^(w_1)...x_k^(w_k),
+    where k = len(nu): by the branching rule, s_nu is the sum over mu
+    interlacing nu of s_mu(x_1..x_(k-1)) * x_k^(|nu| - |mu|), down to
+    s_(a)(x_1) = x_1^a.  The counts depend on no values, so the cache is
+    shared by every call in the process; callers never mutate its dicts.
+    """
+    if len(nu) <= 1:
+        return {nu: 1}
+    out: dict[tuple[int, ...], int] = {}
+    total = sum(nu)
+    # every mu with nu_1 >= mu_1 >= nu_2 >= ... >= mu_(k-1) >= nu_k
+    for mu in product(*map(range, nu[1:], [a + 1 for a in nu])):
+        d = total - sum(mu)
+        for w, count in _weights(mu).items():
+            key = (*w, d)
+            out[key] = out.get(key, 0) + count
+    return out
 
 
 def schur(lam: Partition, xs: Sequence) -> LaurentPoly:
-    """Schur polynomial value s_lam(xs) by the branching rule.
+    """Schur polynomial value s_lam(xs) at single-term values or zeros.
 
-    s_nu(x_1..x_k) = sum over mu interlacing nu of
-    s_mu(x_1..x_(k-1)) * x_k^(|nu| - |mu|), down to s_(a)(x_1) = x_1^a.
-    Intermediate values are memoized within the call on the padded
-    partition, whose length names the variable count.
-
-    Returns zero when the partition has more parts than there are values.
+    A zero value is dropped, since s_lam(x, 0) = s_lam(x); the value is zero
+    when the partition has more parts than there are nonzero values.  The
+    rest is LaurentPoly.monomial_sum over the counted patterns of _weights,
+    which refuses a value of more than one term.
     """
-    values = [LaurentPoly.coerce(x) for x in xs]
-    n = len(values)
-    if len(lam) > n:
+    values = [v for v in map(LaurentPoly.coerce, xs) if not v.is_zero()]
+    if len(lam) > len(values):
         return LaurentPoly.zero()
-    if not lam:
-        return LaurentPoly.one()
-    # |nu| - |mu| never exceeds nu_1 <= lam_1
-    top = lam[0]
-    powers = []
-    for x in values:
-        row = [LaurentPoly.one()]
-        for _ in range(top):
-            row.append(row[-1] * x)
-        powers.append(row)
-    memo: dict[tuple[int, ...], LaurentPoly] = {}
-
-    def branch(nu: tuple[int, ...]) -> LaurentPoly:
-        if nu[0] == 0:
-            return LaurentPoly.one()
-        k = len(nu)
-        if k == 1:
-            return powers[0][nu[0]]
-        got = memo.get(nu)
-        if got is not None:
-            return got
-        x_pow = powers[k - 1]
-        weight = sum(nu)
-        # sum the s_mu that share a power of x_k, then multiply once per power
-        by_degree = [LaurentPoly.zero()] * len(x_pow)
-        for mu in _interlacing(nu):
-            d = weight - sum(mu)
-            by_degree[d] = by_degree[d] + branch(mu)
-        total = LaurentPoly.zero()
-        for acc, x_d in zip(by_degree, x_pow):
-            if acc:
-                total = total + acc * x_d
-        memo[nu] = total
-        return total
-
-    return branch(lam.padded(n))
+    return LaurentPoly.monomial_sum(values, _weights(lam.padded(len(values))))
 
 
 def _divide_by_difference(f: LaurentPoly, a: str, b: str) -> LaurentPoly:

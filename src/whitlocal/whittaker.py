@@ -87,21 +87,19 @@ def twist_constants(rank: int, m: int) -> tuple[LaurentPoly, LaurentPoly]:
     Character orthogonality over the (rank-1)-coordinate residue box gives
     q^((rank-1) m); the constant printed in the published derivation is
     q^((rank-2) m).  Both are returned so callers can report the ratio.
+    The caller has checked rank >= 2 and m >= 0.
     """
-    if rank < 2:
-        raise ValueError("twisted vectors need rank >= 2")
-    if m < 0:
-        raise ValueError("the twist level must be nonnegative")
     return qpow((rank - 2) * m), qpow((rank - 1) * m)
 
 
 def twisted_value(rep: UnramifiedRep, mu: tuple[int, ...], m: int) -> LaurentPoly:
     """Torus value of the level-m twisted Whittaker vector.
 
-    mu has length rank-1; the value lives at the embedded point (mu, 0).
-    Vanishes unless mu_(rank-1) >= m; otherwise equals the spherical value
-    at (mu, 0) times the orthogonality constant.  The additive character
-    has conductor 0.
+    mu has length rank-1, and rank >= 2 wherever a command or a lattice sum
+    calls this; the value lives at the embedded point (mu, 0).  Vanishes
+    unless mu_(rank-1) >= m; otherwise equals the spherical value at
+    (mu, 0) times the orthogonality constant.  The additive character has
+    conductor 0.
     """
     n = rep.rank
     if len(mu) != n - 1:
@@ -112,7 +110,4 @@ def twisted_value(rep: UnramifiedRep, mu: tuple[int, ...], m: int) -> LaurentPol
         raise ValueError("the twist level must be nonnegative")
     if mu and mu[-1] < m:
         return LaurentPoly.zero()
-    if not mu and m > 0:
-        # rank 1 has no constrained coordinate; keep the rank guard honest
-        raise ValueError("twisted vectors need rank >= 2")
     return qpow((n - 1) * m) * spherical_value(rep, (*mu, 0))

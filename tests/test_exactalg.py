@@ -342,6 +342,33 @@ class TestExponentField:
             TruncatedSeries(name, [1])
 
 
+class TestMonomialSum:
+    def test_sums_counted_products_of_single_terms(self):
+        half = LaurentPoly.const(Fraction(-1, 2))
+        got = LaurentPoly.monomial_sum([X, Y ** -1, half], {(2, 0, 0): 2, (1, 1, 1): 3, (0, 0, 2): 4})
+        assert got == 2 * X ** 2 - Fraction(3, 2) * X * Y ** -1 + 1
+        # a Fraction coefficient that sums to an integer is stored as an int
+        assert type(got.terms[0]) is int
+
+    def test_equal_products_collect(self):
+        minus = LaurentPoly.const(-1)
+        assert LaurentPoly.monomial_sum([X, minus], {(1, 0): 1, (1, 1): 1}).is_zero()
+        assert LaurentPoly.monomial_sum([X, X], {(1, 0): 2, (0, 1): 3}) == 5 * X
+
+    def test_refuses_values_that_are_not_one_term(self):
+        for value in (X + Y, LaurentPoly.zero()):
+            with pytest.raises(ValueError, match="single-term"):
+                LaurentPoly.monomial_sum([X, value], {(1, 0): 1})
+
+    def test_the_field_bound_holds_at_the_limit(self):
+        top = LaurentPoly.var("x", EXPONENT_LIMIT)
+        assert LaurentPoly.monomial_sum([top, Y], {(1, 0): 1}) == top
+        with pytest.raises(ExponentOutOfRange):
+            LaurentPoly.monomial_sum([LaurentPoly.var("x", 2 ** 30)], {(2,): 1})
+        # a constant holds no field, so it takes any power
+        assert LaurentPoly.monomial_sum([LaurentPoly.one()], {(EXPONENT_LIMIT + 1,): 1}) == 1
+
+
 class TestTextAndJson:
     @settings(max_examples=200)
     @given(polys())

@@ -13,6 +13,7 @@ from whitlocal.localrep import UnramifiedRep
 from whitlocal.suites import SUITES, SuiteConfig
 from whitlocal.symfunc import (
     Partition,
+    _weights,
     cauchy_schur_side,
     partitions_of,
     partitions_up_to,
@@ -136,8 +137,34 @@ class TestSchur:
         assert schur(Partition((2, 1)), [x, y]) == x ** 2 * y + x * y ** 2
 
     def test_accepts_numbers(self):
+        # a nonzero number is a single-term value
         assert schur(Partition((2,)), [1, 1]).as_fraction() == 3
         assert schur(Partition((1, 1)), [Fraction(1, 2), 2]).as_fraction() == 1
+
+    def test_refuses_a_value_of_several_terms(self):
+        x, y = _vars(2)
+        with pytest.raises(ValueError, match="single-term"):
+            schur(Partition((1,)), [x + y, y])
+
+    def test_makes_no_polynomial_product(self, monkeypatch):
+        calls = []
+        mul = LaurentPoly.__mul__
+        monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: calls.append(b) or mul(a, b))
+        lam, names = Partition((4, 3, 2, 1)), [f"x{i}" for i in range(1, 6)]
+        value = schur(lam, [LaurentPoly.var(v) for v in names])
+        assert calls == []
+        monkeypatch.undo()
+        assert value == schur_bialternant_oracle(lam, names)
+
+    def test_patterns_are_counted_by_weight(self):
+        # s_(2,1)(x, y, z) has each permutation of x^2 y once and x y z twice
+        want = dict.fromkeys(permutations((2, 1, 0)), 1)
+        want[(1, 1, 1)] = 2
+        assert _weights((2, 1, 0)) == want
+        # the recursion stops at one part: a single row is cached alone
+        _weights.cache_clear()
+        assert _weights((3,)) == {(3,): 1}
+        assert _weights.cache_info().currsize == 1
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_bialternant_oracle(self, n):
@@ -194,6 +221,7 @@ class TestSchur:
             assert schur(lam, inverted) == det ** -top * schur(dual, values)
 
     def test_zero_and_rational_values(self):
+        # a zero value is dropped, s_lam(x, 0) = s_lam(x); a rational is a single term
         y = LaurentPoly.var("y")
         want = y * Fraction(1, 4) + y ** 2 * Fraction(1, 2)
         assert schur(Partition((2, 1)), [0, y, Fraction(1, 2)]) == want

@@ -15,11 +15,15 @@ that shows in its output, such as terms printed out of order.  The other
 survivors are either a gap in the checks or a mutant that changes nothing.
 Each mutant's line names the function or ``Class.method`` that holds the
 site, so the sweeps of two versions can be matched site by site even where
-line numbers moved.
+line numbers moved.  ``--function`` takes either that ``Class.method`` name,
+which selects the one method, or a bare name, which selects every function
+and method of that name.
 The limit is ten times the command's time on the unmutated module, and at
 least five seconds.  A timeout counts as a kill, so a mutant that only
 makes the command slow (say, one that loosens a size guard and then
-enumerates for long) is counted as killed.
+enumerates for long) is counted as killed.  Each command runs in a session
+of its own, and a timeout kills its whole process group, pool workers
+included, so a timed-out mutant leaves no process behind to slow the next.
 
     python3 tools/mutation_sweep.py --module localrep \\
         --function congruence_index --function congruence_index_bruteforce \\
@@ -36,6 +40,7 @@ import argparse
 import ast
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -63,7 +68,7 @@ def definitions(tree: ast.Module) -> list[tuple[str, ast.FunctionDef]]:
 def mutations(tree: ast.Module, functions: set[str]):
     """(qualified name, line, description, apply) for every site, in a fixed order."""
     for name, fn in definitions(tree):
-        if fn.name not in functions:
+        if fn.name not in functions and name not in functions:
             continue
         for node in ast.walk(fn):
             if isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in SWAPS:
@@ -86,13 +91,17 @@ def run(package: Path, module: Path, source: str, command: list[str],
     """('survived', stdout), ('killed', stdout) on a nonzero exit, or ('timed out', b'')."""
     module.write_text(source)
     env = {**os.environ, "PYTHONPATH": str(package.parent)}
-    try:
-        proc = subprocess.run([sys.executable, "-m", "whitlocal", *command],
-                              cwd=package.parent, env=env, stdout=subprocess.PIPE,
-                              stderr=subprocess.DEVNULL, timeout=timeout)
-    except subprocess.TimeoutExpired:
-        return "timed out", b""
-    return ("killed" if proc.returncode else "survived"), proc.stdout
+    with subprocess.Popen([sys.executable, "-m", "whitlocal", *command],
+                          cwd=package.parent, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL, start_new_session=True) as proc:
+        try:
+            stdout, _ = proc.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            # the session's group holds the command and every worker it started
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            return "timed out", b""
+    return ("killed" if proc.returncode else "survived"), stdout
 
 
 def main() -> int:
@@ -106,7 +115,7 @@ def main() -> int:
 
     original = (args.src / "whitlocal" / f"{args.module}.py").read_text()
     tree = ast.parse(original)
-    unknown = set(args.functions) - {fn.name for _, fn in definitions(tree)}
+    unknown = set(args.functions) - {n for name, fn in definitions(tree) for n in (name, fn.name)}
     if unknown:
         print(f"error: {args.module} has no function or method named "
               f"{', '.join(sorted(unknown))}", file=sys.stderr)
