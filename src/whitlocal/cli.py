@@ -57,6 +57,13 @@ def _parse_p(text: str) -> int | str:
 
 
 def _parse_fraction(text: str) -> Fraction:
+    # Fraction forms 10**e, in time that grows with e.  A mantissa holds at
+    # most max_str_digits digits, so past this bound the value cannot be printed
+    bound = 3 * sys.int_info.default_max_str_digits
+    _, e, exp = text.strip().lower().rpartition("e")
+    exp = exp.lstrip("+-").replace("_", "").lstrip("0")
+    if e and exp.isdecimal() and (len(exp) > len(str(bound)) or int(exp) > bound):
+        raise ValueError(f"the decimal exponent of {text!r} exceeds {bound} in magnitude")
     try:
         return Fraction(text)
     except ZeroDivisionError:

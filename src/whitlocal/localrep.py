@@ -48,10 +48,6 @@ ENUMERATION_LIMIT = 2 ** 24
 MAX_RESIDUE_CARDINALITY = 2 ** 40
 
 
-class ZeroSatakeParameter(ValueError):
-    """A Satake parameter is zero, so its inverse does not exist."""
-
-
 class EnumerationTooLarge(ValueError):
     """A brute-force enumeration would exceed the configured size bound."""
 
@@ -111,8 +107,10 @@ class UnramifiedRep:
 
     @classmethod
     def symbolic(cls, rank: int, prefix: str = "a") -> "UnramifiedRep":
-        if prefix == RESIDUE_CARDINALITY_VAR:
-            raise ValueError(f"{RESIDUE_CARDINALITY_VAR!r} is reserved for the residue cardinality")
+        """Parameters named prefix1..prefixN, which are never q itself.
+
+        zeta._check_symbols refuses q as a Satake symbol of a lattice sum.
+        """
         return cls(rank, [LaurentPoly.var(f"{prefix}{i}") for i in range(1, rank + 1)])
 
     def variables(self) -> frozenset[str]:
@@ -139,13 +137,11 @@ class UnramifiedRep:
 
 
 def contragredient(rep: UnramifiedRep) -> UnramifiedRep:
-    """The contragredient: inverted Satake parameters in reversed order."""
-    inverted = []
-    for p in reversed(rep.satake):
-        if p.is_zero():
-            raise ZeroSatakeParameter("cannot invert a zero Satake parameter")
-        inverted.append(p ** -1)
-    return UnramifiedRep(rep.rank, inverted)
+    """The contragredient: inverted Satake parameters in reversed order.
+
+    A zero parameter has no inverse, and inverting it raises DivisionByZero.
+    """
+    return UnramifiedRep(rep.rank, [p ** -1 for p in reversed(rep.satake)])
 
 
 def _smallest_prime_factor(p) -> int:

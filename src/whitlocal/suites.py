@@ -674,13 +674,14 @@ def suite_negative_control(cfg: SuiteConfig) -> SuiteReport:
 
 # the suites of "all", in the order a worker pool takes them; the order
 # changes no output, since merge_reports sorts the checks by id.  Summed
-# check millis of ``verify --suite all --timings`` (seeds 1, 22 and 42, two
-# runs each, medians) put contragredient (92 ms) before weight-unramified
-# (71), schur (70) and weight-l (57), then cauchy (29), unramified (29),
-# charsum (7) and the rest (at most 2).  Taking contragredient first did not
-# make ``verify --suite all --jobs 2`` faster: its median was higher in each
-# of 4 sets of 12 to 20 alternating pairs, and it was faster in 25 of 72
-# pairs, so the first four keep this order.
+# check millis of ``verify --suite all --timings --jobs 1`` (seeds 1, 22 and
+# 42, two runs each, medians, 2-vCPU host) put contragredient (73 ms), schur
+# (62) and weight-unramified (59) first, then weight-l (21), unramified
+# (20), charsum (18), cauchy (17) and the rest (at most 1), so the costly
+# suites lead.  Taking contragredient first did not make ``verify --suite
+# all --jobs 2`` faster: its median was higher in each of 4 sets of 12 to 20
+# alternating pairs, and it was faster in 25 of 72 pairs, so the first four
+# keep this order.
 SUITES = {
     "weight-unramified": suite_weight_unramified,
     "contragredient": suite_contragredient,

@@ -45,8 +45,12 @@ class Partition(tuple):
         return super().__new__(cls, parts)
 
     def padded(self, n: int) -> tuple[int, ...]:
-        if n < len(self):
-            raise ValueError(f"cannot pad {tuple(self)} to shorter length {n}")
+        """The parts followed by zeros up to length n >= len(self).
+
+        Every caller pads to at least the length: schur returns zero first
+        when the partition is too long, partitions_of(w, n) yields at most n
+        parts, and the bialternant oracle refuses a longer partition first.
+        """
         return self + (0,) * (n - len(self))
 
     def __str__(self) -> str:

@@ -37,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactalg import LaurentPoly, qpow
-from .localrep import RankMismatch, UnramifiedRep
+from .localrep import UnramifiedRep
 from .symfunc import Partition
 
 
@@ -55,11 +55,10 @@ def spherical_value(rep: UnramifiedRep, mu: tuple[int, ...]) -> LaurentPoly:
     """Value of the normalized spherical Whittaker function at a torus point.
 
     Zero off the dominant cone; at the identity cocharacter the value is 1.
+    mu has length rep.rank: the command line compares the lengths before it
+    builds the representation, and the lattice sum, twisted_value and the
+    contragredient suite build mu at the rank.
     """
-    if len(mu) != rep.rank:
-        raise RankMismatch(
-            f"cocharacter length {len(mu)} does not match rank {rep.rank}"
-        )
     if any(a < b for a, b in zip(mu, mu[1:])):
         return LaurentPoly.zero()
     m_last = mu[-1]
@@ -95,17 +94,14 @@ def twist_constants(rank: int, m: int) -> tuple[LaurentPoly, LaurentPoly]:
 def twisted_value(rep: UnramifiedRep, mu: tuple[int, ...], m: int) -> LaurentPoly:
     """Torus value of the level-m twisted Whittaker vector.
 
-    mu has length rank-1, and rank >= 2 wherever a command or a lattice sum
-    calls this; the value lives at the embedded point (mu, 0).  Vanishes
-    unless mu_(rank-1) >= m; otherwise equals the spherical value at
-    (mu, 0) times the orthogonality constant.  The additive character has
-    conductor 0.
+    The value lives at the embedded point (mu, 0).  Vanishes unless
+    mu_(rank-1) >= m; otherwise equals the spherical value at (mu, 0) times
+    the orthogonality constant.  The additive character has conductor 0.
+    mu has length rank-1 and rank >= 2: the command line compares the length
+    before it builds the representation, and the lattice sum passes length
+    rank-1 at rank >= 2.
     """
     n = rep.rank
-    if len(mu) != n - 1:
-        raise RankMismatch(
-            f"twisted values take a length {n - 1} cocharacter, got length {len(mu)}"
-        )
     if m < 0:
         raise ValueError("the twist level must be nonnegative")
     if mu and mu[-1] < m:

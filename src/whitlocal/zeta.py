@@ -238,12 +238,16 @@ def _lattice_series(rep_a: UnramifiedRep, rep_b: UnramifiedRep, var: str,
     """The Whittaker lattice sum over mu of length n = rep_b.rank with mu_n >= m.
 
     Every lattice sum of this module is computed here, and its inputs are
-    checked here: rep_a has rank n + 1, m and the order are nonnegative,
-    and the Satake symbols are independent and avoid var and q.  Each side
-    of a term is checked exactly against its Schur value, the sum's one
-    oracle, before the two are multiplied, so a fault in the modulus
-    bookkeeping of one side raises even when the other side would
-    compensate it.
+    checked here: rep_a has rank n + 1, m is nonnegative, and the Satake
+    symbols are independent and avoid var and q.  Each side of a term is
+    checked exactly against its Schur value, the sum's one oracle, before
+    the two are multiplied, so a fault in the modulus bookkeeping of one
+    side raises even when the other side would compensate it.
+
+    The order is checked where it enters: zeta, weight and SuiteConfig
+    refuse a negative order first.  A library caller's negative order sums
+    no lattice point, and the TruncatedSeries constructor refuses the empty
+    coefficient list.
     """
     n = rep_b.rank
     if rep_a.rank != n + 1:
@@ -253,8 +257,6 @@ def _lattice_series(rep_a: UnramifiedRep, rep_b: UnramifiedRep, var: str,
     if m < 0:
         raise ValueError("the level must be nonnegative")
     _check_symbols(rep_a, rep_b, var)
-    if order < 0:
-        raise ValueError("series order must be nonnegative")
     coeffs = [LaurentPoly.zero() for _ in range(order + 1)]
     lattice = 0
     for k in range(n * m, order + 1):

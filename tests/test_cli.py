@@ -116,6 +116,25 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("literal", ["1e12901", "1e-12901", "1E+10000000", "2.5e1_000_000"])
+    def test_huge_decimal_exponent_is_refused_before_fraction(self, literal, monkeypatch,
+                                                               capsys):
+        # Fraction forms 10**e: params --s 1e10000000 ran 13 s and reached 41 MB
+        fraction = cli.Fraction
+
+        def guarded(*args):
+            assert literal not in args, "Fraction ran on the literal"
+            return fraction(*args)
+
+        monkeypatch.setattr(cli, "Fraction", guarded)
+        got = run_cli("params", "--n", "2", "--s", literal, "--w", "0", capsys=capsys)
+        assert got == (2, "", f"error: the decimal exponent of {literal!r} exceeds 12900 "
+                              "in magnitude\n")
+
+    def test_decimal_exponent_at_the_bound_is_parsed(self):
+        assert cli._parse_fraction("1e12900") == 10 ** 12900
+        assert cli._parse_fraction("-1E-0_12900") == Fraction(-1, 10 ** 12900)
+
     @pytest.mark.parametrize("argv", [
         ("zeta", "--n", "1", "--order", "2", "--var", "q"),
         ("lfactor", "--rank-a", "2", "--rank-b", "1", "--var", "q"),
@@ -145,19 +164,26 @@ class TestExitCodes:
         (err,) = errors
         assert err.startswith("error:")
 
-    @pytest.mark.parametrize("argv", [
-        ("verify", "--suite", "unramified", "--order", "-2"),
-        ("verify", "--suite", "cauchy", "--order", "-1"),
-        ("verify", "--suite", "weyl", "--jobs", "0"),
-        ("whittaker", "--n", "2", "--mu", "100000000,0"),
-        ("whittaker", "--n", "2", "--mu", "0,-100000000", "--dual"),
-        ("whittaker", "--n", "3", "--mu", "100000000,0", "--level", "1"),
-    ])
-    def test_work_bound_contract(self, argv, capsys):
-        code, out, err = run_cli(*argv, capsys=capsys)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:")
+    @pytest.mark.parametrize("argv, err", [
+        (("verify", "--suite", "unramified", "--order", "-2"), "series order must be nonnegative"),
+        (("verify", "--suite", "cauchy", "--order", "-1"), "series order must be nonnegative"),
+        (("verify", "--suite", "weyl", "--jobs", "0"), "--jobs must be positive"),
+        (("whittaker", "--n", "2", "--mu", "100000000,0"),
+         "the value may have up to 100000001 terms, over the cap 10000"),
+        (("whittaker", "--n", "2", "--mu", "0,-100000000", "--dual"),
+         "the value may have up to 100000001 terms, over the cap 10000"),
+        (("whittaker", "--n", "3", "--mu", "100000000,0", "--level", "1"),
+         "the value may have up to 5000000150000001 terms, over the cap 10000"),
+        # each input checked once, by the code that owns the check: the twist
+        # level by twisted_value, the weight-l level by the lattice sum, the
+        # zeta order by the command
+        (("whittaker", "--n", "2", "--mu", "1", "--level", "-1"),
+         "the twist level must be nonnegative"),
+        (("weight", "--place", "l", "--n", "2", "--level", "-1"), "the level must be nonnegative"),
+        (("zeta", "--n", "2", "--order", "-1"), "series order must be nonnegative"),
+    ], ids=[f"argv{i}" for i in range(9)])
+    def test_work_bound_contract(self, argv, err, capsys):
+        assert run_cli(*argv, capsys=capsys) == (2, "", f"error: {err}\n")
 
     def test_whittaker_term_bound(self, monkeypatch, capsys):
         # s_(9999) in two variables has exactly MAX_TERMS terms
