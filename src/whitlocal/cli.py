@@ -15,6 +15,13 @@ loads ``reciprocity``, ``index`` and ``charsum`` load ``localrep``, the
 series commands load ``zeta`` with what it needs, and only ``verify`` loads
 ``suites`` and ``report``.  A start that finds no cached bytecode compiles
 every module it imports, so this keeps the small commands cheap.
+
+Payloads and reports are written out here, with the same bytes as
+``json.dumps(value, indent=2)`` and ``csv.writer`` but without either
+module: an indent makes ``json`` run its pure-Python encoder, so
+``json_text`` walks the value itself and quotes each string with the C
+``encode_basestring_ascii`` that ``json.encoder`` uses; ``csv_text`` writes
+the excel dialect's minimal quoting; text joins the flattened leaves.
 """
 
 from __future__ import annotations
@@ -70,46 +77,78 @@ def _parse_fraction(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def _flatten(value, key: str = ""):
+def _json(value, pad: str, quote) -> str:
+    """The text json.dumps(value, indent=2) writes for value, nested at pad."""
+    if isinstance(value, str):
+        return quote(value)
+    inner = pad + "  "
+    # a list of items is a temporary, freed as soon as it is joined
+    if isinstance(value, dict):
+        return ("{" + inner + ("," + inner).join([f"{quote(k)}: {_json(v, inner, quote)}"
+                for k, v in value.items()]) + pad + "}") if value else "{}"
+    if isinstance(value, (list, tuple)):
+        return ("[" + inner + ("," + inner).join([_json(v, inner, quote) for v in value])
+                + pad + "]") if value else "[]"
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    # int.__repr__ and float.__repr__, as json writes a finite number
+    return repr(value)
+
+
+def json_text(value) -> str:
+    """json.dumps(value, indent=2) for str keys and finite floats."""
+    # json.encoder's C string encoder, without loading the json package
+    from _json import encode_basestring_ascii
+
+    return _json(value, "\n", encode_basestring_ascii)
+
+
+def csv_text(rows) -> str:
+    """Rows of str fields as csv.writer writes them in the excel dialect.
+
+    A field that holds a comma, a double quote, CR or LF is quoted, with
+    its quotes doubled; every row ends in CRLF.  Every row here has two or
+    more fields: csv.writer would also quote the lone field of a one-field
+    row when it is empty.
+    """
+    lines = []
+    for row in rows:
+        line = ",".join(row)
+        # quote field by field only where some field needs it
+        if line.count(",") >= len(row) or '"' in line or "\r" in line or "\n" in line:
+            line = ",".join(['"' + f.replace('"', '""') + '"' if any(c in f for c in ',"\r\n')
+                             else f for f in row])
+        lines.append(line + "\r\n")
+    return "".join(lines)
+
+
+def _flatten(value, key: str, out: list[tuple[str, str]]) -> list[tuple[str, str]]:
+    """Append (dotted path, text) for every leaf of value to out."""
     if isinstance(value, dict):
         for k, v in value.items():
-            yield from _flatten(v, f"{key}.{k}" if key else str(k))
+            path = f"{key}.{k}" if key else str(k)
+            # a str leaf is taken here, without a call per leaf
+            if type(v) is str:
+                out.append((path, v))
+            else:
+                _flatten(v, path, out)
     elif isinstance(value, (list, tuple)):
         for i, v in enumerate(value):
-            yield from _flatten(v, f"{key}[{i}]")
+            _flatten(v, f"{key}[{i}]", out)
+    elif isinstance(value, bool):
+        out.append((key, "true" if value else "false"))
     else:
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        elif value is None:
-            value = ""
-        yield key, str(value)
-
-
-def _payload_to_csv(payload: dict) -> str:
-    import csv
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(("field", "value"))
-    for key, value in _flatten(payload):
-        writer.writerow((key, value))
-    return buf.getvalue()
-
-
-def _payload_to_text(payload: dict) -> str:
-    lines = [f"{key} = {value}" for key, value in _flatten(payload)]
-    return "\n".join(lines) + "\n"
+        out.append((key, "" if value is None else str(value)))
+    return out
 
 
 def _emit_payload(payload: dict, emit: str) -> str:
     if emit == "json":
-        import json
-
-        return json.dumps(payload, indent=2) + "\n"
+        return json_text(payload) + "\n"
+    leaves = _flatten(payload, "", [])
     if emit == "csv":
-        return _payload_to_csv(payload)
-    return _payload_to_text(payload)
+        return csv_text([("field", "value"), *leaves])
+    return "".join([f"{key} = {value}\n" for key, value in leaves])
 
 
 def _emit_report(report: SuiteReport, emit: str, timings: bool) -> str:

@@ -51,9 +51,13 @@ value against the limit before it forms any key, so the packed keys stay
 inside this module.
 
 Keys are put in canonical (name, exponent) order only where order or
-names matter: text and JSON emission and sorted_terms.  Each key sorts by
-one int, a chunk per used slot in name order (_ordered), so a sort makes
-no per-term tuple; text reads each factor string from a per-slot cache.
+names matter: text and JSON emission and sorted_terms.  One decoder,
+_ordered, serves all three.  It cuts the used slots, in name order, into
+groups of _GROUP and decodes each distinct group value once, into a dict
+entry that holds the group's sort chunks, its factor text and its
+(name, exponent) pairs as values and as text; a key is then read by one mask and one lookup per
+group, not by one shift and compare per slot.  Each key sorts by one int,
+a chunk per used slot in name order, so a sort makes no per-term tuple.
 _ranked, which variables and the emitters use, scans only the slots up to
 the highest one the keys use, so names interned after a polynomial's
 variables cost its decoding nothing.  coefficients_in reads a single
@@ -241,7 +245,7 @@ def _ranked(keys) -> tuple[list[str], list[int], int]:
     scanned: the key of largest absolute value is one that uses it, and
     its bit length lies in that slot's field.
     """
-    n = max((abs(key) for key in keys), default=0).bit_length() // FIELD_BITS + 1
+    n = max(map(abs, keys), default=0).bit_length() // FIELD_BITS + 1
     bias = _bias(n - 1)
     hi, lo = 0, -1
     for key in keys:
@@ -263,10 +267,20 @@ def _ranked(keys) -> tuple[list[str], list[int], int]:
 # biased field.
 _CHUNK_BITS = FIELD_BITS + 1
 _GAP = 1 << FIELD_BITS
+# the used slots, in name order, that one dict lookup decodes
+_GROUP = 3
 
 
-def _ordered(terms: Mapping[int, Scalar]) -> tuple[list[str], list[int], int, list[int]]:
-    """_ranked of the keys, and the keys in canonical order.
+def _ordered(terms: Mapping[int, Scalar]) -> tuple[list[int], dict[int, tuple], int, list[int]]:
+    """The keys in canonical order, and how to decode them.
+
+    Returns the group masks in name order, the decoded groups, the bias
+    and the sorted keys.  The used slots in name order are cut into groups
+    of _GROUP; a group's value in a key is ``(key + bias) & mask``, and
+    decoded[value] is (sort chunk when a later field is nonzero, sort chunk
+    when none is, factor text, (name, exponent) pairs, (name, exponent
+    text) pairs).  A factor text holds "*name^exponent" per nonzero field.  decoded holds every group
+    value of every key, so a key costs one lookup per group.
 
     Each key sorts by one int of _CHUNK_BITS-bit chunks, one per used slot
     in name order: a nonzero field's chunk is its biased value, in
@@ -276,27 +290,46 @@ def _ordered(terms: Mapping[int, Scalar]) -> tuple[list[str], list[int], int, li
     canonical (name, exponent) order; q's field orders like its exponent.
     """
     names, shifts, bias = _ranked(terms)
-    backwards = shifts[::-1]
+    # each used slot's name, field shift and sort chunk position
+    slots = [(name, shift, _CHUNK_BITS * (len(names) - 1 - j))
+             for j, (name, shift) in enumerate(zip(names, shifts))]
+    masks = [sum(_MASK << shift for _, shift, _ in slots[i:i + _GROUP])
+             for i in range(0, len(slots), _GROUP)]
+    # decoded before the sort, so that no entry is allocated among the sort
+    # keys, where it would keep their memory from reuse once they are freed
+    decoded = {v: _decode(v, slots) for mask in masks
+               for v in {(key + bias) & mask for key in terms}}
+    backwards = masks[::-1]
 
     def sort_key(key: int) -> int:
         u = key + bias
-        out = width = 0
-        for shift in backwards:
-            v = u >> shift & _MASK
-            if v != _HALF:
-                out |= v << width
-            elif out:
-                out |= _GAP << width
-            width += _CHUNK_BITS
+        out = 0
+        for mask in backwards:
+            out += decoded[u & mask][not out]
         return out
 
-    return names, shifts, bias, sorted(terms, key=sort_key)
+    return masks, decoded, bias, sorted(terms, key=sort_key)
 
 
-def _text_exp(e: Scalar) -> str:
-    if isinstance(e, int):
-        return str(e) if e >= 0 else f"({e})"
-    return f"({e.numerator}/{e.denominator})"
+def _decode(v: int, slots: list[tuple[str, int, int]]) -> tuple:
+    """The entry of _ordered's decoded for one group value.
+
+    A slot of another group holds 0 in v, a zero field of the group _HALF.
+    """
+    later, last, text, pairs, texts = 0, 0, "", (), ()
+    for name, shift, at in slots:
+        b = v >> shift & _MASK
+        if b == _HALF:
+            later |= _GAP << at
+        elif b:
+            last = later = later | b << at
+            e = _exponent(name, b - _HALF)
+            # e.g. "*a1", "*a1^2", "*a1^(-2)", "*q^(1/2)"
+            text += (f"*{name}" if e == 1 else f"*{name}^{e}" if type(e) is int and e > 0
+                     else f"*{name}^({e})")
+            pairs += ((name, e),)
+            texts += ((name, str(e)),)
+    return later, last, text, pairs, texts
 
 
 _new = object.__new__
@@ -565,44 +598,23 @@ class LaurentPoly:
     # -- serialization ----------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Exps, Scalar]]:
-        names, shifts, bias, keys = _ordered(self.terms)
-        slots = list(zip(names, shifts))
-        out = []
-        for key in keys:
-            u = key + bias
-            exps = tuple([(name, _exponent(name, v - _HALF)) for name, shift in slots
-                          if (v := u >> shift & _MASK) != _HALF])
-            out.append((exps, self.terms[key]))
-        return out
+        masks, decoded, bias, keys = _ordered(self.terms)
+        return [(sum([decoded[(key + bias) & mask][3] for mask in masks], ()), self.terms[key])
+                for key in keys]
 
     def to_text(self) -> str:
         """Canonical text form, e.g. ``3/2*q^(-1/2)*a1^2 + 1``."""
         if not self.terms:
             return "0"
-        names, shifts, bias, keys = _ordered(self.terms)
-        # per used slot: its shift, its name, and biased field -> "name^exponent"
-        slots = [(shift, name, {}) for name, shift in zip(names, shifts)]
+        masks, decoded, bias, keys = _ordered(self.terms)
         terms = self.terms
         parts: list[str] = []
         for key in keys:
             u = key + bias
-            pieces = []
-            for shift, name, factors in slots:
-                v = u >> shift & _MASK
-                if v != _HALF:
-                    piece = factors.get(v)
-                    if piece is None:
-                        e = _exponent(name, v - _HALF)
-                        piece = factors[v] = name if e == 1 else f"{name}^{_text_exp(e)}"
-                    pieces.append(piece)
+            factors = "".join([decoded[u & mask][2] for mask in masks])
             c = terms[key]
             mag = abs(c)
-            if not pieces:
-                piece = str(mag)
-            elif mag == 1:
-                piece = "*".join(pieces)
-            else:
-                piece = f"{mag}*{'*'.join(pieces)}"
+            piece = factors[1:] if mag == 1 and factors else f"{mag}{factors}"
             if parts:
                 parts.append(f" + {piece}" if c > 0 else f" - {piece}")
             else:
@@ -615,13 +627,10 @@ class LaurentPoly:
         return f"LaurentPoly({self.to_text()})"
 
     def to_json_obj(self) -> list:
-        return [
-            {
-                "coeff": str(c),
-                "exps": {v: str(e) for v, e in exps},
-            }
-            for exps, c in self.sorted_terms()
-        ]
+        masks, decoded, bias, keys = _ordered(self.terms)
+        return [{"coeff": str(self.terms[key]),
+                 "exps": dict(sum([decoded[(key + bias) & mask][4] for mask in masks], ()))}
+                for key in keys]
 
 
 def qpow(e) -> LaurentPoly:

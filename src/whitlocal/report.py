@@ -13,12 +13,11 @@ repeated runs of the same configuration emit identical bytes.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import time
 from collections import namedtuple
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
+
+from .cli import csv_text, json_text
 
 PASS = "pass"
 FAIL = "fail"
@@ -98,24 +97,18 @@ def report_to_json(report: SuiteReport, include_timings: bool = False) -> str:
         if include_timings:
             entry["millis"] = c.millis
         checks.append(entry)
-    payload = {"suite": report.suite, "status": report.status, "checks": checks}
-    return json.dumps(payload, indent=2)
+    return json_text({"suite": report.suite, "status": report.status, "checks": checks})
 
 
 CSV_COLUMNS = ("suite", "check_id", "description", "status", "witness")
 
 
 def report_to_csv(report: SuiteReport, include_timings: bool = False) -> str:
-    buf = io.StringIO()
-    columns: Sequence[str] = CSV_COLUMNS + (("millis",) if include_timings else ())
-    writer = csv.writer(buf)
-    writer.writerow(columns)
+    rows = [CSV_COLUMNS + (("millis",) if include_timings else ())]
     for c in report.checks:
-        row = [report.suite, c.id, c.description, c.status, c.witness or ""]
-        if include_timings:
-            row.append(c.millis)
-        writer.writerow(row)
-    return buf.getvalue()
+        row = (report.suite, c.id, c.description, c.status, c.witness or "")
+        rows.append(row + ((str(c.millis),) if include_timings else ()))
+    return csv_text(rows)
 
 
 def report_to_text(report: SuiteReport, include_timings: bool = False) -> str:

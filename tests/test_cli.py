@@ -381,8 +381,8 @@ class TestExitCodes:
         ordered = exactalg._ordered
 
         def reversed_keys(terms):
-            names, shifts, bias, keys = ordered(terms)
-            return names, shifts, bias, keys[::-1]
+            masks, decoded, bias, keys = ordered(terms)
+            return masks, decoded, bias, keys[::-1]
 
         monkeypatch.setattr(exactalg, "_ordered", reversed_keys)
         code, out, _ = run_cli("verify", "--suite", "involution", "--n-max", "2", capsys=capsys)
