@@ -37,9 +37,11 @@ form, [A-Za-z_][A-Za-z0-9_]*, once, when the name enters the table.
 Field bound.  A field may hold values up to EXPONENT_LIMIT in absolute
 value (so |exponent| < 2^31, and < 2^30 on q).  Every polynomial carries an
 upper bound on its largest field; before a product starts, the operands'
-bounds (made exact if their sum is too large) must add up to at most the
-limit, or ExponentOutOfRange is raised.  So a field never carries into its
-neighbour.
+bounds must add up to at most the limit, or ExponentOutOfRange is raised,
+even where the exact fields of the product would fit.  Only the keys that
+are formed without a product get an exact check: a single-term power (the
+key times k) and a term of the constructor (its fields summed per slot).
+So a field never carries into its neighbour.
 
 Sums of monomial products.  LaurentPoly.monomial_sum(values, weights)
 builds sum count * prod values_i^(w_i) over a {w: count} map at
@@ -75,7 +77,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import prod
 from operator import mul
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 # Only this variable may carry half-integer exponents.
 RESIDUE_CARDINALITY_VAR = "q"
@@ -109,7 +111,7 @@ class InexactDivision(ArithmeticError):
 
 
 class ExponentOutOfRange(ValueError):
-    """An exponent would leave its packed field (beyond EXPONENT_LIMIT)."""
+    """An exponent, or a product's field bound, would pass EXPONENT_LIMIT."""
 
 
 def _norm_exp(e) -> Scalar:
@@ -154,20 +156,6 @@ def _bias(slot: int) -> int:
     return _HALF * ((1 << (FIELD_BITS * (slot + 1))) - 1) // _MASK
 
 
-def _fields(key: int) -> list[tuple[int, int]]:
-    """(slot, field) for every nonzero field of a packed key, lowest slot first."""
-    out = []
-    slot = 0
-    while key:
-        f = ((key + _HALF) & _MASK) - _HALF
-        if f:
-            out.append((slot, f))
-            key -= f
-        key >>= FIELD_BITS
-        slot += 1
-    return out
-
-
 def _exponent(name: str, f: int) -> Scalar:
     """The exponent a field stands for: half of it on q."""
     if name != RESIDUE_CARDINALITY_VAR:
@@ -184,40 +172,17 @@ def _check_field(slot: int, f: int) -> None:
         )
 
 
-def _product_span(a: Iterable[int], b: Iterable[int]) -> int:
-    """The largest field of any product of a key of a and a key of b.
-
-    Raises ExponentOutOfRange, before any product is formed, when one of
-    those fields would leave its range.
-    """
-    ranges = []
-    for keys in (a, b):
-        r: dict[int, list[int]] = {}  # slot -> [lowest, highest] field, 0 included
-        for key in keys:
-            for slot, f in _fields(key):
-                lo_hi = r.setdefault(slot, [0, 0])
-                if f < lo_hi[0]:
-                    lo_hi[0] = f
-                elif f > lo_hi[1]:
-                    lo_hi[1] = f
-        ranges.append(r)
-    ra, rb = ranges
-    span = 0
-    for slot in ra.keys() | rb.keys():
-        lo_a, hi_a = ra.get(slot, (0, 0))
-        lo_b, hi_b = rb.get(slot, (0, 0))
-        for f in (lo_a + lo_b, hi_a + hi_b):
-            _check_field(slot, f)
-            span = max(span, abs(f))
-    return span
-
-
 def _power_span(key: int, k: int) -> int:
     """The largest field of the k-th power of a key; raises beyond the limit."""
-    span = 0
-    for slot, f in _fields(key):
-        _check_field(slot, f * k)
-        span = max(span, abs(f * k))
+    span = slot = 0
+    while key:
+        f = ((key + _HALF) & _MASK) - _HALF
+        if f:
+            _check_field(slot, f * k)
+            span = max(span, abs(f * k))
+            key -= f
+        key >>= FIELD_BITS
+        slot += 1
     return span
 
 
@@ -355,14 +320,30 @@ class LaurentPoly:
     __slots__ = ("terms", "_span")
 
     def __init__(self, terms: Mapping[Exps, Scalar] | None = None):
-        total = LaurentPoly.zero()
+        """The polynomial sum of c * prod name^e over {((name, e), ...): c}.
+
+        Each term's fields are summed per slot, so repeated names multiply,
+        and its key is formed directly, with no polynomial product: so every
+        value a product or power can build, such as x^L * y^L at the limit
+        L = EXPONENT_LIMIT, loads back from its sorted_terms().  A bad name,
+        a half power off q, or an exponent or a summed field beyond the
+        limit is refused, as var refuses it.
+        """
+        out: dict[int, Scalar] = {}
+        span = 0
         for exps, c in (terms or {}).items():
-            term = LaurentPoly.const(c)
+            fields: dict[int, int] = {}
             for name, e in exps:
-                term = term * LaurentPoly.var(name, e)
-            total = total + term
-        self.terms: dict[int, Scalar] = total.terms
-        self._span = total._span
+                slot = _slot(name)
+                fields[slot] = fields.get(slot, 0) + _to_field(name, _norm_exp(e))
+            key = 0
+            for slot, f in fields.items():
+                _check_field(slot, f)
+                span = max(span, abs(f))
+                key += f << (FIELD_BITS * slot)
+            out[key] = out.get(key, 0) + _coeff(c)
+        self.terms: dict[int, Scalar] = {key: _coeff(c) for key, c in out.items() if c}
+        self._span = span
 
     # -- constructors ---------------------------------------------------
 
@@ -498,6 +479,12 @@ class LaurentPoly:
         return LaurentPoly.coerce(other) - self
 
     def __mul__(self, other) -> "LaurentPoly":
+        """The product, if the operands' field bounds sum to at most EXPONENT_LIMIT.
+
+        Otherwise ExponentOutOfRange is raised before the product starts,
+        even where the exact fields of the product would fit: the bound is
+        the sum of the operands' _span, not a scan of their keys.
+        """
         try:
             other = LaurentPoly.coerce(other)
         except TypeError:
@@ -506,7 +493,7 @@ class LaurentPoly:
             return LaurentPoly.zero()
         span = self._span + other._span
         if span > EXPONENT_LIMIT:
-            span = _product_span(self.terms, other.terms)
+            raise ExponentOutOfRange(f"a field of the product may reach {span}, beyond {EXPONENT_LIMIT}")
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
@@ -539,16 +526,24 @@ class LaurentPoly:
         return NotImplemented
 
     def __pow__(self, k: int) -> "LaurentPoly":
+        """The k-th power, for any integer k at a single-term base, else k >= 0.
+
+        A single-term base is raised in one step, its key times k, and
+        _power_span checks the exact fields of the result.  This is not a
+        product, so the summed bound does not apply: a Satake product
+        a1*a2*a3 carries a bound of 3 though each of its fields is 1, and
+        its power at 800000000 fits, where squaring would be refused.  Any
+        other base is raised by repeated squaring, under __mul__'s bound; a
+        negative power of it raises DivisionByZero.
+        """
         if not isinstance(k, int):
             raise TypeError("polynomial powers must be integers")
-        if k < 0:
-            if not self.is_unit():
-                raise DivisionByZero(
-                    "negative powers are only defined for single-term polynomials"
-                )
+        if self.is_unit():
             ((key, c),) = self.terms.items()
-            span = _power_span(key, k)
-            return _poly({key * k: _coeff(Fraction(1) / c ** (-k))}, span)
+            c = c ** k if k >= 0 else Fraction(1) / c ** -k
+            return _poly({key * k: _coeff(c)}, _power_span(key, k))
+        if k < 0:
+            raise DivisionByZero("negative powers are only defined for single-term polynomials")
         result = LaurentPoly.one()
         base = self
         while k:

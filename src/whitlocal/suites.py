@@ -388,6 +388,11 @@ def suite_schur(cfg: SuiteConfig) -> SuiteReport:
                     return False, f"lambda={lam}: {got.to_text()} != {bi.to_text()}"
                 if witness := _out_of_order(got):
                     return False, f"lambda={lam}: {witness}"
+                # JSON emission reads its own decoded entries: it must say what sorted_terms() says
+                terms = [{"coeff": str(c), "exps": {name: str(e) for name, e in exps}}
+                         for exps, c in got.sorted_terms()]
+                if got.to_json_obj() != terms:
+                    return False, f"lambda={lam}: JSON terms {got.to_json_obj()} != {terms}"
             return _all_partitions(lams, 6, n)
 
         def check_dimension(n=n):

@@ -400,6 +400,25 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:") and "'a1'" in err
 
+    @pytest.mark.parametrize("dual, value", [
+        ((), "a1^800000000*a2^800000000*a3^800000000"),
+        (("--dual",), "a1^(-800000000)*a2^(-800000000)*a3^(-800000000)"),
+    ])
+    def test_a_power_of_the_satake_product_is_bounded_exactly(self, dual, value, capsys):
+        # a1*a2*a3 has a summed field bound of 3, but each field of its power is 800000000
+        code, out, err = run_cli("whittaker", "--n", "3", "--mu", "800000000,800000000,800000000",
+                                 *dual, capsys=capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["value"] == value
+
+    def test_a_product_past_the_summed_bound_is_refused(self, capsys):
+        # the exact fields would fit (a2^2147483000), but the operands' bounds
+        # sum to 2000 + 2147482000
+        code, out, err = run_cli("whittaker", "--n", "2", "--mu", "2147483000,2147482000",
+                                 capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: a field of the product may reach 2147484000, beyond 2147483647\n"
+
     def test_charsum_residue_cardinality_contract(self, capsys):
         code, out, err = run_cli("charsum", "--p", "6", "--level", "1", "--valuations", "0",
                                  capsys=capsys)

@@ -281,34 +281,56 @@ def test_pickles_by_variable_name(monkeypatch):
     assert back.sorted_terms()[0][0] == (("q", Fraction(1, 2)), ("x", 1))
 
 
+def test_pickles_a_power_at_the_field_limit():
+    # a product of var factors would be refused here: x^L * y^L sums to 2L
+    p = 3 * (X * Y) ** EXPONENT_LIMIT - qpow(Fraction(-EXPONENT_LIMIT, 2))
+    back = pickle.loads(pickle.dumps(p))
+    assert back == p
+    assert back.to_text() == p.to_text()
+    assert back._span == EXPONENT_LIMIT
+
+
 class TestExponentField:
     def test_just_inside_the_field(self):
-        top = LaurentPoly.var("x", EXPONENT_LIMIT - 1) * X * Y
-        assert top.to_text() == f"x^{EXPONENT_LIMIT}*y"
-        assert (top * LaurentPoly.var("x", -1)).to_text() == f"x^{EXPONENT_LIMIT - 1}*y"
+        # a product is admitted when its operands' bounds sum to the limit
+        top = LaurentPoly.var("x", EXPONENT_LIMIT - 1) * X
+        assert top.to_text() == f"x^{EXPONENT_LIMIT}"
         low = LaurentPoly.var("x", 1 - EXPONENT_LIMIT) * LaurentPoly.var("x", -1)
-        assert (low * Y).to_text() == f"x^(-{EXPONENT_LIMIT})*y"
+        assert low.to_text() == f"x^(-{EXPONENT_LIMIT})"
         assert qpow(Fraction(EXPONENT_LIMIT, 2)).to_text() == f"q^({EXPONENT_LIMIT}/2)"
+        assert (LaurentPoly.var("x", 2 ** 30 - 1) ** 2).to_text() == f"x^{2 ** 31 - 2}"
+        # a single-term power is checked field by field: x*y*z carries a
+        # summed bound of 3, but each field of its power is 800000000
+        xyz = X * Y * LaurentPoly.var("z")
+        assert (xyz ** 800000000).to_text() == "x^800000000*y^800000000*z^800000000"
 
     def test_just_outside_the_field(self):
+        refused = "a field of the product may reach"
+        with pytest.raises(ExponentOutOfRange, match=refused):
+            LaurentPoly.var("x", EXPONENT_LIMIT - 1) * X * Y
         top = LaurentPoly.var("x", EXPONENT_LIMIT)
-        with pytest.raises(ExponentOutOfRange, match="'x'"):
+        with pytest.raises(ExponentOutOfRange, match=refused):
             top * X
-        with pytest.raises(ExponentOutOfRange):
+        with pytest.raises(ExponentOutOfRange, match=refused):
             LaurentPoly.var("x", -EXPONENT_LIMIT) * LaurentPoly.var("x", -1)
-        with pytest.raises(ExponentOutOfRange):
+        # squaring a sum is a product: its summed bound is 2^31
+        with pytest.raises(ExponentOutOfRange, match=refused):
+            (LaurentPoly.var("x", 2 ** 30) + 1) ** 2
+        with pytest.raises(ExponentOutOfRange, match="'x'"):
             LaurentPoly.var("x", EXPONENT_LIMIT + 1)
         with pytest.raises(ExponentOutOfRange, match="'q'"):
             qpow(Fraction(EXPONENT_LIMIT + 1, 2))
-        with pytest.raises(ExponentOutOfRange):
+        with pytest.raises(ExponentOutOfRange, match="'x'"):
             LaurentPoly.var("x", 2 ** 30) ** -2
+        with pytest.raises(ExponentOutOfRange, match="'y'"):
+            (X * Y ** 2) ** 2 ** 30
 
     def test_var_is_built_without_decoding_a_key(self, monkeypatch):
         # decoding costs one shift per slot, so a variable at a high slot
         # would cost time in the number of names interned before it
         names = [f"v{i}" for i in range(200)]
         with monkeypatch.context() as m:
-            m.setattr(exactalg, "_fields", None)
+            m.setattr(exactalg, "_power_span", None)
             built = [LaurentPoly.var(name, -2) for name in names] + [qpow(Fraction(3, 2))]
         assert built == [packed(ref.LaurentPoly.parse(f"{name}^(-2)")) for name in names] + [
             packed(ref.LaurentPoly.parse("q^(3/2)"))
@@ -317,11 +339,24 @@ class TestExponentField:
             LaurentPoly.var("v1", Fraction(1, 2))
 
     def test_constructor_refuses_what_var_refuses(self):
-        # each term is a product of var factors, so repeated names multiply
+        # each term's fields are summed per slot, so repeated names multiply
         assert LaurentPoly({(("x", 2), ("q", Fraction(1, 2)), ("x", -1)): 3}) == (
             3 * qpow(Fraction(1, 2)) * X)
         assert LaurentPoly({(("x", EXPONENT_LIMIT), ("x", -1)): 1}) == LaurentPoly.var(
             "x", EXPONENT_LIMIT - 1)
+        # no product is formed, so no summed bound applies, and the bound it
+        # carries is its largest field: 1 for x/y and 0 for a constant
+        assert LaurentPoly({(("x", EXPONENT_LIMIT), ("y", EXPONENT_LIMIT)): 1}) == (
+            (X * Y) ** EXPONENT_LIMIT)
+        almost = LaurentPoly.var("x", EXPONENT_LIMIT - 1)
+        assert (LaurentPoly({(("x", 1), ("y", -1)): 1}) * almost).to_text() == (
+            f"x^{EXPONENT_LIMIT}*y^(-1)")
+        assert (LaurentPoly({(): 3}) * (almost * X)).to_text() == f"3*x^{EXPONENT_LIMIT}"
+        # terms with one key collect, and a Fraction that sums to an integer is an int
+        collected = LaurentPoly({(("x", 1), ("y", 1)): Fraction(1, 2), (("y", 1), ("x", 1)): Fraction(3, 2),
+                                 (("x", 1),): 1, (("x", 2), ("x", -1)): -1})
+        assert collected == 2 * X * Y
+        assert [type(c) for c in collected.terms.values()] == [int]
         with pytest.raises(ValueError, match="half-integer"):
             LaurentPoly({(("x", Fraction(1, 2)),): 1})
         with pytest.raises(ExponentOutOfRange):
