@@ -106,10 +106,6 @@ class VariableMismatch(ValueError):
     """Two truncated series in different variables or to different orders were multiplied."""
 
 
-class InexactDivision(ArithmeticError):
-    """An exact polynomial division left a nonzero remainder."""
-
-
 class ExponentOutOfRange(ValueError):
     """An exponent, or a product's field bound, would pass EXPONENT_LIMIT."""
 

@@ -36,6 +36,7 @@ import cmath
 import math
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Iterator, Sequence, Union
 
@@ -144,6 +145,10 @@ def contragredient(rep: UnramifiedRep) -> UnramifiedRep:
     return UnramifiedRep(rep.rank, [p ** -1 for p in reversed(rep.satake)])
 
 
+# every weight and index call checks its p, and a suite makes dozens of them, at
+# up to 2^20 trial divisions each near the bound; typed, so that a float equal to
+# a cached int is still refused
+@lru_cache(maxsize=None, typed=True)
 def _smallest_prime_factor(p) -> int:
     if not isinstance(p, int) or p < 2:
         raise ValueError(f"residue cardinality must be an integer >= 2, got {p!r}")

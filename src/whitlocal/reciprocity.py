@@ -23,19 +23,12 @@ the ``weyl`` and ``cusp`` suites check both.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from .exactalg import LaurentPoly
 
 S_VAR = "s"
 W_VAR = "w"
-
-
-def _coerce_param(x) -> LaurentPoly:
-    if isinstance(x, LaurentPoly):
-        return x
-    return LaurentPoly.const(Fraction(x))
 
 
 class ParamPair:
@@ -46,8 +39,8 @@ class ParamPair:
     def __init__(self, s, w, n: int):
         if not isinstance(n, int) or n < 2:
             raise ValueError(f"the rank parameter must be an integer >= 2, got {n!r}")
-        self.s = _coerce_param(s)
-        self.w = _coerce_param(w)
+        self.s = LaurentPoly.coerce(s)
+        self.w = LaurentPoly.coerce(w)
         self.n = n
 
     @classmethod

@@ -10,9 +10,13 @@ dropped, since s_lam(x, 0) = s_lam(x); a value of several terms is refused.
 The cache of _weights is this module's only process-wide state: every
 representation, partition and suite in a process shares it.
 
-A second, independent route through the bialternant quotient of
-alternants is kept for cross-checking; it requires distinct variable
-names because it divides by the Vandermonde determinant exactly.
+An independent route checks schur without dividing: alternant forms
+a_(lam+delta) = det(x_i^(lam_j + n - j)) as its Leibniz sum, and the
+bialternant formula s_lam = a_(lam+delta) / a_delta (Macdonald I 3) is
+checked multiplied through, s_lam * a_delta == a_(lam+delta), where a_delta
+is the Vandermonde determinant.  The Laurent polynomials over Q have no zero
+divisors, so the product check is as strong as the quotient.  It needs
+distinct variable names, or both alternants vanish.
 
 A Schur value at fewer nonzero values than the partition has parts is
 zero; the library returns that zero rather than raising, matching the
@@ -22,10 +26,10 @@ support convention used by the spherical Whittaker values built on top.
 from __future__ import annotations
 
 from functools import cache
-from itertools import product
+from itertools import combinations, permutations, product
 from typing import Iterable, Iterator, Sequence
 
-from .exactalg import InexactDivision, LaurentPoly, TruncatedSeries
+from .exactalg import LaurentPoly, TruncatedSeries
 
 
 class Partition(tuple):
@@ -49,7 +53,7 @@ class Partition(tuple):
 
         Every caller pads to at least the length: schur returns zero first
         when the partition is too long, partitions_of(w, n) yields at most n
-        parts, and the bialternant oracle refuses a longer partition first.
+        parts, and alternant refuses a longer partition first.
         """
         return self + (0,) * (n - len(self))
 
@@ -89,39 +93,6 @@ def partitions_up_to(max_weight: int, max_length: int) -> Iterator[Partition]:
         yield from partitions_of(w, max_length)
 
 
-def _det(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Determinant by cofactor expansion with memoized column subsets.
-
-    Only the bialternant oracle uses it, on n x n matrices for n variables,
-    so this stays small.
-    """
-    n = len(matrix)
-    if n == 0:
-        return LaurentPoly.one()
-    cache: dict[tuple[int, ...], LaurentPoly] = {}
-
-    # the row being expanded is always n - len(cols), so cols alone keys the cache
-    def minor(row: int, cols: tuple[int, ...]) -> LaurentPoly:
-        if not cols:
-            return LaurentPoly.one()
-        got = cache.get(cols)
-        if got is not None:
-            return got
-        total = LaurentPoly.zero()
-        sign = 1
-        for idx, col in enumerate(cols):
-            entry = matrix[row][col]
-            if not entry.is_zero():
-                rest = minor(row + 1, cols[:idx] + cols[idx + 1:])
-                term = entry * rest
-                total = total + (term if sign > 0 else -term)
-            sign = -sign
-        cache[cols] = total
-        return total
-
-    return minor(0, tuple(range(n)))
-
-
 @cache
 def _weights(nu: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """The Gelfand-Tsetlin patterns with top row nu, counted by weight.
@@ -159,60 +130,29 @@ def schur(lam: Partition, xs: Sequence) -> LaurentPoly:
     return LaurentPoly.monomial_sum(values, _weights(lam.padded(len(values))))
 
 
-def _divide_by_difference(f: LaurentPoly, a: str, b: str) -> LaurentPoly:
-    """Exact division of f by (a - b) for variables a, b.
+def alternant(lam: Partition, names: Sequence[str]) -> LaurentPoly:
+    """The alternant a_(lam+delta) = det(x_i^(lam_j + n - j)) in n distinct variables.
 
-    Synthetic division in the variable a; raises InexactDivision when the
-    remainder (f with a replaced by b) is nonzero.
-    """
-    by_deg = f.coefficients_in(a)
-    if not by_deg:
-        return LaurentPoly.zero()
-    degrees = sorted(by_deg)
-    if degrees[0] < 0 or not all(isinstance(d, int) for d in degrees):
-        raise InexactDivision(f"{a} occurs with negative or fractional exponent")
-    kmax = degrees[-1]
-    coeffs = [by_deg.get(k, LaurentPoly.zero()) for k in range(kmax + 1)]
-    bvar = LaurentPoly.var(b)
-    quot = [LaurentPoly.zero()] * kmax
-    carry = LaurentPoly.zero()
-    for k in range(kmax, 0, -1):
-        carry = coeffs[k] + carry * bvar
-        quot[k - 1] = carry
-    remainder = coeffs[0] + carry * bvar
-    if not remainder.is_zero():
-        raise InexactDivision(f"division by ({a} - {b}) leaves remainder {remainder}")
-    avar = LaurentPoly.var(a)
-    total = LaurentPoly.zero()
-    for k, c in enumerate(quot):
-        if not c.is_zero():
-            total = total + c * avar ** k
-    return total
-
-
-def schur_bialternant_oracle(lam: Partition, names: Sequence[str]) -> LaurentPoly:
-    """Independent Schur value via the quotient of alternants.
-
-    det(x_i^(lam_j + n - j)) divided exactly by the Vandermonde determinant
-    prod_{i<j} (x_i - x_j).  Needs distinct variable names.
+    The Leibniz sum over the n! permutations: each signed term is formed
+    directly by LaurentPoly({...}), with no polynomial product.  At the
+    empty partition it is the Vandermonde determinant a_delta.  Repeated
+    names are refused, since both alternants would vanish and
+    s_lam * a_delta == a_(lam+delta) would hold whatever s_lam is; so is a
+    partition longer than the names.
     """
     n = len(names)
     if len(set(names)) != n:
-        raise ValueError("bialternant oracle needs distinct variable names")
+        raise ValueError("alternant needs distinct variable names")
     if len(lam) > n:
         raise ValueError(
             f"partition {lam} has more parts than the {n} supplied variables"
         )
     exps = [part + n - j for j, part in enumerate(lam.padded(n), start=1)]
-    matrix = [
-        [LaurentPoly.var(names[i], exps[j]) if exps[j] else LaurentPoly.one() for j in range(n)]
-        for i in range(n)
-    ]
-    numerator = _det(matrix)
-    for i in range(n):
-        for j in range(i + 1, n):
-            numerator = _divide_by_difference(numerator, names[i], names[j])
-    return numerator
+    # row i of a term holds x_i's exponent; exps decrease, so an inversion is an ascent
+    return LaurentPoly({
+        tuple(zip(names, row)): (-1) ** sum(a < b for a, b in combinations(row, 2))
+        for row in permutations(exps)
+    })
 
 
 def cauchy_schur_side(n: int, m: int, var: str, order: int) -> TruncatedSeries:

@@ -116,6 +116,12 @@ def test_schur_plus_one_monomial(monkeypatch):
     kinds = {(c.id.split("/")[0], c.status) for c in report.checks}
     # the value at all-ones is no longer a number, so the dimension check raises
     assert kinds == {("oracle", "fail"), ("pieri", "fail"), ("dimension", "error")}
+    # the product check names the value that fails it, the first partition's
+    oracle = {c.id: c.witness for c in report.checks if c.id.startswith("oracle/")}
+    assert oracle == {
+        f"oracle/n={n}": "lambda=(): s_lambda * a_delta != a_(lambda+delta) at s_lambda = 1 + x1"
+        for n in range(1, 5)
+    }
 
 
 def test_weight_unramified_modulus_fault_errors(monkeypatch):

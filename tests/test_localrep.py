@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from whitlocal import localrep
+from whitlocal.cli import main
 from whitlocal.exactalg import DivisionByZero, LaurentPoly, qpow
 from whitlocal.localrep import (
     ENUMERATION_LIMIT,
@@ -157,6 +158,19 @@ class TestCongruenceIndex:
         assert congruence_index(2, 1099511627689, 0) == 1  # the largest prime below 2^40
         with pytest.raises(ValueError, match="exceeds the bound"):
             congruence_index(2, MAX_RESIDUE_CARDINALITY + 15, 1)
+
+    def test_trial_division_runs_once_per_value(self, capsys):
+        # weight-q re-checks p in each of its 65 weight and index calls; at the
+        # largest prime below 2^40 each check was up to 2^20 trial divisions
+        localrep._smallest_prime_factor.cache_clear()
+        assert main(["verify", "--suite", "weight-q", "--p", "1099511627689"]) == 0
+        # one miss for the configured p, one for the worked example's p = 2
+        assert localrep._smallest_prime_factor.cache_info().misses == 2
+
+    def test_a_float_equal_to_a_checked_prime_is_refused(self):
+        assert congruence_index(2, 3, 1) == 4
+        with pytest.raises(ValueError, match="integer >= 2, got 3.0"):
+            congruence_index(2, 3.0, 1)
 
 
 class TestCharacterSum:

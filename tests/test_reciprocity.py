@@ -64,6 +64,13 @@ class TestDualParams:
         with pytest.raises(ValueError):
             ParamPair(1, 1, 1)
 
+    def test_parameters_must_be_exact(self):
+        # a float would silently become its binary fraction, 0.1 as 3602879701896397/2^55
+        with pytest.raises(TypeError, match="cannot interpret 0.1"):
+            ParamPair(0.1, 1, 2)
+        with pytest.raises(TypeError, match="cannot interpret 0.5"):
+            ParamPair(1, 0.5, 2)
+
     def test_verify_report_passes(self):
         for n in (2, 5, 10):
             checks = _checks_at("involution", n, n_max=10)

@@ -8,17 +8,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from whitlocal.exactalg import InexactDivision, LaurentPoly, TruncatedSeries
+from whitlocal.exactalg import LaurentPoly, TruncatedSeries
 from whitlocal.localrep import UnramifiedRep
 from whitlocal.suites import SUITES, SuiteConfig
 from whitlocal.symfunc import (
     Partition,
     _weights,
+    alternant,
     cauchy_schur_side,
     partitions_of,
     partitions_up_to,
     schur,
-    schur_bialternant_oracle,
 )
 
 from series_helpers import from_poly, l_denominator_series
@@ -26,6 +26,12 @@ from series_helpers import from_poly, l_denominator_series
 
 def _vars(n, prefix="x"):
     return [LaurentPoly.var(f"{prefix}{i}") for i in range(1, n + 1)]
+
+
+def _bialternant_holds(lam, names):
+    """s_lam * a_delta == a_(lam+delta): the bialternant formula multiplied through."""
+    value = schur(lam, [LaurentPoly.var(v) for v in names])
+    return value * alternant(Partition(), names) == alternant(lam, names)
 
 
 def weyl_dimension(lam: Partition, n: int) -> Fraction:
@@ -154,7 +160,7 @@ class TestSchur:
         value = schur(lam, [LaurentPoly.var(v) for v in names])
         assert calls == []
         monkeypatch.undo()
-        assert value == schur_bialternant_oracle(lam, names)
+        assert value * alternant(Partition(), names) == alternant(lam, names)
 
     def test_patterns_are_counted_by_weight(self):
         # s_(2,1)(x, y, z) has each permutation of x^2 y once and x y z twice
@@ -169,9 +175,8 @@ class TestSchur:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_bialternant_oracle(self, n):
         names = [f"x{i}" for i in range(1, n + 1)]
-        values = [LaurentPoly.var(v) for v in names]
         for lam in partitions_up_to(6, n):
-            assert schur(lam, values) == schur_bialternant_oracle(lam, names)
+            assert _bialternant_holds(lam, names)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_symmetry_under_all_permutations(self, n):
@@ -233,13 +238,23 @@ class TestSchur:
         lambda n: st.tuples(st.just(n), st.sampled_from(list(partitions_up_to(6, n))))))
     def test_matches_bialternant_oracle_property(self, case):
         n, lam = case
-        names = [f"x{i}" for i in range(1, n + 1)]
-        values = [LaurentPoly.var(v) for v in names]
-        assert schur(lam, values) == schur_bialternant_oracle(lam, names)
+        assert _bialternant_holds(lam, [f"x{i}" for i in range(1, n + 1)])
 
-    def test_oracle_needs_distinct_names(self):
-        with pytest.raises(ValueError):
-            schur_bialternant_oracle(Partition((1,)), ["x", "x"])
+    def test_alternant_needs_distinct_names(self):
+        # both alternants would vanish, and the product check would pass on anything
+        with pytest.raises(ValueError, match="distinct"):
+            alternant(Partition((1,)), ["x", "x"])
+
+    def test_alternant_refuses_a_longer_partition(self):
+        with pytest.raises(ValueError, match="more parts"):
+            alternant(Partition((1, 1, 1)), ["x", "y"])
+
+    def test_alternant_is_the_determinant(self):
+        # a_delta(x, y, z) = (x - y)(x - z)(y - z); a_(2)+delta(x, y) = x^3 y^0 - x^0 y^3
+        x, y, z = _vars(3, "v")
+        assert alternant(Partition(), ["v1", "v2", "v3"]) == (x - y) * (x - z) * (y - z)
+        assert alternant(Partition((2,)), ["v1", "v2"]) == x ** 3 - y ** 3
+        assert alternant(Partition(), []) == LaurentPoly.one()
 
 
 class TestCauchy:
@@ -280,7 +295,3 @@ class TestSchurProducts:
         for mu1 in range(max(a, b), a + b + 1):
             rhs = rhs + schur(Partition((mu1, a + b - mu1)), xs)
         assert lhs == rhs
-
-
-def test_inexact_division_error_exists():
-    assert issubclass(InexactDivision, ArithmeticError)
