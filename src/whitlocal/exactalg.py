@@ -39,9 +39,9 @@ value (so |exponent| < 2^31, and < 2^30 on q).  Every polynomial carries an
 upper bound on its largest field; before a product starts, the operands'
 bounds must add up to at most the limit, or ExponentOutOfRange is raised,
 even where the exact fields of the product would fit.  Only the keys that
-are formed without a product get an exact check: a single-term power (the
-key times k) and a term of the constructor (its fields summed per slot).
-So a field never carries into its neighbour.
+are formed without a product get an exact check: a power (every power is
+of a single term, its key times k) and a term of the constructor (its
+fields summed per slot).  So a field never carries into its neighbour.
 
 Sums of monomial products.  LaurentPoly.monomial_sum(values, weights)
 builds sum count * prod values_i^(w_i) over a {w: count} map at
@@ -64,7 +64,8 @@ _ranked, which variables and the emitters use, scans only the slots up to
 the highest one the keys use, so names interned after a polynomial's
 variables cost its decoding nothing.  coefficients_in reads a single
 slot's field, as the TruncatedSeries constructor does, and substitute
-goes through coefficients_in.  There is no parser and no evaluator.
+goes through coefficients_in, at a single-term or zero value.  There is no
+parser and no evaluator.
 
 All values are immutable and all operations are pure: they return new
 objects and never mutate their inputs.  Serialization (text and JSON) is
@@ -141,9 +142,8 @@ def _slot(name) -> int:
             raise ValueError(
                 f"variable name must match [A-Za-z_][A-Za-z0-9_]*, got {name!r}"
             )
+        slot = _SLOTS[name] = len(_NAMES)
         _NAMES.append(name)
-        # append and index are atomic, so threads interning one name agree on its slot
-        slot = _SLOTS.setdefault(name, _NAMES.index(name))
     return slot
 
 
@@ -405,16 +405,11 @@ class LaurentPoly:
         """True iff the polynomial is a single nonzero term (hence invertible)."""
         return len(self.terms) == 1
 
-    def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
-
-    def constant_coefficient(self) -> Fraction:
-        return Fraction(self.terms.get(0, 0))
-
     def as_fraction(self) -> Fraction:
-        if not self.is_constant():
+        """The value of a constant polynomial; any other raises ValueError."""
+        if self.terms.keys() - {0}:
             raise ValueError(f"{self} is not a constant")
-        return self.constant_coefficient()
+        return Fraction(self.terms.get(0, 0))
 
     def variables(self) -> frozenset[str]:
         if not self.terms:
@@ -522,34 +517,28 @@ class LaurentPoly:
         return NotImplemented
 
     def __pow__(self, k: int) -> "LaurentPoly":
-        """The k-th power, for any integer k at a single-term base, else k >= 0.
+        """The k-th power of a single-term or zero base, for any integer k.
 
         A single-term base is raised in one step, its key times k, and
         _power_span checks the exact fields of the result.  This is not a
         product, so the summed bound does not apply: a Satake product
         a1*a2*a3 carries a bound of 3 though each of its fields is 1, and
-        its power at 800000000 fits, where squaring would be refused.  Any
-        other base is raised by repeated squaring, under __mul__'s bound; a
-        negative power of it raises DivisionByZero.
+        its power at 800000000 fits, where squaring would be refused.  A
+        zero base gives 1 at k = 0 and 0 at k > 0, and a negative power of
+        it raises DivisionByZero.  Any other base raises ValueError, as
+        monomial_sum does: every power the library takes is of a monomial.
         """
         if not isinstance(k, int):
             raise TypeError("polynomial powers must be integers")
-        if self.is_unit():
-            ((key, c),) = self.terms.items()
-            c = c ** k if k >= 0 else Fraction(1) / c ** -k
-            return _poly({key * k: _coeff(c)}, _power_span(key, k))
-        if k < 0:
-            raise DivisionByZero("negative powers are only defined for single-term polynomials")
-        result = LaurentPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base_needed = k >> 1
-            if base_needed:
-                base = base * base
-            k = base_needed
-        return result
+        if not self.terms:
+            if k < 0:
+                raise DivisionByZero("zero raised to a negative power")
+            return LaurentPoly.one() if k == 0 else self
+        if not self.is_unit():
+            raise ValueError(f"powers take single-term bases, got {self.to_text()}")
+        ((key, c),) = self.terms.items()
+        c = c ** k if k >= 0 else Fraction(1) / c ** -k
+        return _poly({key * k: _coeff(c)}, _power_span(key, k))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -570,13 +559,16 @@ class LaurentPoly:
     # -- substitution ---------------------------------------------------
 
     def substitute(self, name: str, value) -> "LaurentPoly":
-        """Replace one variable by a polynomial value.
+        """Replace one variable by a single-term or zero value.
 
-        The variable must occur with integer exponents only, or ValueError
-        is raised; where one is negative the value must be a single-term
-        unit (or a nonzero constant) so the power stays inside the ring.
+        A value of more than one term raises ValueError, checked first, and
+        so does an exponent of the variable that is not an integer.  Each
+        power of the value is one step of __pow__, so a negative power of a
+        zero value raises DivisionByZero.
         """
         value = LaurentPoly.coerce(value)
+        if len(value.terms) > 1:
+            raise ValueError(f"substitute takes a single-term or zero value, got {value.to_text()}")
         parts = self.coefficients_in(name)
         for e in parts:
             if not isinstance(e, int):
@@ -650,7 +642,8 @@ class TruncatedSeries:
     """A power series in one distinguished variable, truncated at a fixed order.
 
     coeffs[k] is the coefficient of var^k and never mentions var itself.
-    Two series multiply only in the same variable and to the same order.
+    Two series multiply only in the same variable and to the same order,
+    and a LaurentPoly factor goes on the right: series * c.
     """
 
     __slots__ = ("var", "coeffs")
@@ -699,8 +692,6 @@ class TruncatedSeries:
                     continue
                 out[i + j] = out[i + j] + ci * cj
         return TruncatedSeries(self.var, out)
-
-    __rmul__ = __mul__
 
     def is_one(self) -> bool:
         return self.coeffs[0] == LaurentPoly.one() and all(

@@ -75,13 +75,6 @@ class SymbolicMatrix:
         self.rows = rows
 
     @classmethod
-    def identity(cls, size: int) -> "SymbolicMatrix":
-        return cls([
-            [LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(size)]
-            for i in range(size)
-        ])
-
-    @classmethod
     def scalar(cls, size: int, value) -> "SymbolicMatrix":
         value = LaurentPoly.coerce(value)
         return cls([
@@ -162,7 +155,7 @@ def column_unipotent(size: int, col: int, names: Sequence[str]) -> SymbolicMatri
 
     Entry (i, col) is names[i] for i = 1..len(names), 1-based.
     """
-    m = SymbolicMatrix.identity(size)
+    m = SymbolicMatrix.scalar(size, 1)
     rows = [list(r) for r in m.rows]
     for i, name in enumerate(names):
         rows[i][col - 1] = LaurentPoly.var(name)

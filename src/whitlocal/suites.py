@@ -24,8 +24,9 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from itertools import product
+from math import comb
 
-from .exactalg import LaurentPoly, qpow
+from .exactalg import LaurentPoly, TruncatedSeries, qpow
 from .localrep import (
     UnramifiedRep,
     character_sum,
@@ -221,7 +222,7 @@ def _weyl_checks(n: int) -> list[Check]:
     def square():
         w = swap_last_two(size)
         got = w * w
-        return got == SymbolicMatrix.identity(size), f"{got}"
+        return got == SymbolicMatrix.scalar(size, 1), f"{got}"
 
     return [
         (f"n={n:02d}/conjugation",
@@ -332,10 +333,19 @@ _CAUCHY_RANKS = tuple(product((1, 2, 3), repeat=2))
 
 
 def suite_cauchy(cfg: SuiteConfig) -> SuiteReport:
+    # at unit parameters the denominator is (1 - X)^(nm), read to full degree:
+    # this sees a series product that drops top coefficients, which the
+    # identity below reads as its expected 0s; then
     # sum_lam s_lam(a) s_lam(b) X^|lam| times prod_(i,j) (1 - a_i b_j X) is 1
     checks = []
     for n, m in _CAUCHY_RANKS:
         def body(n=n, m=m):
+            units = times_l_denominator(TruncatedSeries.one("X", n * m),
+                                        UnramifiedRep(n, [1] * n), UnramifiedRep(m, [1] * m))
+            for k, c in enumerate(units.coeffs):
+                if c != (want := (-1) ** k * comb(n * m, k)):
+                    return False, (f"X^{k}: the denominator at unit parameters gives "
+                                   f"{c.to_text()}, not {want}")
             series = cauchy_schur_side(n, m, "X", cfg.order)
             product = times_l_denominator(
                 series, UnramifiedRep.symbolic(n, "a"), UnramifiedRep.symbolic(m, "b")
@@ -680,15 +690,15 @@ def suite_negative_control(cfg: SuiteConfig) -> SuiteReport:
 
 
 # the suites of "all", in the order a worker pool takes them; the order
-# changes no output, since merge_reports sorts the checks by id.  Summed
-# check millis of ``verify --suite all --timings --jobs 1`` (seeds 1, 22 and
-# 42, two runs each, medians, 2-vCPU host) put contragredient (73 ms), schur
-# (62) and weight-unramified (59) first, then weight-l (21), unramified
-# (20), charsum (18), cauchy (17) and the rest (at most 1), so the costly
-# suites lead.  Taking contragredient first did not make ``verify --suite
-# all --jobs 2`` faster: its median was higher in each of 4 sets of 12 to 20
-# alternating pairs, and it was faster in 25 of 72 pairs, so the first four
-# keep this order.
+# changes no output, since merge_reports sorts the checks by id.  By the
+# summed check millis of ``verify --suite all --timings --jobs 1``,
+# contragredient, schur and weight-unramified cost most, then weight-l,
+# unramified, charsum and cauchy a quarter to a third as much each, and
+# the rest next to nothing, so the costly suites lead.  Taking
+# contragredient first did not make ``verify --suite all --jobs 2``
+# faster: its median was higher in each of 4 sets of 12 to 20 alternating
+# pairs, and it was faster in 25 of 72 pairs, so the first four keep this
+# order.
 SUITES = {
     "weight-unramified": suite_weight_unramified,
     "contragredient": suite_contragredient,

@@ -73,8 +73,6 @@ def partitions_of(weight: int, max_length: int) -> Iterator[Partition]:
         if remaining == 0:
             yield Partition(prefix)
             return
-        if slots == 0:
-            return
         top = min(cap, remaining)
         for first in range(top, 0, -1):
             # the rest must fit under this part in the remaining slots

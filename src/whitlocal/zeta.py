@@ -387,33 +387,20 @@ def weight_at_q_structural(n0: int, m: int, n: int, p: int) -> WeightResult:
         for a1 in range(0, m - n0 + 1)
         for j in range(0, (m - a1) - n0 + 1)
     )
-    vanishes = not index_set
-    if vanishes:
-        return WeightResult(
-            value=LaurentPoly.zero(),
-            place_kind=PLACE_DIVIDING_Q,
-            index_set=index_set,
-            vanishes=True,
-            lattice_points=0,
-        )
-    if n0 == m:
+    value = comparison = paper_constant = None
+    if not index_set:
+        value = LaurentPoly.zero()
+    elif n0 == m:
         # the index bounds its own size, and p^((n-1)m) is at most the index
         value = LaurentPoly.const(Fraction(1, congruence_index(n, p, m)))
         paper_constant = LaurentPoly.const(Fraction(1, p ** ((n - 1) * m)))
         comparison = PaperComparison(paper_constant=paper_constant, computed_constant=value)
-        return WeightResult(
-            value=value,
-            place_kind=PLACE_DIVIDING_Q,
-            paper_comparison=comparison,
-            paper_value=paper_constant,
-            index_set=index_set,
-            vanishes=False,
-            lattice_points=len(index_set),
-        )
     return WeightResult(
-        value=None,
+        value=value,
         place_kind=PLACE_DIVIDING_Q,
+        paper_comparison=comparison,
+        paper_value=paper_constant,
         index_set=index_set,
-        vanishes=False,
+        vanishes=not index_set,
         lattice_points=len(index_set),
     )

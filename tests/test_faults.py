@@ -53,7 +53,7 @@ def test_raising_sub_identity_makes_the_folded_check_an_error(monkeypatch):
 
 
 def test_weyl_identity_swap(monkeypatch):
-    monkeypatch.setattr(suites, "swap_last_two", SymbolicMatrix.identity)
+    monkeypatch.setattr(suites, "swap_last_two", lambda size: SymbolicMatrix.scalar(size, 1))
     report, _ = _statuses("weyl")
     by_id = {c.id: c.status for c in report.checks}
     # the identity still squares to itself, but no longer conjugates
@@ -108,6 +108,29 @@ def test_cauchy_schur_plus_one_monomial(monkeypatch):
     monkeypatch.setattr(symfunc, "schur", _plus(symfunc.schur, LaurentPoly.var("a1")))
     _, statuses = _statuses("cauchy")
     assert statuses == {"fail"}
+
+
+def _truncating_product(a, b):
+    """The series product without the top two degrees of each row."""
+    n = a.order
+    out = [LaurentPoly.zero()] * (n + 1)
+    for i, ci in enumerate(a.coeffs):
+        for j in range(0, n - i - 1):
+            out[i + j] = out[i + j] + ci * b.coeffs[j]
+    return TruncatedSeries(a.var, out)
+
+
+def test_cauchy_truncating_series_product(monkeypatch):
+    # every series identity compares a product with 1 + 0*X + ..., so the
+    # dropped degrees read as the expected 0; (1 - X)^(nm) at unit
+    # parameters is read to full degree
+    monkeypatch.setattr(TruncatedSeries, "__mul__", _truncating_product)
+    report, statuses = _statuses("cauchy")
+    assert statuses == {"fail"}
+    witness = {c.id: c.witness for c in report.checks}
+    assert witness["n=1,m=1,order=2"] == "X^0: the denominator at unit parameters gives 0, not 1"
+    assert witness["n=3,m=3,order=2"] == "X^8: the denominator at unit parameters gives 0, not 9"
+    assert all("the denominator at unit parameters" in w for w in witness.values())
 
 
 def test_schur_plus_one_monomial(monkeypatch):

@@ -88,7 +88,7 @@ class TestDualParams:
 class TestSymbolicMatrix:
     def test_identity_multiplication(self):
         m = column_unipotent(3, 2, ["u1"])
-        eye = SymbolicMatrix.identity(3)
+        eye = SymbolicMatrix.scalar(3, 1)
         assert m * eye == m
         assert eye * m == m
 
@@ -110,7 +110,7 @@ class TestSymbolicMatrix:
     def test_swap_squares_to_identity(self):
         for size in (2, 3, 5):
             w = swap_last_two(size)
-            assert w * w == SymbolicMatrix.identity(size)
+            assert w * w == SymbolicMatrix.scalar(size, 1)
 
     def test_swap_size_validation(self):
         with pytest.raises(ValueError):
@@ -118,7 +118,7 @@ class TestSymbolicMatrix:
 
     def test_unhashable(self):
         with pytest.raises(TypeError):
-            hash(SymbolicMatrix.identity(2))
+            hash(SymbolicMatrix.scalar(2, 1))
 
 
 class TestMatrixIdentities:

@@ -66,6 +66,7 @@ INVALID = (
     ("weight", "--place", "q", "--n", "2", "--p", "symbolic"),
     ("weight", "--place", "q", "--n", "2", "--cond", "-1"),
     ("weight", "--place", "q", "--n", "2", "--level", "200"),
+    ("weight", "--place", "q", "--n", "2", "--level", "-1"),
     ("weight", "--place", "q", "--n", "1", "--level", "1", "--p", "2"),
     ("index", "--n", "2", "--p", "symbolic"),
     ("index", "--n", "2", "--p", "1"),
@@ -73,6 +74,9 @@ INVALID = (
     ("index", "--n", "2", "--p", "6"),
     ("index", "--n", "2", "--p", "4", "--level", "1", "--bruteforce"),
     ("index", "--n", "14285", "--p", "2", "--level", "1"),
+    ("index", "--n", "2", "--p", "2", "--level", "-1"),
+    ("index", "--n", "2", "--p", "1099511627777"),
+    ("index", "--n", "2", "--p", "x"),
     ("charsum", "--p", "1", "--valuations", "0"),
     ("charsum", "--p", "2", "--valuations", "0,-1"),
     ("charsum", "--p", "2", "--level", "-1", "--valuations", "0"),
@@ -89,6 +93,7 @@ INVALID = (
     ("verify", "--suite", "all", "--n-max", "10002"),
     ("verify", "--suite", "involution", "--n-max", "1"),
     ("verify", "--suite", "weight-q", "--p", "6"),
+    ("verify", "--suite", "weight-q", "--p", "1"),
     ("zeta", "--no-such-flag"),
 )
 
