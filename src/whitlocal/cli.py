@@ -7,8 +7,8 @@ lattice term that does not collapse: a fault in the program, not in its
 input; ``verify`` reports such a check as an error and exits 1).  All output is
 deterministic for a fixed command line; timings are opt-in because they
 would break byte-for-byte reproducibility.  ``verify --suite all --jobs N``
-runs the suites in up to N worker processes and merges their reports by
-check id, so the bytes do not depend on N.
+runs the suites in this process and in up to N - 1 forked ones, and merges
+their reports by check id, so the bytes do not depend on N.
 
 Each command imports only the layers it runs, inside its handler: ``params``
 loads ``reciprocity``, ``index`` and ``charsum`` load ``localrep``, the
@@ -31,7 +31,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, BinaryIO
 
 if TYPE_CHECKING:
     from .report import SuiteReport
@@ -354,41 +354,74 @@ def _cmd_params(args: argparse.Namespace) -> dict:
     }
 
 
-def _run_suite(name: str, cfg: SuiteConfig) -> SuiteReport:
-    """Run one listed suite; the worker entry, so it pickles by name."""
-    from .suites import SUITES
+def _run_share(queue: int, suites: list, cfg: SuiteConfig, cpus: list[int]) -> list[SuiteReport]:
+    """Pin to cpus, if any; run the suite of each index read from queue until it is empty."""
+    if cpus:
+        os.sched_setaffinity(0, cpus)
+    return [suites[index[0]](cfg) for index in iter(lambda: os.read(queue, 1), b"")]
 
-    return SUITES[name](cfg)
 
+def _run_forked(suites: list, cfg: SuiteConfig, workers: int) -> list[SuiteReport]:
+    """Run the suites in this process and in workers - 1 forked children.
 
-def _pinned_pool_options(workers: int) -> dict:
-    """ProcessPoolExecutor options that give each worker CPUs of its own.
+    The suite indices wait in one pipe, a byte each, and every process runs
+    the suite of each index it reads until the pipe is empty, so a process
+    that ends a cheap suite takes the next.  A child pickles its reports, or
+    the exception that escaped a suite, into a pipe of its own and ends with
+    os._exit; a blocking pipe write returns only once all of it is written,
+    unless a signal with a handler (^C) comes first.  Fork is kept over spawn
+    because forked children share the parent's pages (spawned workers
+    measured a higher peak RSS than the serial run), and it is safe because
+    verify starts no thread.  An exception re-raised from a child carries
+    the parent's traceback, not the child's.
 
     Left alone, the scheduler of a two-CPU virtual machine was seen to keep
-    both forked workers on one CPU for their whole run in most runs, so that
-    ``--jobs 2`` took the serial time in some runs and half of it in others.
-    Worker k is pinned to every workers-th allowed CPU from the k-th, so no
-    two workers share a CPU and each may still move among its own.  Without
-    the affinity call (not Linux), or with fewer allowed CPUs than workers,
-    the workers are left unpinned.
+    both processes on one CPU for their whole run in most runs, so process k
+    is pinned to every workers-th allowed CPU from the k-th, and this process
+    gets all of them back afterwards.  Without the affinity call (not Linux),
+    or with fewer allowed CPUs than processes, none is pinned.  Every child
+    is killed and reaped before this returns or raises: once its report is
+    read, a child is past its last statement, so the kill only ends one that
+    still runs because this process raised.
     """
-    if not hasattr(os, "sched_setaffinity"):
-        return {}
-    cpus = sorted(os.sched_getaffinity(0))
-    if len(cpus) < workers:
-        return {}
-    import multiprocessing
+    import pickle
+    import signal
 
-    cpu_sets = [cpus[k::workers] for k in range(workers)]
-    return {"initializer": _pin_worker, "initargs": (cpu_sets, multiprocessing.Value("i", 0))}
-
-
-def _pin_worker(cpu_sets: list[list[int]], claimed) -> None:
-    """Pool initializer: pin this worker to the next CPU set not yet claimed."""
-    with claimed.get_lock():
-        k = claimed.value % len(cpu_sets)
-        claimed.value += 1
-    os.sched_setaffinity(0, cpu_sets[k])
+    queue, feed = os.pipe()
+    os.write(feed, bytes(range(len(suites))))
+    os.close(feed)
+    allowed = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+    cpu_sets = [allowed[k::workers] if len(allowed) >= workers else [] for k in range(workers)]
+    children: list[tuple[int, BinaryIO]] = []
+    try:
+        for k in range(1, workers):
+            out, into = os.pipe()
+            if (pid := os.fork()) == 0:
+                # the child never returns into the caller
+                try:
+                    os.write(into, pickle.dumps(_run_share(queue, suites, cfg, cpu_sets[k])))
+                except Exception as exc:
+                    os.write(into, pickle.dumps(exc))
+                finally:
+                    os._exit(0)
+            os.close(into)
+            children.append((pid, open(out, "rb")))
+        reports = _run_share(queue, suites, cfg, cpu_sets[0])
+        for pid, pipe in children:
+            got = pipe.read()
+            got = pickle.loads(got) if got else ArithmeticError(f"worker {pid} sent no report")
+            if isinstance(got, Exception):
+                raise got
+            reports += got
+        return reports
+    finally:
+        if allowed:
+            os.sched_setaffinity(0, allowed)
+        os.close(queue)
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _run_verify(args: argparse.Namespace) -> SuiteReport:
@@ -409,18 +442,9 @@ def _run_verify(args: argparse.Namespace) -> SuiteReport:
             WORK_BOUNDS[name](suite_cfg)
     if args.suite != "all":
         return runnable[args.suite](suite_cfg)
-    if args.jobs == 1:
-        reports = [_run_suite(name, suite_cfg) for name in names]
-    else:
-        # a fork-based pool starts every worker up front, so ask for no
-        # more workers than suites.  Fork is kept over spawn because forked
-        # workers share the parent's pages (a spawned pool measured a
-        # higher peak RSS than the serial run), and no thread runs yet.
-        from concurrent.futures import ProcessPoolExecutor
-
-        workers = min(args.jobs, len(names))
-        with ProcessPoolExecutor(max_workers=workers, **_pinned_pool_options(workers)) as pool:
-            reports = list(pool.map(_run_suite, names, [suite_cfg] * len(names)))
+    # never more processes than suites
+    reports = ([suite(suite_cfg) for suite in SUITES.values()] if args.jobs == 1
+               else _run_forked([*SUITES.values()], suite_cfg, min(args.jobs, len(SUITES))))
     return merge_reports("all", reports)
 
 
@@ -499,8 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_vf.add_argument("--p", type=int, default=2)
     p_vf.add_argument("--seed", type=int, default=0)
     p_vf.add_argument("--jobs", type=int, default=1,
-                      help="worker processes for --suite all, capped at the number of "
-                      "suites; 1 (default) runs in-process")
+                      help="processes for --suite all, this one included, capped at the "
+                      "number of suites; 1 (default) runs in-process")
     p_vf.add_argument("--timings", action="store_true",
                       help="include per-check milliseconds (not reproducible)")
     p_vf.set_defaults(handler=_run_verify)

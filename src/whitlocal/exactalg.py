@@ -254,11 +254,11 @@ def _ordered(terms: Mapping[int, Scalar]) -> tuple[list[int], dict[int, tuple], 
     # each used slot's name, field shift and sort chunk position
     slots = [(name, shift, _CHUNK_BITS * (len(names) - 1 - j))
              for j, (name, shift) in enumerate(zip(names, shifts))]
-    masks = [sum(_MASK << shift for _, shift, _ in slots[i:i + _GROUP])
-             for i in range(0, len(slots), _GROUP)]
+    groups = [slots[i:i + _GROUP] for i in range(0, len(slots), _GROUP)]
+    masks = [sum(_MASK << shift for _, shift, _ in group) for group in groups]
     # decoded before the sort, so that no entry is allocated among the sort
     # keys, where it would keep their memory from reuse once they are freed
-    decoded = {v: _decode(v, slots) for mask in masks
+    decoded = {v: _decode(v, group) for group, mask in zip(groups, masks)
                for v in {(key + bias) & mask for key in terms}}
     backwards = masks[::-1]
 
@@ -273,16 +273,16 @@ def _ordered(terms: Mapping[int, Scalar]) -> tuple[list[int], dict[int, tuple], 
 
 
 def _decode(v: int, slots: list[tuple[str, int, int]]) -> tuple:
-    """The entry of _ordered's decoded for one group value.
+    """The entry of _ordered's decoded for one value of the group of slots.
 
-    A slot of another group holds 0 in v, a zero field of the group _HALF.
+    A zero field of the group holds _HALF in v.
     """
     later, last, text, pairs, texts = 0, 0, "", (), ()
     for name, shift, at in slots:
         b = v >> shift & _MASK
         if b == _HALF:
             later |= _GAP << at
-        elif b:
+        else:
             last = later = later | b << at
             e = _exponent(name, b - _HALF)
             # e.g. "*a1", "*a1^2", "*a1^(-2)", "*q^(1/2)"
@@ -550,10 +550,10 @@ class LaurentPoly:
     __hash__ = None
 
     def __reduce__(self):
-        # no command pickles a polynomial (a worker gets a suite name and a
-        # SuiteConfig, and returns a SuiteReport of strings and ints), but
-        # pickle would otherwise copy the slots, whose packed keys name
-        # variables by this process's intern order; by name they load anywhere
+        # no command pickles a polynomial (a forked worker of verify --jobs N
+        # sends back SuiteReports of strings and ints), but pickle would
+        # otherwise copy the slots, whose packed keys name variables by this
+        # process's intern order; by name they load anywhere
         return LaurentPoly, (dict(self.sorted_terms()),)
 
     # -- substitution ---------------------------------------------------

@@ -123,18 +123,19 @@ def _all_partitions(lams: list[Partition], weight: int, n: int) -> tuple[bool, s
     return len(lams) == want, f"checked {len(lams)} partitions, expected {want}"
 
 
-def _out_of_order(*polys) -> str | None:
+def _out_of_order(*term_lists) -> str | None:
     """A witness when some polynomial's terms are not in canonical order.
 
-    The monomials of sorted_terms() must strictly increase under plain
-    tuple comparison of their (name, exponent) pairs, an order that does not
-    rest on the packed sort key of exactalg._ordered.
+    Each argument is the sorted_terms() of a polynomial.  Their monomials must
+    strictly increase under plain tuple comparison of their (name, exponent)
+    pairs, an order that does not rest on the packed sort key of
+    exactalg._ordered.
     """
-    for p in polys:
-        monomials = [exps for exps, _ in p.sorted_terms()]
+    for terms in term_lists:
+        monomials = [exps for exps, _ in terms]
         for a, b in zip(monomials, monomials[1:]):
             if not a < b:
-                return f"terms out of order in {p.to_text()}: {a} before {b}"
+                return f"terms out of order: {a} before {b}"
     return None
 
 
@@ -166,7 +167,7 @@ def _involution_checks(n: int, dual) -> list[Check]:
         twice = dual(im)
         if twice.s != s or twice.w != w:
             return False, f"double image is {twice}"
-        witness = _out_of_order(im.s, im.w)
+        witness = _out_of_order(im.s.sorted_terms(), im.w.sorted_terms())
         return witness is None, witness
 
     def fixed_point():
@@ -398,13 +399,14 @@ def suite_schur(cfg: SuiteConfig) -> SuiteReport:
                 if got * vandermonde != alternant(lam, names):
                     return False, (f"lambda={lam}: s_lambda * a_delta != a_(lambda+delta)"
                                    f" at s_lambda = {got.to_text()}")
-                if witness := _out_of_order(got):
+                terms = got.sorted_terms()
+                if witness := _out_of_order(terms):
                     return False, f"lambda={lam}: {witness}"
                 # JSON emission reads its own decoded entries: it must say what sorted_terms() says
-                terms = [{"coeff": str(c), "exps": {name: str(e) for name, e in exps}}
-                         for exps, c in got.sorted_terms()]
-                if got.to_json_obj() != terms:
-                    return False, f"lambda={lam}: JSON terms {got.to_json_obj()} != {terms}"
+                want = [{"coeff": str(c), "exps": {name: str(e) for name, e in exps}}
+                        for exps, c in terms]
+                if got.to_json_obj() != want:
+                    return False, f"lambda={lam}: JSON terms {got.to_json_obj()} != {want}"
             return _all_partitions(lams, 6, n)
 
         def check_dimension(n=n):
@@ -665,7 +667,7 @@ def suite_contragredient(cfg: SuiteConfig) -> SuiteReport:
                         f"mu={mu}: matrix path {via_matrix.to_text()} != "
                         f"dual path {via_dual.to_text()}"
                     )
-                if witness := _out_of_order(via_dual):
+                if witness := _out_of_order(via_dual.sorted_terms()):
                     return False, f"mu={mu}: {witness}"
                 if mu[0] != mu[-1] and not spherical_value(rep, mu[::-1]).is_zero():
                     return False, f"mu={mu[::-1]}: nonzero off the dominant cone"
@@ -689,7 +691,7 @@ def suite_negative_control(cfg: SuiteConfig) -> SuiteReport:
     return run_checks("negative-control", _involution_checks(2, perturbed))
 
 
-# the suites of "all", in the order a worker pool takes them; the order
+# the suites of "all", in the order the processes of --jobs N take them; the order
 # changes no output, since merge_reports sorts the checks by id.  By the
 # summed check millis of ``verify --suite all --timings --jobs 1``,
 # contragredient, schur and weight-unramified cost most, then weight-l,

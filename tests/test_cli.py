@@ -1,10 +1,8 @@
 """Command line behavior: formats, exit codes, determinism."""
 
-import concurrent.futures
 import csv
 import io
 import json
-import multiprocessing
 import os
 import pickle
 import subprocess
@@ -20,7 +18,7 @@ from whitlocal import cli, exactalg, localrep, suites, symfunc, zeta
 from whitlocal.cli import main
 from whitlocal.exactalg import EXPONENT_LIMIT, LaurentPoly, qpow
 from whitlocal.localrep import EnumerationTooLarge, UnramifiedRep
-from whitlocal.report import CheckResult, SuiteReport, report_to_json
+from whitlocal.report import CheckResult, SuiteReport
 from whitlocal.suites import WORK_BOUNDS, SuiteConfig
 from whitlocal.zeta import local_zeta_unramified
 
@@ -327,7 +325,7 @@ class TestExitCodes:
 
         # refused before any suite runs, the cheap ones of "all" included
         monkeypatch.setattr(suites, "run_checks", unrun)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", unrun)
+        monkeypatch.setattr(os, "fork", unrun)
         start = time.perf_counter()
         code, out, got = run_cli("verify", *argv, capsys=capsys)
         assert time.perf_counter() - start < 1
@@ -515,88 +513,166 @@ class TestInternalCheckFailure:
         assert statuses == {"error"}
 
 
-def _stub_suite(cfg):
-    check = CheckResult(f"stub/seed={cfg.seed}", "stub check", "pass", None, 0)
-    return SuiteReport("stub", [check])
+def _stub_suites(monkeypatch, tmp_path, parties, count=5, act=None, checks=1):
+    """Put count stub suites in place of the listed ones.
+
+    Each stub first waits until stubs have started in parties processes, so
+    that no process can take a second suite before parties processes hold
+    one.  Then it calls act(), if given, and reports checks passing checks
+    whose ids name its process and whose descriptions list the CPUs it may
+    use.
+    """
+    started = tmp_path / "started"
+    started.touch()
+
+    def stub(cfg):
+        fd = os.open(started, os.O_WRONLY | os.O_APPEND)
+        os.write(fd, f"{os.getpid()}\n".encode())
+        os.close(fd)
+        deadline = time.monotonic() + 60
+        while len(set(started.read_text().split())) < parties:
+            assert time.monotonic() < deadline, "the stubs started in too few processes"
+            time.sleep(0.005)
+        if act is not None:
+            act()
+        cpus = " ".join(map(str, sorted(os.sched_getaffinity(0)))) \
+            if hasattr(os, "sched_getaffinity") else ""
+        return SuiteReport("stub", [CheckResult(f"pid={os.getpid()}/{j}", cpus, "pass", None, 0)
+                                    for j in range(checks)])
+
+    monkeypatch.setattr(suites, "SUITES", {f"stub{i}": stub for i in range(count)})
 
 
-def _affinity_after(barrier):
-    barrier.wait(timeout=60)
-    return sorted(os.sched_getaffinity(0))
+def _cpus_by_process(out: str) -> dict[int, list[int]]:
+    """The CPUs each process of a stub run could use, by pid."""
+    return {int(c["id"].split("pid=")[1].split("/")[0]):
+            [int(cpu) for cpu in c["description"].split()] for c in json.loads(out)["checks"]}
 
 
-class RecordingExecutor:
-    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
-
-    sizes: list[int] = []
-
-    def __init__(self, max_workers, **options):
-        RecordingExecutor.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+def _in_child(parent: int, act):
+    """act, run only outside the process parent."""
+    return lambda: os.getpid() != parent and act()
 
 
 class TestJobs:
-    @pytest.fixture
-    def executor(self, monkeypatch):
-        RecordingExecutor.sizes = []
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
-        # five cheap suites stand in for the listed ones
-        monkeypatch.setattr(suites, "SUITES", {f"stub{i}": _stub_suite for i in range(5)})
-        return RecordingExecutor.sizes
+    @pytest.fixture(autouse=True)
+    def leaves_nothing_behind(self):
+        """Every run leaves no child unreaped, and this process on the CPUs it had."""
+        allowed = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        if allowed is not None:
+            assert os.sched_getaffinity(0) == allowed
 
     @pytest.mark.parametrize("jobs, workers", [("2", 2), ("5", 5), ("6", 5), ("100000", 5)])
-    def test_worker_count_is_capped_by_the_suites(self, executor, jobs, workers, capsys):
+    def test_worker_count_is_capped_by_the_suites(self, jobs, workers, monkeypatch, tmp_path,
+                                                  capsys):
+        _stub_suites(monkeypatch, tmp_path, parties=workers)
         code, out, _ = run_cli("verify", "--suite", "all", "--jobs", jobs, capsys=capsys)
         assert code == 0
-        assert executor == [workers]
         assert len(json.loads(out)["checks"]) == 5
+        # the parent is one of the processes
+        processes = _cpus_by_process(out)
+        assert len(processes) == workers
+        assert os.getpid() in processes
 
     @pytest.mark.parametrize("suite, jobs", [("all", "1"), ("stub0", "4")])
-    def test_in_process_runs_construct_no_executor(self, executor, suite, jobs, capsys):
-        code, _, _ = run_cli("verify", "--suite", suite, "--jobs", jobs, capsys=capsys)
+    def test_in_process_runs_fork_nothing(self, suite, jobs, monkeypatch, tmp_path, capsys):
+        def unrun():
+            raise AssertionError("a process was forked")
+
+        _stub_suites(monkeypatch, tmp_path, parties=1)
+        monkeypatch.setattr(os, "fork", unrun)
+        code, out, _ = run_cli("verify", "--suite", suite, "--jobs", jobs, capsys=capsys)
         assert code == 0
-        assert executor == []
+        assert list(_cpus_by_process(out)) == [os.getpid()]
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
-    def test_pool_workers_are_pinned_to_disjoint_cpus(self):
-        cpus = sorted(os.sched_getaffinity(0))
-        workers = min(2, len(cpus))
-        options = cli._pinned_pool_options(workers)
-        with (multiprocessing.Manager() as manager,
-              concurrent.futures.ProcessPoolExecutor(max_workers=workers, **options) as pool):
-            # each task holds its worker until every worker has one
-            barrier = manager.Barrier(workers)
-            held = list(pool.map(_affinity_after, [barrier] * workers))
-        assert sorted(c for cpu_set in held for c in cpu_set) == cpus
+    def test_workers_are_pinned_to_disjoint_cpus(self, monkeypatch, tmp_path, capsys):
+        allowed = os.sched_getaffinity(0)
+        workers = min(len(allowed), 5)
+        if workers < 2:
+            pytest.skip("one CPU is allowed")
+        _stub_suites(monkeypatch, tmp_path, parties=workers)
+        code, out, _ = run_cli("verify", "--suite", "all", "--jobs", str(workers),
+                               capsys=capsys)
+        assert code == 0
+        held = _cpus_by_process(out).values()
+        assert len(held) == workers
         assert all(held)
+        assert sorted(c for cpus in held for c in cpus) == sorted(allowed)
+        # and the parent has every allowed CPU back
+        assert os.sched_getaffinity(0) == allowed
 
-    def test_more_workers_than_cpus_stay_unpinned(self):
-        if hasattr(os, "sched_getaffinity"):
-            assert cli._pinned_pool_options(len(os.sched_getaffinity(0)) + 1) == {}
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+    def test_more_workers_than_cpus_stay_unpinned(self, monkeypatch, tmp_path, capsys):
+        allowed = os.sched_getaffinity(0)
+        workers = len(allowed) + 1
+        if workers > 8:
+            pytest.skip("more processes than this test starts")
+        _stub_suites(monkeypatch, tmp_path, parties=workers, count=workers)
+        code, out, _ = run_cli("verify", "--suite", "all", "--jobs", str(workers),
+                               capsys=capsys)
+        assert code == 0
+        held = _cpus_by_process(out)
+        assert len(held) == workers
+        assert all(cpus == sorted(allowed) for cpus in held.values())
 
-    def test_workers_need_no_inherited_state(self):
-        # a spawned worker starts from a fresh import, so this fails if the
-        # task relied on anything a forked worker would inherit
-        cfg = SuiteConfig(n_max=3, order=6, p=2, seed=0)
-        ctx = multiprocessing.get_context("spawn")
-        with concurrent.futures.ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
-            report = pool.submit(cli._run_suite, "weyl", cfg).result(timeout=120)
-        assert report_to_json(report) == report_to_json(cli._run_suite("weyl", cfg))
+    @pytest.mark.parametrize("error, code, prefix", [
+        (ValueError, 2, "error: "),
+        (ArithmeticError, 3, "error: internal check failed: "),
+    ])
+    def test_an_exception_in_a_worker_is_raised_by_the_parent(self, error, code, prefix,
+                                                               monkeypatch, tmp_path, capsys):
+        def fail():
+            raise error("a stub failed")
 
-    def test_worker_task_pickles(self):
-        task = (cli._run_suite, "weyl", SuiteConfig(n_max=3, order=6, p=2, seed=5))
-        fn, name, cfg = pickle.loads(pickle.dumps(task))
-        assert fn is cli._run_suite
-        assert cfg == task[2]
-        report = fn(name, cfg)
+        # the same suites in one process exit the same way
+        _stub_suites(monkeypatch, tmp_path, parties=1, count=2, act=fail)
+        assert run_cli("verify", "--suite", "all", "--jobs", "1", capsys=capsys) == \
+            (code, "", f"{prefix}a stub failed\n")
+        (tmp_path / "forked").mkdir()
+        _stub_suites(monkeypatch, tmp_path / "forked", parties=2, count=2,
+                     act=_in_child(os.getpid(), fail))
+        assert run_cli("verify", "--suite", "all", "--jobs", "2", capsys=capsys) == \
+            (code, "", f"{prefix}a stub failed\n")
+
+    def test_a_worker_that_dies_without_a_report_exits_three(self, monkeypatch, tmp_path,
+                                                            capsys):
+        _stub_suites(monkeypatch, tmp_path, parties=2, count=2,
+                     act=_in_child(os.getpid(), lambda: os._exit(1)))
+        code, out, err = run_cli("verify", "--suite", "all", "--jobs", "2", capsys=capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: internal check failed: ")
+        assert "Traceback" not in err
+
+    def test_a_raise_in_the_parent_ends_the_workers(self, monkeypatch, tmp_path, capsys):
+        parent = os.getpid()
+
+        def fail_or_hang():
+            if os.getpid() == parent:
+                raise ValueError("a stub failed")
+            time.sleep(120)
+
+        _stub_suites(monkeypatch, tmp_path, parties=2, count=2, act=fail_or_hang)
+        start = time.perf_counter()
+        code, _, err = run_cli("verify", "--suite", "all", "--jobs", "2", capsys=capsys)
+        assert time.perf_counter() - start < 60
+        assert (code, err) == (2, "error: a stub failed\n")
+
+    def test_a_report_larger_than_a_pipe_buffer_arrives_whole(self, monkeypatch, tmp_path,
+                                                              capsys):
+        # each report pickles to several times the 64 KiB of a Linux pipe
+        _stub_suites(monkeypatch, tmp_path, parties=2, count=2, checks=10_000)
+        code, out, _ = run_cli("verify", "--suite", "all", "--jobs", "2", capsys=capsys)
+        assert code == 0
+        ids = [c["id"] for c in json.loads(out)["checks"]]
+        assert len(set(ids)) == 20_000
+        assert len(_cpus_by_process(out)) == 2
+
+    def test_worker_reports_pickle(self):
+        report = suites.SUITES["weyl"](SuiteConfig(n_max=3, order=6, p=2, seed=5))
         assert pickle.loads(pickle.dumps(report)) == report
         assert report.passed
 

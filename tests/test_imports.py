@@ -35,6 +35,8 @@ COMMANDS = [
     (["lfactor"], {"suites", "report", "reciprocity"}),
 ]
 VERIFY = ["verify", "--suite", "weyl", "--n-max", "2"]
+# the forked suite runner of --jobs N, with a small bound on each suite
+VERIFY_JOBS = ["verify", "--suite", "all", "--jobs", "2", "--n-max", "3", "--order", "2"]
 
 
 def start_modules(argv: list[str] | None) -> set[str]:
@@ -64,7 +66,13 @@ def test_verify_loads_suites_and_report():
     assert {"suites", "report"} <= loaded_modules(VERIFY)
 
 
-@pytest.mark.parametrize("argv", [argv for argv, _ in COMMANDS] + [VERIFY])
+def test_verify_jobs_loads_no_executor_package():
+    loaded = start_modules(VERIFY_JOBS)
+    assert "whitlocal.suites" in loaded
+    assert {name.partition(".")[0] for name in loaded} & {"concurrent", "multiprocessing"} == set()
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in COMMANDS] + [VERIFY, VERIFY_JOBS])
 def test_command_loads_no_costly_standard_module(argv):
     bare = subprocess.run([sys.executable, "-c", "import sys; print(*sys.modules)"],
                           capture_output=True, text=True, check=True).stdout.split()

@@ -9,15 +9,15 @@ statement (``if``, ``for``, ``def`` and the like) counts as run when its
 header ran; its body counts statement by statement.  The command lines are:
 
 - every op of ``bench/workloads.catalogue()``, the served traffic;
-- ``verify --suite all --seed 1 --jobs 1``;
+- ``verify --suite all --seed 1`` at ``--jobs 1`` and ``--jobs 2``;
 - ``verify --suite negative-control --timings``;
 - ``INVALID`` below: argv that each fire one input check.
 
 The package is imported afresh under the trace, so module-level statements
 count, and the modules imported before are put back afterwards.  Only this
-process is traced, so what runs only in the worker processes of ``verify
---jobs N`` with N > 1 (the CPU pinning, and ``LaurentPoly`` unpickling
-through its constructor) is listed as never run.
+process is traced: at ``--jobs 2`` it runs its share of the suites and
+reads the forked worker's reports, so what runs only in the worker (the
+branch that sends its reports and exits) is listed as never run.
 
     python3 tools/unrun_statements.py
 
@@ -38,6 +38,7 @@ PACKAGE = ROOT / "src" / "whitlocal"
 
 EXTRA = (
     ("verify", "--suite", "all", "--seed", "1", "--jobs", "1"),
+    ("verify", "--suite", "all", "--seed", "1", "--jobs", "2"),
     ("verify", "--suite", "negative-control", "--timings"),
 )
 
