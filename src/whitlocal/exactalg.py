@@ -43,6 +43,18 @@ are formed without a product get an exact check: a power (every power is
 of a single term, its key times k) and a term of the constructor (its
 fields summed per slot).  So a field never carries into its neighbour.
 
+Sums of products.  sum_of_products(pairs) forms sum a * b over (a, b)
+pairs of LaurentPolys and adds every term product into one dict: it is the
+one product loop of the package.  A product a * b is its one-pair case;
+the series product, substitute, the matrix product of reciprocity, the
+lattice sums of zeta and the Cauchy side of symfunc are its other callers.
+It reads the pairs one at a time, so a factor that raises still raises
+before any later pair is formed.  A pair with a zero operand adds nothing
+and is never refused; any other pair is checked against the field bound
+before its product starts, and the sum carries the largest bound of a
+pair.  A Fraction coefficient that sums to an integer is demoted once, at
+the end.
+
 Sums of monomial products.  LaurentPoly.monomial_sum(values, weights)
 builds sum count * prod values_i^(w_i) over a {w: count} map at
 single-term values, the form of a Schur value by pattern counts; it is
@@ -470,41 +482,12 @@ class LaurentPoly:
         return LaurentPoly.coerce(other) - self
 
     def __mul__(self, other) -> "LaurentPoly":
-        """The product, if the operands' field bounds sum to at most EXPONENT_LIMIT.
-
-        Otherwise ExponentOutOfRange is raised before the product starts,
-        even where the exact fields of the product would fit: the bound is
-        the sum of the operands' _span, not a scan of their keys.
-        """
+        """The product: sum_of_products of the one pair."""
         try:
             other = LaurentPoly.coerce(other)
         except TypeError:
             return NotImplemented
-        if not self.terms or not other.terms:
-            return LaurentPoly.zero()
-        span = self._span + other._span
-        if span > EXPONENT_LIMIT:
-            raise ExponentOutOfRange(f"a field of the product may reach {span}, beyond {EXPONENT_LIMIT}")
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        b_items = b.items()
-        out: dict[int, Scalar] = {}
-        get = out.get
-        for ka, ca in a.items():
-            for kb, cb in b_items:
-                key = ka + kb
-                s = get(key, 0) + ca * cb
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        # a Fraction coefficient may have summed to an integer: demote it
-        if Fraction in set(map(type, out.values())):
-            for key, c in out.items():
-                if type(c) is not int and c.denominator == 1:
-                    out[key] = c.numerator
-        return _poly(out, span)
+        return sum_of_products(((self, other),))
 
     __rmul__ = __mul__
 
@@ -573,10 +556,7 @@ class LaurentPoly:
         for e in parts:
             if not isinstance(e, int):
                 raise ValueError(f"cannot substitute for {name!r} under the exponent {e}")
-        out = LaurentPoly()
-        for e, c in parts.items():
-            out = out + c * value ** e
-        return out
+        return sum_of_products((c, value ** e) for e, c in parts.items())
 
     # -- serialization ----------------------------------------------------
 
@@ -614,6 +594,47 @@ class LaurentPoly:
         return [{"coeff": str(self.terms[key]),
                  "exps": dict(sum([decoded[(key + bias) & mask][4] for mask in masks], ()))}
                 for key in keys]
+
+
+def sum_of_products(pairs) -> LaurentPoly:
+    """sum a * b over the (a, b) pairs of LaurentPolys, read one pair at a time.
+
+    Every term product adds into one dict.  A pair with a zero operand adds
+    nothing and is never refused.  Any other pair raises ExponentOutOfRange
+    before its product starts when its operands' field bounds sum past
+    EXPONENT_LIMIT, even where the exact fields would fit: the bound is
+    a._span + b._span, not a scan of their keys.  The result's bound is the
+    largest bound of a pair.  A Fraction coefficient that sums to an integer
+    is demoted once, at the end.
+    """
+    out: dict[int, Scalar] = {}
+    get = out.get
+    span = 0
+    for a, b in pairs:
+        if not a.terms or not b.terms:
+            continue
+        bound = a._span + b._span
+        if bound > EXPONENT_LIMIT:
+            raise ExponentOutOfRange(f"a field of the product may reach {bound}, beyond {EXPONENT_LIMIT}")
+        span = max(span, bound)
+        a, b = a.terms, b.terms
+        if len(a) > len(b):
+            a, b = b, a
+        b_items = b.items()
+        for ka, ca in a.items():
+            for kb, cb in b_items:
+                key = ka + kb
+                s = get(key, 0) + ca * cb
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+    # a Fraction coefficient may have summed to an integer: demote it
+    if Fraction in set(map(type, out.values())):
+        for key, c in out.items():
+            if type(c) is not int and c.denominator == 1:
+                out[key] = c.numerator
+    return _poly(out, span)
 
 
 def qpow(e) -> LaurentPoly:
@@ -681,17 +702,9 @@ class TruncatedSeries:
                 f"series in {self.var!r} to order {self.order} times "
                 f"series in {other.var!r} to order {other.order}"
             )
-        n = self.order
-        out = [LaurentPoly.zero() for _ in range(n + 1)]
-        for i, ci in enumerate(self.coeffs):
-            if ci.is_zero():
-                continue
-            for j in range(0, n - i + 1):
-                cj = other.coeffs[j]
-                if cj.is_zero():
-                    continue
-                out[i + j] = out[i + j] + ci * cj
-        return TruncatedSeries(self.var, out)
+        a, b = self.coeffs, other.coeffs
+        return TruncatedSeries(self.var, [sum_of_products((a[i], b[k - i]) for i in range(k + 1))
+                                          for k in range(len(a))])
 
     def is_one(self) -> bool:
         return self.coeffs[0] == LaurentPoly.one() and all(

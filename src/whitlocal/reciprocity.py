@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .exactalg import LaurentPoly
+from .exactalg import LaurentPoly, sum_of_products
 
 S_VAR = "s"
 W_VAR = "w"
@@ -100,23 +100,9 @@ class SymbolicMatrix:
             return NotImplemented
         if other.size != self.size:
             raise ValueError("matrix sizes differ")
-        n = self.size
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = LaurentPoly.zero()
-                for k in range(n):
-                    a = self.rows[i][k]
-                    if a.is_zero():
-                        continue
-                    b = other.rows[k][j]
-                    if b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            rows.append(row)
-        return SymbolicMatrix(rows)
+        cols = list(zip(*other.rows))
+        return SymbolicMatrix([[sum_of_products(zip(row, col)) for col in cols]
+                               for row in self.rows])
 
     def substitute(self, name: str, value) -> "SymbolicMatrix":
         return SymbolicMatrix([

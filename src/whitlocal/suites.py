@@ -26,7 +26,7 @@ from functools import cache
 from itertools import product
 from math import comb
 
-from .exactalg import LaurentPoly, TruncatedSeries, qpow
+from .exactalg import DivisionByZero, LaurentPoly, TruncatedSeries, qpow
 from .localrep import (
     UnramifiedRep,
     character_sum,
@@ -241,7 +241,7 @@ def _cusp_checks(n: int) -> list[Check]:
     # With H a generic (n-1) x (n-1) symbolic block and u an invertible
     # scalar, the factorization that moves a central scaling past the swap,
     #     diag(u*H, u, 1) = (u * Id) * swap * diag(H, u^(-1), 1) * swap,
-    # checked entrywise, with the two intermediate regroupings and u = 1.
+    # checked entrywise, with the two intermediate regroupings, u = 1 and u = 0.
     size = n + 1
 
     @cache
@@ -274,11 +274,21 @@ def _cusp_checks(n: int) -> list[Check]:
         return lhs == rhs(), f"{lhs} != {rhs()}"
 
     def unit_specialization():
-        h, _, lhs, _, _ = parts()
+        h, u_inv, lhs, _, _ = parts()
         lhs1 = lhs.substitute("u", LaurentPoly.one())
         rhs1 = rhs().substitute("u", LaurentPoly.one())
         plain = SymbolicMatrix.block_diag(h, 1, 1)
-        return lhs1 == plain and rhs1 == plain, f"u=1 gives {lhs1} and {rhs1}"
+        # u is not invertible at 0: the left side, of u^1 and u^0 entries,
+        # still has a value there, and diag(H, u^(-1), 1) has none
+        lhs0 = lhs.substitute("u", 0)
+        try:
+            inner0 = SymbolicMatrix.block_diag(h, u_inv, 1).substitute("u", 0)
+        except DivisionByZero:
+            inner0 = None
+        zero = SymbolicMatrix.block_diag(SymbolicMatrix.scalar(n - 1, 0), 0, 1)
+        ok = lhs1 == plain and rhs1 == plain and lhs0 == zero and inner0 is None
+        return ok, (f"u=1 gives {lhs1} and {rhs1}; u=0 gives {lhs0}, "
+                    f"and {inner0} for diag(H, u^(-1), 1)")
 
     return [
         (f"n={n:02d}/regroup-scaling", "diag(u*H, u, 1) equals u * diag(H, 1, u^(-1))",

@@ -29,7 +29,7 @@ from functools import cache
 from itertools import combinations, permutations, product
 from typing import Iterable, Iterator, Sequence
 
-from .exactalg import LaurentPoly, TruncatedSeries
+from .exactalg import LaurentPoly, TruncatedSeries, sum_of_products
 
 
 class Partition(tuple):
@@ -157,8 +157,7 @@ def cauchy_schur_side(n: int, m: int, var: str, order: int) -> TruncatedSeries:
     """The Schur expansion sum_lam s_lam(a) s_lam(b) t^|lam| up to the order."""
     avals = [LaurentPoly.var(f"a{i}") for i in range(1, n + 1)]
     bvals = [LaurentPoly.var(f"b{j}") for j in range(1, m + 1)]
-    coeffs = [LaurentPoly.zero() for _ in range(order + 1)]
-    for w in range(order + 1):
-        for lam in partitions_of(w, min(n, m)):
-            coeffs[w] = coeffs[w] + schur(lam, avals) * schur(lam, bvals)
-    return TruncatedSeries(var, coeffs)
+    return TruncatedSeries(var, [
+        sum_of_products((schur(lam, avals), schur(lam, bvals)) for lam in partitions_of(w, min(n, m)))
+        for w in range(order + 1)
+    ])

@@ -53,6 +53,7 @@ from .exactalg import (
     RationalFunction,
     TruncatedSeries,
     qpow,
+    sum_of_products,
 )
 from .localrep import (
     RankMismatch,
@@ -257,24 +258,29 @@ def _lattice_series(rep_a: UnramifiedRep, rep_b: UnramifiedRep, var: str,
     if m < 0:
         raise ValueError("the level must be nonnegative")
     _check_symbols(rep_a, rep_b, var)
+
+    def sides(k: int, mu: tuple[int, ...]) -> tuple[LaurentPoly, LaurentPoly]:
+        inv_delta = delta_half(mu) ** -1
+        s_a = twisted_value(rep_a, mu, m) * (qpow(Fraction(k, 2) - n * m) * inv_delta)
+        s_b = spherical_value(rep_b, mu) * inv_delta
+        parts = Partition(mu)
+        for rep, value in ((rep_a, s_a), (rep_b, s_b)):
+            expected = rep.schur(parts)
+            if value != expected:
+                raise ArithmeticError(
+                    f"modulus bookkeeping failed to collapse at mu={mu}: "
+                    f"{value.to_text()} != {expected.to_text()}"
+                )
+        return s_a, s_b
+
     coeffs = [LaurentPoly.zero() for _ in range(order + 1)]
     lattice = 0
     for k in range(n * m, order + 1):
-        for lam in partitions_of(k - n * m, n):
-            mu = tuple(p + m for p in lam.padded(n))
-            inv_delta = delta_half(mu) ** -1
-            s_a = twisted_value(rep_a, mu, m) * (qpow(Fraction(k, 2) - n * m) * inv_delta)
-            s_b = spherical_value(rep_b, mu) * inv_delta
-            parts = Partition(mu)
-            for rep, value in ((rep_a, s_a), (rep_b, s_b)):
-                expected = rep.schur(parts)
-                if value != expected:
-                    raise ArithmeticError(
-                        f"modulus bookkeeping failed to collapse at mu={mu}: "
-                        f"{value.to_text()} != {expected.to_text()}"
-                    )
-            coeffs[k] = coeffs[k] + s_a * s_b
-            lattice += 1
+        # the points are drawn in this frame, where bench/tracer.py counts
+        # them; the sides of each term are formed as the sum reads them
+        mus = [tuple(p + m for p in lam.padded(n)) for lam in partitions_of(k - n * m, n)]
+        coeffs[k] = sum_of_products(sides(k, mu) for mu in mus)
+        lattice += len(mus)
     return ZetaResult(TruncatedSeries(var, coeffs), lattice)
 
 
@@ -293,10 +299,7 @@ def local_zeta_unramified(rep_a: UnramifiedRep, rep_b: UnramifiedRep,
 
 def _as_poly(series: TruncatedSeries) -> LaurentPoly:
     """sum_k c_k var^k over the stored coefficients."""
-    total = LaurentPoly.zero()
-    for k, c in enumerate(series.coeffs):
-        total = total + c * LaurentPoly.var(series.var, k)
-    return total
+    return sum_of_products((c, LaurentPoly.var(series.var, k)) for k, c in enumerate(series.coeffs))
 
 
 def weight_unramified(rep_big: UnramifiedRep, rep_mid: UnramifiedRep,

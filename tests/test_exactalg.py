@@ -22,7 +22,9 @@ from whitlocal.exactalg import (
     TruncatedSeries,
     VariableMismatch,
     qpow,
+    sum_of_products,
 )
+from whitlocal.reciprocity import SymbolicMatrix
 
 X = LaurentPoly.var("x")
 Y = LaurentPoly.var("y")
@@ -198,6 +200,61 @@ class TestAgainstReference:
         else:
             with pytest.raises(ValueError, match="single-term bases"):
                 a ** k
+
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(term_lists(max_terms=3), term_lists(max_terms=3)), max_size=4),
+           st.sampled_from(("drawn", "cancelled", "integral")))
+    def test_sum_of_products(self, drawn, twist):
+        pairs = [(both(ta), both(tb)) for ta, tb in drawn]
+        if twist == "cancelled":
+            # each product and its negative: the sum cancels in full
+            pairs += [((-a, -ra), (b, rb)) for (a, ra), (b, rb) in pairs]
+        elif twist == "integral" and pairs:
+            # a/7 * b and 6a/7 * b, with a and b scaled to integer
+            # coefficients: Fraction products whose sum is integral
+            (a, ra), (b, rb) = pairs[0]
+            a, ra, b, rb = a * 60, ra * 60, b * 60, rb * 60
+            pairs = [((a / 7, ra / 7), (b, rb)),
+                     ((a * Fraction(6, 7), ra * Fraction(6, 7)), (b, rb))]
+        got = sum_of_products((a, b) for (a, _), (b, _) in pairs)
+        want = ref.LaurentPoly.zero()
+        for (_, ra), (_, rb) in pairs:
+            want = want + ra * rb
+        assert got.to_text() == want.to_text()
+        # the bound is the largest of the pairs that have no zero operand
+        assert got._span == max((a._span + b._span for (a, _), (b, _) in pairs
+                                 if a.terms and b.terms), default=0)
+        # a Fraction coefficient that sums to an integer is stored as an int
+        assert all(type(c) is int or c.denominator != 1 for c in got.terms.values())
+        if twist == "cancelled":
+            assert got.is_zero()
+        elif twist == "integral":
+            assert all(type(c) is int for c in got.terms.values())
+
+    @settings(max_examples=100)
+    @given(st.integers(0, 3), st.data())
+    def test_series_products(self, order, data):
+        names = tuple(name for name in ORACLE_NAMES if name != "X")
+        sides = [[both(data.draw(term_lists(max_terms=3, names=names))) for _ in range(order + 1)]
+                 for _ in range(2)]
+        a, b = (TruncatedSeries("X", [p for p, _ in side]) for side in sides)
+        ra, rb = (ref.TruncatedSeries("X", [r for _, r in side]) for side in sides)
+        assert (a * b).to_text() == (ra * rb).to_text()
+
+    @settings(max_examples=100)
+    @given(st.integers(1, 3), st.data())
+    def test_matrix_products(self, size, data):
+        entries = [[[both(data.draw(term_lists(max_terms=2))) for _ in range(size)]
+                    for _ in range(size)] for _ in range(2)]
+        a, b = (SymbolicMatrix([[p for p, _ in row] for row in m]) for m in entries)
+        ra, rb = ([[r for _, r in row] for row in m] for m in entries)
+        got = a * b
+        for i in range(size):
+            for j in range(size):
+                want = ref.LaurentPoly.zero()
+                for k in range(size):
+                    want = want + ra[i][k] * rb[k][j]
+                assert got.rows[i][j].to_text() == want.to_text()
 
     @given(term_lists(max_terms=1), st.integers(1, 4))
     def test_negative_powers_of_units(self, t, k):
@@ -405,6 +462,39 @@ class TestExponentField:
             LaurentPoly.var(name)
         with pytest.raises(ValueError):
             TruncatedSeries(name, [1])
+
+
+class TestSumOfProducts:
+    def test_only_a_zero_operand_escapes_the_bound(self):
+        top = LaurentPoly.var("x", EXPONENT_LIMIT)
+        # a zero that carries the largest bound
+        zero = top - top
+        assert zero.is_zero() and zero._span == EXPONENT_LIMIT
+        refused = "a field of the product may reach"
+        for pair in ((zero, top), (top, zero)):
+            assert sum_of_products([pair]).is_zero()
+            assert (pair[0] * pair[1]).is_zero()
+            with pytest.raises(ExponentOutOfRange, match=refused):
+                sum_of_products([pair, (top, X)])
+            with pytest.raises(ExponentOutOfRange, match=refused):
+                sum_of_products([(top, X), pair])
+
+    def test_pairs_are_read_one_at_a_time(self):
+        def pairs():
+            yield X, Y
+            yield LaurentPoly.var("x", EXPONENT_LIMIT), X
+            raise AssertionError("a pair after the refused one was read")
+
+        with pytest.raises(ExponentOutOfRange):
+            sum_of_products(pairs())
+
+    def test_empty_sums_and_integral_fractions(self):
+        empty = sum_of_products([])
+        assert empty.is_zero() and empty._span == 0
+        half = LaurentPoly.const(Fraction(1, 2))
+        got = sum_of_products([(half, X), (X, half), (Y, Y ** -1)])
+        assert got == X + 1
+        assert [type(c) for c in got.terms.values()] == [int, int]
 
 
 class TestMonomialSum:
