@@ -16,6 +16,11 @@ series commands load ``zeta`` with what it needs, and only ``verify`` loads
 ``suites`` and ``report``.  A start that finds no cached bytecode compiles
 every module it imports, so this keeps the small commands cheap.
 
+Each handler lays out every key of its command's payload, in order, from
+the values its layers return; no result type of a layer carries a layout.
+A value's own read-out (``to_text``, or the ``to_json_obj`` of a
+polynomial, series or quotient) comes from ``exactalg``.
+
 Payloads and reports are written out here, with the same bytes as
 ``json.dumps(value, indent=2)`` and ``csv.writer`` but without either
 module: an indent makes ``json`` run its pure-Python encoder, so
@@ -235,14 +240,26 @@ def _cmd_zeta(args: argparse.Namespace) -> dict:
     rep_a = UnramifiedRep.symbolic(n + 1, "a")
     rep_b = UnramifiedRep.symbolic(n, "b")
     result = local_zeta_unramified(rep_a, rep_b, var=args.var, order=order)
-    payload = {"ranks": [n + 1, n], "order": order}
-    payload.update(result.to_json_obj())
+    payload = {"ranks": [n + 1, n], "order": order, "series": result.series.to_json_obj(),
+               "latticePoints": result.lattice_points}
     if (n + 1) * n <= MAX_CLOSED_FORM_FACTORS:
         den = l_factor_denominator(rep_a, rep_b, args.var)
         payload["closedForm"] = RationalFunction(LaurentPoly.one(), den).to_json_obj()
         product = times_l_denominator(result.series, rep_a, rep_b)
         payload["matchesClosedForm"] = product.is_one()
     return payload
+
+
+def _comparison(cmp) -> dict:
+    """A zeta.PaperComparison, its ratio scaled so that the published term has coefficient 1."""
+    from .exactalg import RationalFunction
+
+    (c,) = cmp.paper_constant.terms.values()
+    return {
+        "paperConstant": cmp.paper_constant.to_text(),
+        "computedConstant": cmp.computed_constant.to_text(),
+        "ratio": RationalFunction(cmp.computed_constant / c, cmp.paper_constant / c).to_json_obj(),
+    }
 
 
 def _cmd_weight(args: argparse.Namespace) -> dict:
@@ -270,8 +287,9 @@ def _cmd_weight(args: argparse.Namespace) -> dict:
         mid = UnramifiedRep.symbolic(n, "b")
         small = UnramifiedRep.symbolic(n - 1, "g")
         result = weight_unramified(big, mid, small, order=order)
-        payload = {"ranks": [n + 1, n, n - 1], "order": order}
-    elif args.place == "l":
+        return {"ranks": [n + 1, n, n - 1], "order": order, "placeKind": "unramified",
+                "value": result.value.to_text(), "latticePoints": result.lattice_points}
+    if args.place == "l":
         if n < 2:
             raise ValueError("the twisted weight needs rank >= 2")
         ranks = [(n, n - 1)]
@@ -279,16 +297,26 @@ def _cmd_weight(args: argparse.Namespace) -> dict:
         mid = UnramifiedRep.symbolic(n, "b")
         small = UnramifiedRep.symbolic(n - 1, "g")
         result = weight_at_l(mid, small, level, var=args.var, order=order)
-        payload = {"ranks": [n, n - 1], "level": level, "order": order}
-    else:
-        if isinstance(args.p, str):
-            raise ValueError("the structural weight needs a numeric residue cardinality")
-        # the (a1, a2, j) triples number (d+1)(d+2)/2 for d = level - cond >= 0
-        d = level - args.cond
-        check_terms("the index set", [(d + 1) * (d + 2) // 2 if d >= 0 else 0])
-        result = weight_at_q_structural(args.cond, level, n, args.p)
-        payload = {"rank": n, "conductorExponent": args.cond, "level": level, "p": args.p}
-    payload.update(result.to_json_obj())
+        return {"ranks": [n, n - 1], "level": level, "order": order, "placeKind": "dividing_l",
+                "value": result.value.to_json_obj(),
+                "paperComparison": _comparison(result.paper_comparison),
+                "paperValue": result.paper_value.to_json_obj(),
+                "latticePoints": result.lattice_points}
+    if isinstance(args.p, str):
+        raise ValueError("the structural weight needs a numeric residue cardinality")
+    # the (a1, a2, j) triples number (d+1)(d+2)/2 for d = level - cond >= 0
+    d = level - args.cond
+    check_terms("the index set", [(d + 1) * (d + 2) // 2 if d >= 0 else 0])
+    result = weight_at_q_structural(args.cond, level, n, args.p)
+    # the value is None below the boundary, and only the boundary has a comparison
+    payload = {"rank": n, "conductorExponent": args.cond, "level": level, "p": args.p,
+               "placeKind": "dividing_q",
+               "value": None if result.value is None else result.value.to_text()}
+    if result.paper_comparison is not None:
+        payload["paperComparison"] = _comparison(result.paper_comparison)
+        payload["paperValue"] = result.paper_value.to_text()
+    payload.update(indexSet=[list(t) for t in result.index_set], vanishes=result.vanishes,
+                   latticePoints=result.lattice_points)
     return payload
 
 

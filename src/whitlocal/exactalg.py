@@ -65,12 +65,12 @@ value against the limit before it forms any key, so the packed keys stay
 inside this module.
 
 Keys are put in canonical (name, exponent) order only where order or
-names matter: text and JSON emission and sorted_terms.  One decoder,
-_ordered, serves all three.  It cuts the used slots, in name order, into
-groups of _GROUP and decodes each distinct group value once, into a dict
-entry that holds the group's sort chunks, its factor text and its
-(name, exponent) pairs as values and as text; a key is then read by one mask and one lookup per
-group, not by one shift and compare per slot.  Each key sorts by one int,
+names matter: text emission and sorted_terms, which JSON emission reads.
+One decoder, _ordered, serves both.  It cuts the used slots, in name
+order, into groups of _GROUP and decodes each distinct group value once,
+into a dict entry that holds the group's sort chunks, its factor text and
+its (name, exponent) pairs; a key is then read by one mask and one lookup
+per group, not by one shift and compare per slot.  Each key sorts by one int,
 a chunk per used slot in name order, so a sort makes no per-term tuple.
 _ranked, which variables and the emitters use, scans only the slots up to
 the highest one the keys use, so names interned after a polynomial's
@@ -251,9 +251,11 @@ def _ordered(terms: Mapping[int, Scalar]) -> tuple[list[int], dict[int, tuple], 
     and the sorted keys.  The used slots in name order are cut into groups
     of _GROUP; a group's value in a key is ``(key + bias) & mask``, and
     decoded[value] is (sort chunk when a later field is nonzero, sort chunk
-    when none is, factor text, (name, exponent) pairs, (name, exponent
-    text) pairs).  A factor text holds "*name^exponent" per nonzero field.  decoded holds every group
-    value of every key, so a key costs one lookup per group.
+    when none is, factor text, (name, exponent) pairs).  A factor text
+    holds "*name^exponent" per nonzero field; to_text reads it, and
+    sorted_terms, which to_json_obj goes through, reads the pairs.  decoded
+    holds every group value of every key, so a key costs one lookup per
+    group.
 
     Each key sorts by one int of _CHUNK_BITS-bit chunks, one per used slot
     in name order: a nonzero field's chunk is its biased value, in
@@ -287,9 +289,10 @@ def _ordered(terms: Mapping[int, Scalar]) -> tuple[list[int], dict[int, tuple], 
 def _decode(v: int, slots: list[tuple[str, int, int]]) -> tuple:
     """The entry of _ordered's decoded for one value of the group of slots.
 
-    A zero field of the group holds _HALF in v.
+    The entry has four fields: the two sort chunks, the factor text and the
+    (name, exponent) pairs.  A zero field of the group holds _HALF in v.
     """
-    later, last, text, pairs, texts = 0, 0, "", (), ()
+    later, last, text, pairs = 0, 0, "", ()
     for name, shift, at in slots:
         b = v >> shift & _MASK
         if b == _HALF:
@@ -301,8 +304,7 @@ def _decode(v: int, slots: list[tuple[str, int, int]]) -> tuple:
             text += (f"*{name}" if e == 1 else f"*{name}^{e}" if type(e) is int and e > 0
                      else f"*{name}^({e})")
             pairs += ((name, e),)
-            texts += ((name, str(e)),)
-    return later, last, text, pairs, texts
+    return later, last, text, pairs
 
 
 _new = object.__new__
@@ -590,10 +592,8 @@ class LaurentPoly:
         return f"LaurentPoly({self.to_text()})"
 
     def to_json_obj(self) -> list:
-        masks, decoded, bias, keys = _ordered(self.terms)
-        return [{"coeff": str(self.terms[key]),
-                 "exps": dict(sum([decoded[(key + bias) & mask][4] for mask in masks], ()))}
-                for key in keys]
+        return [{"coeff": str(c), "exps": {name: str(e) for name, e in exps}}
+                for exps, c in self.sorted_terms()]
 
 
 def sum_of_products(pairs) -> LaurentPoly:

@@ -412,7 +412,7 @@ def suite_schur(cfg: SuiteConfig) -> SuiteReport:
                 terms = got.sorted_terms()
                 if witness := _out_of_order(terms):
                     return False, f"lambda={lam}: {witness}"
-                # JSON emission reads its own decoded entries: it must say what sorted_terms() says
+                # the JSON layout, written out again here, so that a fault in to_json_obj shows
                 want = [{"coeff": str(c), "exps": {name: str(e) for name, e in exps}}
                         for exps, c in terms]
                 if got.to_json_obj() != want:

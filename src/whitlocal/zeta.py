@@ -50,7 +50,6 @@ from fractions import Fraction
 from .exactalg import (
     RESIDUE_CARDINALITY_VAR,
     LaurentPoly,
-    RationalFunction,
     TruncatedSeries,
     qpow,
     sum_of_products,
@@ -64,10 +63,6 @@ from .localrep import (
 )
 from .symfunc import Partition, partitions_of
 from .whittaker import delta_half, spherical_value, twist_constants, twisted_value
-
-PLACE_UNRAMIFIED = "unramified"
-PLACE_DIVIDING_L = "dividing_l"
-PLACE_DIVIDING_Q = "dividing_q"
 
 # a Whittaker value at rank n is a Schur value s_lam with lam = mu - min(mu),
 # which has at most C(|lam| + n - 1, n - 1) terms; a lattice series has the
@@ -109,9 +104,6 @@ class ZetaResult(namedtuple("ZetaResult", "series lattice_points")):
 
     __slots__ = ()
 
-    def to_json_obj(self) -> dict:
-        return {"series": self.series.to_json_obj(), "latticePoints": self.lattice_points}
-
 
 class PaperComparison(namedtuple("PaperComparison", "paper_constant computed_constant")):
     """A computed constant next to its published counterpart.
@@ -126,21 +118,10 @@ class PaperComparison(namedtuple("PaperComparison", "paper_constant computed_con
     def ratio(self) -> LaurentPoly:
         return self.computed_constant * self.paper_constant ** -1
 
-    def to_json_obj(self) -> dict:
-        # the ratio is emitted as the quotient written out, scaled so that
-        # the published term has coefficient 1
-        (c,) = self.paper_constant.terms.values()
-        ratio = RationalFunction(self.computed_constant / c, self.paper_constant / c)
-        return {
-            "paperConstant": self.paper_constant.to_text(),
-            "computedConstant": self.computed_constant.to_text(),
-            "ratio": ratio.to_json_obj(),
-        }
-
 
 class WeightResult(namedtuple(
         "WeightResult",
-        "value place_kind paper_comparison paper_value index_set vanishes lattice_points",
+        "value paper_comparison paper_value index_set vanishes lattice_points",
         defaults=(None,) * 5)):
     """The local weight attached to one place, with provenance of constants.
 
@@ -151,27 +132,6 @@ class WeightResult(namedtuple(
     """
 
     __slots__ = ()
-
-    def to_json_obj(self) -> dict:
-        def encode(v):
-            if v is None:
-                return None
-            if isinstance(v, TruncatedSeries):
-                return v.to_json_obj()
-            return v.to_text()
-
-        out: dict = {"placeKind": self.place_kind, "value": encode(self.value)}
-        if self.paper_comparison is not None:
-            out["paperComparison"] = self.paper_comparison.to_json_obj()
-        if self.paper_value is not None:
-            out["paperValue"] = encode(self.paper_value)
-        if self.index_set is not None:
-            out["indexSet"] = [list(t) for t in self.index_set]
-        if self.vanishes is not None:
-            out["vanishes"] = self.vanishes
-        if self.lattice_points is not None:
-            out["latticePoints"] = self.lattice_points
-        return out
 
 
 def check_series_var(var: str) -> None:
@@ -325,7 +285,6 @@ def weight_unramified(rep_big: UnramifiedRep, rep_mid: UnramifiedRep,
     ratio_w = times_l_denominator(z_w.series, rep_mid, rep_small)
     return WeightResult(
         value=_as_poly(ratio_s) * _as_poly(ratio_w),
-        place_kind=PLACE_UNRAMIFIED,
         lattice_points=z_s.lattice_points + z_w.lattice_points,
     )
 
@@ -358,7 +317,6 @@ def weight_at_l(rep_mid: UnramifiedRep, rep_small: UnramifiedRep, m: int,
     comparison = PaperComparison(paper_constant=paper_const, computed_constant=computed_const)
     return WeightResult(
         value=value,
-        place_kind=PLACE_DIVIDING_L,
         paper_comparison=comparison,
         paper_value=paper_value,
         lattice_points=z.lattice_points,
@@ -400,7 +358,6 @@ def weight_at_q_structural(n0: int, m: int, n: int, p: int) -> WeightResult:
         comparison = PaperComparison(paper_constant=paper_constant, computed_constant=value)
     return WeightResult(
         value=value,
-        place_kind=PLACE_DIVIDING_Q,
         paper_comparison=comparison,
         paper_value=paper_constant,
         index_set=index_set,

@@ -24,7 +24,10 @@ def test_a_tiny_run_writes_every_key(tmp_path, monkeypatch):
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     monkeypatch.setattr(sys, "path", list(sys.path))  # record() puts the copy's src first
-    got = tool.record(1, 1)
+    # one sample per layer and one verify run
+    monkeypatch.setattr(tool, "REPEATS", 1)
+    monkeypatch.setattr(tool, "PROCESSES", 1)
+    got = tool.record()
     assert set(got) == {"git_sha", "git_dirty", "src_sha256", "python", "nproc", "compiled",
                         "repeats", "layers", "end_to_end"}
     # the digest skips the bytecode that record() has just written into the copy

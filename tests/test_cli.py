@@ -726,6 +726,15 @@ class TestPayloadContent:
         assert obj["series"]["coeffs"] == [c.to_text() for c in result.series.coeffs]
         assert obj["matchesClosedForm"] is True
 
+    def test_zeta_payload_shape(self, capsys):
+        code, out, _ = run_cli("zeta", "--n", "1", "--order", "2", capsys=capsys)
+        assert code == 0
+        obj = json.loads(out)
+        assert list(obj) == ["ranks", "order", "series", "latticePoints", "closedForm",
+                             "matchesClosedForm"]
+        assert obj["series"]["coeffs"][0] == "1"
+        assert obj["latticePoints"] == 3
+
     def test_lfactor_denominator(self, capsys):
         code, out, _ = run_cli("lfactor", "--rank-a", "1", "--rank-b", "1",
                                capsys=capsys)
@@ -739,21 +748,59 @@ class TestPayloadContent:
         assert code == 2
         assert "cap" in err
 
+    def test_weight_unramified_payload(self, capsys):
+        code, out, _ = run_cli("weight", "--place", "unramified", "--n", "2", "--order", "5",
+                               capsys=capsys)
+        assert code == 0
+        assert json.loads(out) == {"ranks": [3, 2, 1], "order": 5, "placeKind": "unramified",
+                                   "value": "1", "latticePoints": 18}
+
     def test_weight_q_payload(self, capsys):
         code, out, _ = run_cli("weight", "--place", "q", "--n", "2", "--cond", "1",
                                "--level", "1", "--p", "2", capsys=capsys)
         assert code == 0
         obj = json.loads(out)
+        assert obj["placeKind"] == "dividing_q"
         assert obj["value"] == "1/3"
+        assert obj["paperComparison"]["paperConstant"] == "1/2"
         assert obj["paperComparison"]["computedConstant"] == "1/3"
+        # the quotient as written, scaled so that the published term is 1
+        assert obj["paperComparison"]["ratio"] == {"num": [{"coeff": "2/3", "exps": {}}],
+                                                   "den": [{"coeff": "1", "exps": {}}]}
+        assert obj["paperValue"] == "1/2"
+        assert obj["indexSet"] == [[0, 1, 0]]
+        assert obj["vanishes"] is False
+
+    def test_weight_q_writes_only_the_keys_of_its_verdict(self, capsys):
+        for cond in range(5):
+            for level in range(5):
+                code, out, _ = run_cli("weight", "--place", "q", "--n", "2", "--cond", str(cond),
+                                       "--level", str(level), capsys=capsys)
+                assert code == 0
+                obj = json.loads(out)
+                assert obj["placeKind"] == "dividing_q"
+                assert obj["vanishes"] == (cond > level)
+                # a comparison only at the boundary, and no value below it
+                assert ("paperComparison" in obj) == ("paperValue" in obj) == (cond == level)
+                assert (obj["value"] is None) == (cond < level)
 
     def test_weight_l_payload(self, capsys):
         code, out, _ = run_cli("weight", "--place", "l", "--n", "2", "--level", "1",
                                "--order", "4", capsys=capsys)
         assert code == 0
         obj = json.loads(out)
+        assert obj["placeKind"] == "dividing_l"
         assert obj["value"]["coeffs"][1] == "b1*g1 + b2*g1"
         assert obj["paperComparison"]["computedConstant"] == "q"
+
+    def test_weight_l_ratio_is_the_scaled_quotient(self, capsys):
+        code, out, _ = run_cli("weight", "--place", "l", "--n", "3", "--level", "2",
+                               "--order", "4", capsys=capsys)
+        assert code == 0
+        assert json.loads(out)["paperComparison"]["ratio"] == {
+            "num": [{"coeff": "1", "exps": {"q": "4"}}],
+            "den": [{"coeff": "1", "exps": {"q": "2"}}],
+        }
 
     def test_charsum_oracle_fields(self, capsys):
         code, out, _ = run_cli("charsum", "--p", "3", "--level", "1",

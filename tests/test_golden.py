@@ -1,4 +1,4 @@
-"""Committed bytes: the whole verification battery and five payloads.
+"""Committed bytes: the whole verification battery and seven payloads.
 
 ``golden/verify_all_seed0.EMIT`` is the stdout of
 ``whitlocal verify --suite all --jobs 1 --seed 0 --emit EMIT``, and
@@ -33,8 +33,14 @@ PAYLOADS = {
     "lfactor_2_2": ["lfactor", "--rank-a", "2", "--rank-b", "2"],
     "weight_l_n3_level1_order4": ["weight", "--place", "l", "--n", "3", "--level", "1",
                                   "--order", "4"],
+    # below the boundary: value null, with no paperComparison or paperValue
+    "weight_q_n2_cond0_level1": ["weight", "--place", "q", "--n", "2", "--cond", "0",
+                                 "--level", "1"],
     "weight_q_n2_cond1_level1_p3": ["weight", "--place", "q", "--n", "2", "--cond", "1",
                                     "--level", "1", "--p", "3"],
+    # vanishing: value "0" and an empty indexSet, which csv and text drop
+    "weight_q_n2_cond2_level1": ["weight", "--place", "q", "--n", "2", "--cond", "2",
+                                 "--level", "1"],
     "weight_unramified_n2_order3": ["weight", "--place", "unramified", "--n", "2",
                                     "--order", "3"],
 }

@@ -77,7 +77,7 @@ def test_a_method_is_named_as_the_sweep_prints_it():
 
 def test_a_timeout_kills_the_workers_of_the_command(tmp_path):
     # a stand-in package whose command starts a worker and outlives the limit
-    # with it, as a hung verify --jobs 2 pool would
+    # with it, as a hung verify --jobs 2 and its forked child would
     package = tmp_path / "whitlocal"
     package.mkdir()
     (package / "__init__.py").write_text("")

@@ -139,20 +139,20 @@ def source_sha256(src: Path = SRC) -> str:
     return digest.hexdigest()
 
 
-def record(repeats: int, processes: int) -> dict:
+def record() -> dict:
     compiled = compileall.compile_dir(str(SRC / "whitlocal"), quiet=1)
     sys.path.insert(0, str(SRC))
     workloads = layer_workloads()
     samples: dict[str, list[float]] = {name: [] for name in workloads}
     # round by round, so that a slow spell of the host spreads over every layer
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         for name, (loops, call) in workloads.items():
             samples[name].append(sample_ms(loops, call))
     layers = {name: {"loops": loops, "median_ms": statistics.median(samples[name]),
                      "samples_ms": samples[name]}
               for name, (loops, _) in workloads.items()}
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    walls = [verify_wall_s(env) for _ in range(processes)]
+    walls = [verify_wall_s(env) for _ in range(PROCESSES)]
     nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return {
         **git_state(),
@@ -160,9 +160,9 @@ def record(repeats: int, processes: int) -> dict:
         "python": platform.python_version(),
         "nproc": nproc,
         "compiled": bool(compiled),
-        "repeats": repeats,
+        "repeats": REPEATS,
         "layers": layers,
-        "end_to_end": {"verify_all_jobs1": {"argv": list(VERIFY_ALL), "processes": processes,
+        "end_to_end": {"verify_all_jobs1": {"argv": list(VERIFY_ALL), "processes": PROCESSES,
                                             "median_s": statistics.median(walls),
                                             "samples_s": walls}},
     }
@@ -172,7 +172,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, required=True, help="the JSON file to write")
     args = parser.parse_args(argv)
-    result = record(REPEATS, PROCESSES)
+    result = record()
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     return 0
 

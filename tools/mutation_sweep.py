@@ -22,7 +22,7 @@ The limit is ten times the command's time on the unmutated module, and at
 least five seconds.  A timeout counts as a kill, so a mutant that only
 makes the command slow (say, one that loosens a size guard and then
 enumerates for long) is counted as killed.  Each command runs in a session
-of its own, and a timeout kills its whole process group, pool workers
+of its own, and a timeout kills its whole process group, forked children
 included, so a timed-out mutant leaves no process behind to slow the next.
 
     python3 tools/mutation_sweep.py --module localrep \\
