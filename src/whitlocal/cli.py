@@ -156,9 +156,45 @@ def _emit_payload(payload: dict, emit: str) -> str:
     return "".join([f"{key} = {value}\n" for key, value in leaves])
 
 
-def _emit_report(report: SuiteReport, emit: str, timings: bool) -> str:
-    from .report import report_to_csv, report_to_json, report_to_text
+def report_to_json(report: SuiteReport, include_timings: bool = False) -> str:
+    checks = []
+    for c in report.checks:
+        entry: dict = {"id": c.id, "description": c.description, "status": c.status}
+        if not c.passed:
+            entry["witness"] = c.witness
+        if include_timings:
+            entry["millis"] = c.millis
+        checks.append(entry)
+    return json_text({"suite": report.suite, "status": report.status, "checks": checks})
 
+
+CSV_COLUMNS = ("suite", "check_id", "description", "status", "witness")
+
+
+def report_to_csv(report: SuiteReport, include_timings: bool = False) -> str:
+    rows = [CSV_COLUMNS + (("millis",) if include_timings else ())]
+    for c in report.checks:
+        row = (report.suite, c.id, c.description, c.status, c.witness or "")
+        rows.append(row + ((str(c.millis),) if include_timings else ()))
+    return csv_text(rows)
+
+
+def report_to_text(report: SuiteReport, include_timings: bool = False) -> str:
+    from .report import ERROR
+
+    lines = [f"suite {report.suite}: {report.status}"]
+    for c in report.checks:
+        mark = "ok " if c.passed else ("ERR" if c.status == ERROR else "FAIL")
+        timing = f"  [{c.millis} ms]" if include_timings else ""
+        lines.append(f"  {mark} {c.id}  {c.description}{timing}")
+        if c.witness:
+            lines.append(f"      witness: {c.witness}")
+    npass = sum(1 for c in report.checks if c.passed)
+    lines.append(f"  {npass}/{len(report.checks)} checks passed")
+    return "\n".join(lines) + "\n"
+
+
+def _emit_report(report: SuiteReport, emit: str, timings: bool) -> str:
     if emit == "json":
         return report_to_json(report, include_timings=timings) + "\n"
     if emit == "csv":
@@ -392,6 +428,7 @@ def _run_share(queue: int, suites: list, cfg: SuiteConfig, cpus: list[int]) -> l
 def _run_forked(suites: list, cfg: SuiteConfig, workers: int) -> list[SuiteReport]:
     """Run the suites in this process and in workers - 1 forked children.
 
+    With one worker nothing forks, and this process runs every suite in order.
     The suite indices wait in one pipe, a byte each, and every process runs
     the suite of each index it reads until the pipe is empty, so a process
     that ends a cheap suite takes the next.  A child pickles its reports, or
@@ -412,8 +449,10 @@ def _run_forked(suites: list, cfg: SuiteConfig, workers: int) -> list[SuiteRepor
     read, a child is past its last statement, so the kill only ends one that
     still runs because this process raised.
     """
-    import pickle
-    import signal
+    if workers > 1:
+        # only forked children need these; one worker runs everything here
+        import pickle
+        import signal
 
     queue, feed = os.pipe()
     os.write(feed, bytes(range(len(suites))))
@@ -468,12 +507,10 @@ def _run_verify(args: argparse.Namespace) -> SuiteReport:
     for name in names:
         if name in WORK_BOUNDS:
             WORK_BOUNDS[name](suite_cfg)
-    if args.suite != "all":
-        return runnable[args.suite](suite_cfg)
-    # never more processes than suites
-    reports = ([suite(suite_cfg) for suite in SUITES.values()] if args.jobs == 1
-               else _run_forked([*SUITES.values()], suite_cfg, min(args.jobs, len(SUITES))))
-    return merge_reports("all", reports)
+    # never more processes than suites, so one suite, or --jobs 1, forks nothing
+    reports = _run_forked([runnable[name] for name in names], suite_cfg,
+                          min(args.jobs, len(names)))
+    return merge_reports("all", reports) if args.suite == "all" else reports[0]
 
 
 def build_parser() -> argparse.ArgumentParser:

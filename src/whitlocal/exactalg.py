@@ -711,7 +711,7 @@ class TruncatedSeries:
             c.is_zero() for c in self.coeffs[1:]
         )
 
-    def to_text(self) -> str:
+    def __str__(self) -> str:
         parts = []
         for k, c in enumerate(self.coeffs):
             if c.is_zero():
@@ -721,10 +721,8 @@ class TruncatedSeries:
             parts = ["0"]
         return " + ".join(parts) + f" + O({self.var}^{self.order + 1})"
 
-    __str__ = to_text
-
     def __repr__(self) -> str:
-        return f"TruncatedSeries({self.to_text()})"
+        return f"TruncatedSeries({self})"
 
     def to_json_obj(self) -> dict:
         return {

@@ -2,7 +2,8 @@
 
 This module is the only place that declares checks.  A check is an
 ``(id, description, body)`` entry: the body takes no arguments and returns
-``(ok, witness)``.  Each suite builds its list of entries and hands it to
+``None`` when its identity holds, or else its witness string, which it forms
+only then.  Each suite builds its list of entries and hands it to
 ``report.run_checks``, which runs them in order.
 
 Building an entry does no arithmetic.  Every polynomial or matrix
@@ -80,24 +81,23 @@ def _all_pass(checks: list[Check]) -> Body:
 
     def body():
         for check_id, _, fn in checks:
-            ok, witness = fn()
-            if not ok:
-                return False, f"{check_id}: {witness}"
-        return True, None
+            if (witness := fn()) is not None:
+                return f"{check_id}: {witness}"
+        return None
 
     return body
 
 
-def _times_denominator(name: str, product) -> tuple[bool, str | None]:
-    """Whether a series in X times an L-factor denominator, the product, is 1.
+def _times_denominator(name: str, product) -> str | None:
+    """A witness unless a series in X times an L-factor denominator, the product, is 1.
 
     The witness names the first coefficient of the product that is not 1
     (at X^0) or 0 (beyond).
     """
     for k, c in enumerate(product.coeffs):
         if c != (1 if k == 0 else 0):
-            return False, f"X^{k}: {name} times the L-factor denominator gives {c.to_text()}"
-    return True, None
+            return f"X^{k}: {name} times the L-factor denominator gives {c.to_text()}"
+    return None
 
 
 def _lattice_points(order: int, *lengths: int) -> int:
@@ -117,10 +117,10 @@ def _lattice_points(order: int, *lengths: int) -> int:
     return total
 
 
-def _all_partitions(lams: list[Partition], weight: int, n: int) -> tuple[bool, str | None]:
-    """Pass when lams are as many as the partitions _lattice_points counts."""
+def _all_partitions(lams: list[Partition], weight: int, n: int) -> str | None:
+    """A witness unless lams are as many as the partitions _lattice_points counts."""
     want = _lattice_points(weight, n)
-    return len(lams) == want, f"checked {len(lams)} partitions, expected {want}"
+    return None if len(lams) == want else f"checked {len(lams)} partitions, expected {want}"
 
 
 def _out_of_order(*term_lists) -> str | None:
@@ -154,30 +154,30 @@ def _involution_checks(n: int, dual) -> list[Check]:
         s, w, im = image()
         lhs = n * (im.s - half)
         rhs = n * (half - s) + (n - 1) * (s + w - 1)
-        return lhs == rhs, f"{lhs.to_text()} != {rhs.to_text()}"
+        return None if lhs == rhs else f"{lhs.to_text()} != {rhs.to_text()}"
 
     def exponent_sum():
         s, w, im = image()
         lhs = im.s + im.w - 1
         rhs = s + w - 1
-        return lhs == rhs, f"{lhs.to_text()} != {rhs.to_text()}"
+        return None if lhs == rhs else f"{lhs.to_text()} != {rhs.to_text()}"
 
     def involution():
         s, w, im = image()
         twice = dual(im)
         if twice.s != s or twice.w != w:
-            return False, f"double image is {twice}"
-        witness = _out_of_order(im.s.sorted_terms(), im.w.sorted_terms())
-        return witness is None, witness
+            return f"double image is {twice}"
+        return _out_of_order(im.s.sorted_terms(), im.w.sorted_terms())
 
     def fixed_point():
         fp = dual(ParamPair(half, half, n))
         ok = fp.s == LaurentPoly.const(half) and fp.w == LaurentPoly.const(half)
-        return ok, f"image of (1/2, 1/2) is {fp}"
+        return None if ok else f"image of (1/2, 1/2) is {fp}"
 
     def rank2_form():
         s, w, im = image()
-        return im.s == (1 + w - s) / 2 and im.w == (3 * s + w - 1) / 2, f"got {im}"
+        ok = im.s == (1 + w - s) / 2 and im.w == (3 * s + w - 1) / 2
+        return None if ok else f"got {im}"
 
     checks = [
         (f"n={n:02d}/exponent-balance",
@@ -218,12 +218,12 @@ def _weyl_checks(n: int) -> list[Check]:
         w = swap_last_two(size)
         got = w * column_unipotent(size, n, names) * w
         want = column_unipotent(size, n + 1, names)
-        return got == want, f"{got} != {want}"
+        return None if got == want else f"{got} != {want}"
 
     def square():
         w = swap_last_two(size)
         got = w * w
-        return got == SymbolicMatrix.scalar(size, 1), f"{got}"
+        return None if got == SymbolicMatrix.scalar(size, 1) else f"{got}"
 
     return [
         (f"n={n:02d}/conjugation",
@@ -262,16 +262,16 @@ def _cusp_checks(n: int) -> list[Check]:
     def regroup_scaling():
         h, u_inv, lhs, central, _ = parts()
         want = central * SymbolicMatrix.block_diag(h, 1, u_inv)
-        return lhs == want, f"{lhs} != {want}"
+        return None if lhs == want else f"{lhs} != {want}"
 
     def swap_conjugation():
         h, u_inv, _, _, w = parts()
         got = w * SymbolicMatrix.block_diag(h, u_inv, 1) * w
-        return SymbolicMatrix.block_diag(h, 1, u_inv) == got, f"{got}"
+        return None if SymbolicMatrix.block_diag(h, 1, u_inv) == got else f"{got}"
 
     def full_factorization():
         lhs = parts()[2]
-        return lhs == rhs(), f"{lhs} != {rhs()}"
+        return None if lhs == rhs() else f"{lhs} != {rhs()}"
 
     def unit_specialization():
         h, u_inv, lhs, _, _ = parts()
@@ -287,8 +287,8 @@ def _cusp_checks(n: int) -> list[Check]:
             inner0 = None
         zero = SymbolicMatrix.block_diag(SymbolicMatrix.scalar(n - 1, 0), 0, 1)
         ok = lhs1 == plain and rhs1 == plain and lhs0 == zero and inner0 is None
-        return ok, (f"u=1 gives {lhs1} and {rhs1}; u=0 gives {lhs0}, "
-                    f"and {inner0} for diag(H, u^(-1), 1)")
+        return None if ok else (f"u=1 gives {lhs1} and {rhs1}; u=0 gives {lhs0}, "
+                                f"and {inner0} for diag(H, u^(-1), 1)")
 
     return [
         (f"n={n:02d}/regroup-scaling", "diag(u*H, u, 1) equals u * diag(H, 1, u^(-1))",
@@ -322,7 +322,7 @@ def suite_unramified(cfg: SuiteConfig) -> SuiteReport:
             rep_b = UnramifiedRep.symbolic(n, "b")
             result = local_zeta_unramified(rep_a, rep_b, "X", order)
             if result.lattice_points != (want := _lattice_points(order, n)):
-                return False, f"{result.lattice_points} lattice points, expected {want}"
+                return f"{result.lattice_points} lattice points, expected {want}"
             product = times_l_denominator(result.series, rep_a, rep_b)
             return _times_denominator("lattice sum", product)
 
@@ -355,7 +355,7 @@ def suite_cauchy(cfg: SuiteConfig) -> SuiteReport:
                                         UnramifiedRep(n, [1] * n), UnramifiedRep(m, [1] * m))
             for k, c in enumerate(units.coeffs):
                 if c != (want := (-1) ** k * comb(n * m, k)):
-                    return False, (f"X^{k}: the denominator at unit parameters gives "
+                    return (f"X^{k}: the denominator at unit parameters gives "
                                    f"{c.to_text()}, not {want}")
             series = cauchy_schur_side(n, m, "X", cfg.order)
             product = times_l_denominator(
@@ -407,16 +407,16 @@ def suite_schur(cfg: SuiteConfig) -> SuiteReport:
                 got = schur(lam, values)
                 # the bialternant formula s_lam = a_(lam+delta) / a_delta, multiplied through
                 if got * vandermonde != alternant(lam, names):
-                    return False, (f"lambda={lam}: s_lambda * a_delta != a_(lambda+delta)"
+                    return (f"lambda={lam}: s_lambda * a_delta != a_(lambda+delta)"
                                    f" at s_lambda = {got.to_text()}")
                 terms = got.sorted_terms()
                 if witness := _out_of_order(terms):
-                    return False, f"lambda={lam}: {witness}"
+                    return f"lambda={lam}: {witness}"
                 # the JSON layout, written out again here, so that a fault in to_json_obj shows
                 want = [{"coeff": str(c), "exps": {name: str(e) for name, e in exps}}
                         for exps, c in terms]
                 if got.to_json_obj() != want:
-                    return False, f"lambda={lam}: JSON terms {got.to_json_obj()} != {want}"
+                    return f"lambda={lam}: JSON terms {got.to_json_obj()} != {want}"
             return _all_partitions(lams, 6, n)
 
         def check_dimension(n=n):
@@ -427,7 +427,7 @@ def suite_schur(cfg: SuiteConfig) -> SuiteReport:
                     got = schur(lam, [c] * n).as_fraction()
                     want = c ** sum(lam) * _weyl_dimension(lam, n)
                     if got != want:
-                        return False, f"lambda={lam} at {c}: {got} != {want}"
+                        return f"lambda={lam} at {c}: {got} != {want}"
             return _all_partitions(lams, 6, n)
 
         checks.append((
@@ -451,7 +451,7 @@ def suite_schur(cfg: SuiteConfig) -> SuiteReport:
                 for mu in _pieri_add_one_box(lam, n):
                     rhs = rhs + schur(mu, values)
                 if lhs != rhs:
-                    return False, f"lambda={lam}: {lhs.to_text()} != {rhs.to_text()}"
+                    return f"lambda={lam}: {lhs.to_text()} != {rhs.to_text()}"
             return _all_partitions(lams, 4, n)
 
         checks.append((
@@ -471,9 +471,8 @@ def suite_weight_unramified(cfg: SuiteConfig) -> SuiteReport:
             small = UnramifiedRep.symbolic(n - 1, "g")
             result = weight_unramified(big, mid, small, order)
             if result.lattice_points != (want := _lattice_points(order, n, n - 1)):
-                return False, f"{result.lattice_points} lattice points, expected {want}"
-            ok = result.value == LaurentPoly.one()
-            return ok, f"value {result.value}"
+                return f"{result.lattice_points} lattice points, expected {want}"
+            return None if result.value == LaurentPoly.one() else f"value {result.value}"
 
         checks.append((
             f"ranks=({n + 1},{n},{n - 1})",
@@ -500,7 +499,7 @@ def suite_weight_l(cfg: SuiteConfig) -> SuiteReport:
     for n in _WEIGHT_L_LEVEL0_RANKS:
         def check_m0(n=n):
             result = weight_at_l(*reps(n), 0, "Y", cfg.order)
-            return result.value.is_one(), f"value {result.value.to_text()}"
+            return None if result.value.is_one() else f"value {result.value}"
 
         checks.append((
             f"level0/n={n}",
@@ -514,7 +513,7 @@ def suite_weight_l(cfg: SuiteConfig) -> SuiteReport:
         want = [LaurentPoly.zero(), (b1 + b2) * g1, -(b1 * b2) * g1 ** 2]
         got = list(result.value.coeffs)
         ok = got[:3] == want and all(c.is_zero() for c in got[3:])
-        return ok, result.value.to_text()
+        return None if ok else str(result.value)
 
     checks.append((
         "closed-form/n=2,m=1",
@@ -527,12 +526,12 @@ def suite_weight_l(cfg: SuiteConfig) -> SuiteReport:
             result = weight_order8(n, m)
             for k in range(n * m + 1, 9):
                 if not result.value.coeffs[k].is_zero():
-                    return False, f"Y^{k} coefficient {result.value.coeffs[k].to_text()}"
-            return True, None
+                    return f"Y^{k} coefficient {result.value.coeffs[k].to_text()}"
+            return None
 
         def check_published_route(n=n, m=m):
             ratio = weight_order8(n, m).paper_comparison.ratio
-            return ratio == qpow(m), f"constant ratio {ratio} != q^{m}"
+            return None if ratio == qpow(m) else f"constant ratio {ratio} != q^{m}"
 
         checks.append((
             f"rationality/n={n},m={m}",
@@ -558,16 +557,16 @@ def suite_weight_q(cfg: SuiteConfig) -> SuiteReport:
             for m in range(5):
                 result = weight_at_q_structural(n0, m, 2, cfg.p)
                 if result.vanishes != (n0 > m):
-                    return False, f"n0={n0}, m={m}: vanishes={result.vanishes}"
+                    return f"n0={n0}, m={m}: vanishes={result.vanishes}"
                 if n0 == m and len(result.index_set) != 1:
-                    return False, f"n0=m={m}: index set {result.index_set}"
+                    return f"n0=m={m}: index set {result.index_set}"
                 if result.index_set != tuple(
                     (a1, m - a1, j)
                     for a1 in range(m + 1)
                     for j in range(m - a1 - n0 + 1)
                 ):
-                    return False, f"n0={n0}, m={m}: index set {result.index_set}"
-        return True, None
+                    return f"n0={n0}, m={m}: index set {result.index_set}"
+        return None
 
     def check_boundary_values():
         for n in (2, 3):
@@ -575,14 +574,14 @@ def suite_weight_q(cfg: SuiteConfig) -> SuiteReport:
                 result = weight_at_q_structural(m, m, n, cfg.p)
                 want = LaurentPoly.const(Fraction(1, congruence_index(n, cfg.p, m)))
                 if result.value != want:
-                    return False, f"n={n}, m={m}: {result.value} != {want}"
+                    return f"n={n}, m={m}: {result.value} != {want}"
                 published = Fraction(1, cfg.p ** ((n - 1) * m))
                 if result.paper_comparison.paper_constant != LaurentPoly.const(published):
-                    return False, f"n={n}, m={m}: published constant mismatch"
+                    return f"n={n}, m={m}: published constant mismatch"
                 want_ratio = Fraction(cfg.p ** ((n - 1) * m), congruence_index(n, cfg.p, m))
                 if result.paper_comparison.ratio != want_ratio:
-                    return False, f"n={n}, m={m}: ratio {result.paper_comparison.ratio}"
-        return True, None
+                    return f"n={n}, m={m}: ratio {result.paper_comparison.ratio}"
+        return None
 
     def check_worked_example():
         result = weight_at_q_structural(1, 1, 2, 2)
@@ -591,7 +590,7 @@ def suite_weight_q(cfg: SuiteConfig) -> SuiteReport:
             and result.paper_comparison.paper_constant == LaurentPoly.const(Fraction(1, 2))
             and result.paper_comparison.ratio == Fraction(2, 3)
         )
-        return ok, f"value {result.value}, comparison {result.paper_comparison}"
+        return None if ok else f"value {result.value}, comparison {result.paper_comparison}"
 
     return run_checks("weight-q", [
         ("verdicts",
@@ -618,7 +617,7 @@ def suite_index(cfg: SuiteConfig) -> SuiteReport:
                 def body(n=n, p=p, m=m):
                     closed = congruence_index(n, p, m)
                     brute = congruence_index_bruteforce(n, p, m)
-                    return closed == brute, f"closed {closed} != brute {brute}"
+                    return None if closed == brute else f"closed {closed} != brute {brute}"
 
                 checks.append((
                     f"n={n},p={p},m={m}",
@@ -638,16 +637,16 @@ def suite_charsum(cfg: SuiteConfig) -> SuiteReport:
                         exact = character_sum(p, m, vals)
                         oracle = character_sum_cyclotomic(p, m, vals)
                         if any(oracle[1:]) or exact != LaurentPoly.const(oracle[0]):
-                            return False, (
+                            return (
                                 f"vals={vals}: exact {exact.to_text()} vs cyclotomic {list(oracle)}"
                             )
                         at_p = character_sum("q", m, vals).substitute("q", p)
                         if at_p != exact:
-                            return False, (
+                            return (
                                 f"vals={vals}: exact {exact.to_text()} vs symbolic at q={p} "
                                 f"{at_p.to_text()}"
                             )
-                    return True, None
+                    return None
 
                 checks.append((
                     f"p={p},m={m},r={r}",
@@ -673,15 +672,15 @@ def suite_contragredient(cfg: SuiteConfig) -> SuiteReport:
                 via_matrix = contragredient_value(rep, mu)
                 via_dual = spherical_value(dual, mu)
                 if via_matrix != via_dual:
-                    return False, (
+                    return (
                         f"mu={mu}: matrix path {via_matrix.to_text()} != "
                         f"dual path {via_dual.to_text()}"
                     )
                 if witness := _out_of_order(via_dual.sorted_terms()):
-                    return False, f"mu={mu}: {witness}"
+                    return f"mu={mu}: {witness}"
                 if mu[0] != mu[-1] and not spherical_value(rep, mu[::-1]).is_zero():
-                    return False, f"mu={mu[::-1]}: nonzero off the dominant cone"
-            return True, None
+                    return f"mu={mu[::-1]}: nonzero off the dominant cone"
+            return None
 
         checks.append((
             f"rank={rank}",

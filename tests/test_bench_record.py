@@ -11,7 +11,8 @@ ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "bench_record.py"
 
 LAYERS = {"exactalg.laurent_product_sum", "exactalg.series_product", "symfunc.schur",
-          "zeta.lattice_sum", "reciprocity.matrix_products", "exactalg.to_text"}
+          "zeta.lattice_sum", "reciprocity.matrix_products", "exactalg.to_text",
+          "cli.emit_report"}
 
 
 def test_a_tiny_run_writes_every_key(tmp_path, monkeypatch):

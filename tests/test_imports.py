@@ -8,11 +8,15 @@ which alone costs a small command several milliseconds, so no command may
 load either unless the bare interpreter already has.
 """
 
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+import whitlocal
 
 PROBE = """
 import contextlib, io, json, sys
@@ -77,3 +81,19 @@ def test_command_loads_no_costly_standard_module(argv):
     bare = subprocess.run([sys.executable, "-c", "import sys; print(*sys.modules)"],
                           capture_output=True, text=True, check=True).stdout.split()
     assert start_modules(argv) & COSTLY <= set(bare)
+
+
+def test_no_module_but_main_imports_cli():
+    # cli is the front end: it writes every byte of stdout, and no layer reads it back
+    importers = set()
+    for path in Path(whitlocal.__path__[0]).glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module or ''}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(name.rpartition(".")[2] == "cli" for name in names):
+                importers.add(path.name)
+    assert importers == {"__main__.py"}

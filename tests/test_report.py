@@ -1,34 +1,28 @@
-"""Check reporting: statuses, witnesses, merging, output formats."""
+"""Check reporting: statuses, witnesses, merging, and cli's output formats."""
 
+import contextlib
 import csv
 import io
 import json
 
-from whitlocal.report import (
-    CheckResult,
-    SuiteReport,
-    merge_reports,
-    report_to_csv,
-    report_to_json,
-    report_to_text,
-    run_check,
-    run_checks,
-)
+from whitlocal.cli import main, report_to_csv, report_to_json, report_to_text
+from whitlocal.exactalg import LaurentPoly
+from whitlocal.report import CheckResult, SuiteReport, merge_reports, run_check, run_checks
 
 
 def _sample_report():
     return run_checks("sample", [
-        ("good", "a passing check", lambda: (True, None)),
-        ("bad", "a failing check", lambda: (False, "expected 1, got 2")),
+        ("good", "a passing check", lambda: None),
+        ("bad", "a failing check", lambda: "expected 1, got 2"),
     ])
 
 
 def test_run_check_statuses():
-    ok = run_check("a", "", lambda: (True, "ignored"))
+    ok = run_check("a", "", lambda: None)
     assert ok.status == "pass" and ok.witness is None
 
-    bad = run_check("b", "", lambda: (False, None))
-    assert bad.status == "fail" and bad.witness == "check returned false"
+    bad = run_check("b", "", lambda: "expected 1, got 2")
+    assert bad.status == "fail" and bad.witness == "expected 1, got 2"
 
     def boom():
         raise ArithmeticError("cancellation failed")
@@ -55,7 +49,7 @@ def test_run_checks_keeps_order_and_runs_every_entry():
             ran.append(name)
             if name == "raises":
                 raise ArithmeticError("no cancellation")
-            return ok, f"{name} failed"
+            return None if ok else f"{name} failed"
         return run
 
     report = run_checks("s", [(name, "", body(name, ok)) for name, ok in
@@ -101,3 +95,21 @@ def test_text_format():
     assert "suite sample: fail" in text
     assert "witness: expected 1, got 2" in text
     assert "1/2 checks passed" in text
+
+
+def test_a_passing_verify_forms_no_witness(monkeypatch):
+    # every witness of a suite writes polynomials through to_text, its alias
+    # __str__ or __repr__; a passing battery must write none
+    calls = []
+    to_text = LaurentPoly.to_text
+
+    def counted(self):
+        calls.append(1)
+        return to_text(self)
+
+    monkeypatch.setattr(LaurentPoly, "to_text", counted)
+    monkeypatch.setattr(LaurentPoly, "__str__", counted)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(["verify", "--suite", "all", "--jobs", "1", "--seed", "0"])
+    assert code == 0 and json.loads(out.getvalue())["status"] == "pass"
+    assert len(calls) == 0

@@ -55,6 +55,7 @@ PROCESSES = 7  # fresh verify runs
 
 def layer_workloads() -> dict[str, tuple[int, object]]:
     """{name: (loops, call)} for the micro-workload of each layer."""
+    from whitlocal import cli
     from whitlocal.exactalg import LaurentPoly, TruncatedSeries, qpow
     from whitlocal.localrep import UnramifiedRep
     from whitlocal.reciprocity import column_unipotent, swap_last_two
@@ -86,6 +87,15 @@ def layer_workloads() -> dict[str, tuple[int, object]]:
             w * w
 
     den = l_factor_denominator(UnramifiedRep.symbolic(4, "a"), UnramifiedRep.symbolic(4, "b"), "X")
+    # a passing report of 108 checks and a failing one with witnesses, built once
+    reports = [cli._run_verify(cli.build_parser().parse_args(["verify", "--suite", suite]))
+               for suite in ("all", "negative-control")]
+
+    def emit_report():
+        for report in reports:
+            for emit in cli.EMIT_CHOICES:
+                cli._emit_report(report, emit, False)
+
     return {
         # a LaurentPoly product of 60 x 60 terms and a sum
         "exactalg.laurent_product_sum": (20, lambda: left * right + left),
@@ -98,6 +108,8 @@ def layer_workloads() -> dict[str, tuple[int, object]]:
         "reciprocity.matrix_products": (15, matrix_products),
         # rendering the 4 x 4 denominator, 16,145 terms
         "exactalg.to_text": (1, den.to_text),
+        # both reports in json, csv and text
+        "cli.emit_report": (20, emit_report),
     }
 
 
