@@ -1,20 +1,22 @@
-"""Command line front end.
+"""Command line front end: it parses, dispatches and writes bytes.
 
 Exit codes: 0 on success, 1 when a verification suite reports a failure
 (the report is still emitted), 2 on invalid input, 3 when an internal
 arithmetic check fails outside ``verify`` (an ``ArithmeticError`` such as a
 lattice term that does not collapse: a fault in the program, not in its
-input; ``verify`` reports such a check as an error and exits 1).  All output is
-deterministic for a fixed command line; timings are opt-in because they
-would break byte-for-byte reproducibility.  ``verify --suite all --jobs N``
-runs the suites in this process and in up to N - 1 forked ones, and merges
-their reports by check id, so the bytes do not depend on N.
+input; ``verify`` reports such a check as an error and exits 1).  ``main``
+returns the code; ``__main__.run`` ends the process with it, or with 74 when
+stdout cannot take the output.  All output is deterministic for a fixed
+command line; timings are opt-in because they would break byte-for-byte
+reproducibility.
 
 Each command imports only the layers it runs, inside its handler: ``params``
 loads ``reciprocity``, ``index`` and ``charsum`` load ``localrep``, the
 series commands load ``zeta`` with what it needs, and only ``verify`` loads
-``suites`` and ``report``.  A start that finds no cached bytecode compiles
-every module it imports, so this keeps the small commands cheap.
+``suites`` and ``report``.  ``verify`` is one call of ``suites.run``, which
+knows the suites and how they run; this module names none of them.  A start
+that finds no cached bytecode compiles every module it imports, so this
+keeps the small commands cheap.
 
 Each handler lays out every key of its command's payload, in order, from
 the values its layers return; no result type of a layer carries a layout.
@@ -33,14 +35,12 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, BinaryIO
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .report import SuiteReport
-    from .suites import SuiteConfig
 
 EMIT_CHOICES = ("json", "csv", "text")
 
@@ -418,99 +418,10 @@ def _cmd_params(args: argparse.Namespace) -> dict:
     }
 
 
-def _run_share(queue: int, suites: list, cfg: SuiteConfig, cpus: list[int]) -> list[SuiteReport]:
-    """Pin to cpus, if any; run the suite of each index read from queue until it is empty."""
-    if cpus:
-        os.sched_setaffinity(0, cpus)
-    return [suites[index[0]](cfg) for index in iter(lambda: os.read(queue, 1), b"")]
+def _cmd_verify(args: argparse.Namespace) -> SuiteReport:
+    from .suites import run
 
-
-def _run_forked(suites: list, cfg: SuiteConfig, workers: int) -> list[SuiteReport]:
-    """Run the suites in this process and in workers - 1 forked children.
-
-    With one worker nothing forks, and this process runs every suite in order.
-    The suite indices wait in one pipe, a byte each, and every process runs
-    the suite of each index it reads until the pipe is empty, so a process
-    that ends a cheap suite takes the next.  A child pickles its reports, or
-    the exception that escaped a suite, into a pipe of its own and ends with
-    os._exit; a blocking pipe write returns only once all of it is written,
-    unless a signal with a handler (^C) comes first.  Fork is kept over spawn
-    because forked children share the parent's pages (spawned workers
-    measured a higher peak RSS than the serial run), and it is safe because
-    verify starts no thread.  An exception re-raised from a child carries
-    the parent's traceback, not the child's.
-
-    Left alone, the scheduler of a two-CPU virtual machine was seen to keep
-    both processes on one CPU for their whole run in most runs, so process k
-    is pinned to every workers-th allowed CPU from the k-th, and this process
-    gets all of them back afterwards.  Without the affinity call (not Linux),
-    or with fewer allowed CPUs than processes, none is pinned.  Every child
-    is killed and reaped before this returns or raises: once its report is
-    read, a child is past its last statement, so the kill only ends one that
-    still runs because this process raised.
-    """
-    if workers > 1:
-        # only forked children need these; one worker runs everything here
-        import pickle
-        import signal
-
-    queue, feed = os.pipe()
-    os.write(feed, bytes(range(len(suites))))
-    os.close(feed)
-    allowed = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
-    cpu_sets = [allowed[k::workers] if len(allowed) >= workers else [] for k in range(workers)]
-    children: list[tuple[int, BinaryIO]] = []
-    try:
-        for k in range(1, workers):
-            out, into = os.pipe()
-            if (pid := os.fork()) == 0:
-                # the child never returns into the caller
-                try:
-                    os.write(into, pickle.dumps(_run_share(queue, suites, cfg, cpu_sets[k])))
-                except Exception as exc:
-                    os.write(into, pickle.dumps(exc))
-                finally:
-                    os._exit(0)
-            os.close(into)
-            children.append((pid, open(out, "rb")))
-        reports = _run_share(queue, suites, cfg, cpu_sets[0])
-        for pid, pipe in children:
-            got = pipe.read()
-            got = pickle.loads(got) if got else ArithmeticError(f"worker {pid} sent no report")
-            if isinstance(got, Exception):
-                raise got
-            reports += got
-        return reports
-    finally:
-        if allowed:
-            os.sched_setaffinity(0, allowed)
-        os.close(queue)
-        for pid, pipe in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _run_verify(args: argparse.Namespace) -> SuiteReport:
-    from .report import merge_reports
-    from .suites import HIDDEN_SUITES, SUITES, WORK_BOUNDS, SuiteConfig
-
-    if args.jobs < 1:
-        raise ValueError("--jobs must be positive")
-    suite_cfg = SuiteConfig(n_max=args.n_max, order=args.order, p=args.p, seed=args.seed)
-    runnable = {**SUITES, **HIDDEN_SUITES}
-    if args.suite != "all" and args.suite not in runnable:
-        known = ", ".join([*runnable, "all"])
-        raise ValueError(f"unknown suite {args.suite!r}; known suites: {known}")
-    names = list(SUITES) if args.suite == "all" else [args.suite]
-    # every bound is checked before any suite runs
-    for name in names:
-        if name in WORK_BOUNDS:
-            WORK_BOUNDS[name](suite_cfg)
-    # never more processes than suites, so one suite, or --jobs 1, forks nothing
-    reports = _run_forked([runnable[name] for name in names], suite_cfg,
-                          min(args.jobs, len(names)))
-    return merge_reports("all", reports) if args.suite == "all" else reports[0]
+    return run(args.suite, args.jobs, args.n_max, args.order, args.p, args.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -592,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
                       "number of suites; 1 (default) runs in-process")
     p_vf.add_argument("--timings", action="store_true",
                       help="include per-check milliseconds (not reproducible)")
-    p_vf.set_defaults(handler=_run_verify)
+    p_vf.set_defaults(handler=_cmd_verify)
     return parser
 
 

@@ -16,10 +16,16 @@ that needs the value reports the error.
 Suites are deterministic for a fixed configuration: randomized checks draw
 from a seeded generator, and check ids are stable strings, so repeated
 runs emit identical reports.
+
+``run`` is the one entry of ``verify``: only this module knows which
+suites exist, what ``all`` means, which work bounds apply and how the
+suites are spread over forked processes.  The command line calls it once
+and writes the report it returns.
 """
 
 from __future__ import annotations
 
+import os
 import random
 from collections import namedtuple
 from fractions import Fraction
@@ -38,7 +44,7 @@ from .localrep import (
     require_prime_power,
 )
 from .reciprocity import ParamPair, SymbolicMatrix, column_unipotent, dual_params, swap_last_two
-from .report import Body, Check, SuiteReport, run_checks
+from .report import Body, Check, SuiteReport, merge_reports, run_checks
 from .symfunc import (
     Partition,
     alternant,
@@ -737,3 +743,98 @@ WORK_BOUNDS = {
     "weight-l": _weight_l_bound,
 }
 
+
+def _run_share(queue: int, suites: list, cfg: SuiteConfig, cpus: list[int]) -> list[SuiteReport]:
+    """Pin to cpus, if any; run the suite of each index read from queue until it is empty."""
+    if cpus:
+        os.sched_setaffinity(0, cpus)
+    return [suites[index[0]](cfg) for index in iter(lambda: os.read(queue, 1), b"")]
+
+
+def _run_forked(suites: list, cfg: SuiteConfig, workers: int) -> list[SuiteReport]:
+    """Run the suites in this process and in workers - 1 forked children.
+
+    With one worker nothing forks, and this process runs every suite in order.
+    The suite indices wait in one pipe, a byte each, and every process runs
+    the suite of each index it reads until the pipe is empty, so a process
+    that ends a cheap suite takes the next.  A child pickles its reports, or
+    the exception that escaped a suite, into a pipe of its own and ends with
+    os._exit; a blocking pipe write returns only once all of it is written,
+    unless a signal with a handler (^C) comes first.  Fork is kept over spawn
+    because forked children share the parent's pages (spawned workers
+    measured a higher peak RSS than the serial run), and it is safe because
+    verify starts no thread.  An exception re-raised from a child carries
+    the parent's traceback, not the child's.
+
+    Left alone, the scheduler of a two-CPU virtual machine was seen to keep
+    both processes on one CPU for their whole run in most runs, so process k
+    is pinned to every workers-th allowed CPU from the k-th, and this process
+    gets all of them back afterwards.  Without the affinity call (not Linux),
+    or with fewer allowed CPUs than processes, none is pinned.  Every child
+    is killed and reaped before this returns or raises: once its report is
+    read, a child is past its last statement, so the kill only ends one that
+    still runs because this process raised.
+    """
+    if workers > 1:
+        # only forked children need these; one worker runs everything here
+        import pickle
+        import signal
+
+    queue, feed = os.pipe()
+    os.write(feed, bytes(range(len(suites))))
+    os.close(feed)
+    allowed = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+    cpu_sets = [allowed[k::workers] if len(allowed) >= workers else [] for k in range(workers)]
+    children = []  # (pid, the read end of its report pipe)
+    try:
+        for k in range(1, workers):
+            out, into = os.pipe()
+            if (pid := os.fork()) == 0:
+                # the child never returns into the caller
+                try:
+                    os.write(into, pickle.dumps(_run_share(queue, suites, cfg, cpu_sets[k])))
+                except Exception as exc:
+                    os.write(into, pickle.dumps(exc))
+                finally:
+                    os._exit(0)
+            os.close(into)
+            children.append((pid, open(out, "rb")))
+        reports = _run_share(queue, suites, cfg, cpu_sets[0])
+        for pid, pipe in children:
+            got = pipe.read()
+            got = pickle.loads(got) if got else ArithmeticError(f"worker {pid} sent no report")
+            if isinstance(got, Exception):
+                raise got
+            reports += got
+        return reports
+    finally:
+        if allowed:
+            os.sched_setaffinity(0, allowed)
+        os.close(queue)
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def run(suite: str, jobs: int, n_max: int, order: int, p: int, seed: int) -> SuiteReport:
+    """The report of one suite, or of every suite of SUITES merged under "all".
+
+    Every input is refused with a ValueError before any suite runs: jobs,
+    then the SuiteConfig, then the suite name, then each bound of WORK_BOUNDS
+    that the run would meet.  The suites run in min(jobs, their number)
+    processes, so one suite, or jobs = 1, forks nothing.
+    """
+    if jobs < 1:
+        raise ValueError("--jobs must be positive")
+    cfg = SuiteConfig(n_max=n_max, order=order, p=p, seed=seed)
+    runnable = {**SUITES, **HIDDEN_SUITES}
+    if suite != "all" and suite not in runnable:
+        known = ", ".join([*runnable, "all"])
+        raise ValueError(f"unknown suite {suite!r}; known suites: {known}")
+    names = list(SUITES) if suite == "all" else [suite]
+    for name in names:
+        if name in WORK_BOUNDS:
+            WORK_BOUNDS[name](cfg)
+    reports = _run_forked([runnable[name] for name in names], cfg, min(jobs, len(names)))
+    return merge_reports("all", reports) if suite == "all" else reports[0]

@@ -340,17 +340,14 @@ class TestExitCodes:
         # the largest admitted orders: 7977, 9934 and 7948 lattice terms
         ran = []
         monkeypatch.setattr(suites, "run_checks", lambda name, checks: ran.append(name))
-        monkeypatch.setattr("whitlocal.report.merge_reports", lambda name, reports: None)
-        args = cli.build_parser().parse_args(["verify", "--suite", suite, "--order", str(order)])
-        cli._run_verify(args)
+        monkeypatch.setattr(suites, "merge_reports", lambda name, reports: None)
+        suites.run(suite, 1, 10, order, 2, 0)
         assert ran == (list(suites.SUITES) if suite == "all" else [suite])
 
     def test_verify_involution_rank_bound_edge(self, monkeypatch):
         ran = []
         monkeypatch.setattr(suites, "run_checks", lambda name, checks: ran.append(len(checks)))
-        args = cli.build_parser().parse_args(["verify", "--suite", "involution",
-                                              "--n-max", "10001"])
-        cli._run_verify(args)
+        suites.run("involution", 1, 10001, 6, 2, 0)
         assert ran == [10_000]
 
     def test_every_suite_that_grows_with_order_or_n_max_is_bounded(self):

@@ -10,6 +10,7 @@ load either unless the bare interpreter already has.
 
 import ast
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +38,9 @@ COMMANDS = [
     (["charsum", "--p", "3", "--level", "1", "--valuations", "0,1"],
      {"suites", "report", "reciprocity", "zeta", "whittaker", "symfunc"}),
     (["lfactor"], {"suites", "report", "reciprocity"}),
+    (["whittaker", "--n", "2", "--mu", "1,0"], {"suites", "report", "reciprocity"}),
+    (["zeta", "--n", "1", "--order", "2"], {"suites", "report", "reciprocity"}),
+    (["weight", "--n", "2", "--order", "1"], {"suites", "report", "reciprocity"}),
 ]
 VERIFY = ["verify", "--suite", "weyl", "--n-max", "2"]
 # the forked suite runner of --jobs N, with a small bound on each suite
@@ -97,3 +101,10 @@ def test_no_module_but_main_imports_cli():
             if any(name.rpartition(".")[2] == "cli" for name in names):
                 importers.add(path.name)
     assert importers == {"__main__.py"}
+
+
+def test_cli_holds_no_verify_runner():
+    # suites.run resolves, bounds and forks the suites, so a payload command,
+    # which loads cli but not suites, compiles none of that code
+    source = (Path(whitlocal.__path__[0]) / "cli.py").read_text()
+    assert re.findall(r"fork|sched_|pickle|SUITES|WORK_BOUNDS|SuiteConfig", source) == []

@@ -59,6 +59,7 @@ def layer_workloads() -> dict[str, tuple[int, object]]:
     from whitlocal.exactalg import LaurentPoly, TruncatedSeries, qpow
     from whitlocal.localrep import UnramifiedRep
     from whitlocal.reciprocity import column_unipotent, swap_last_two
+    from whitlocal.suites import run
     from whitlocal.symfunc import partitions_up_to, schur
     from whitlocal.zeta import l_factor_denominator, local_zeta_unramified, times_l_denominator
 
@@ -88,8 +89,8 @@ def layer_workloads() -> dict[str, tuple[int, object]]:
 
     den = l_factor_denominator(UnramifiedRep.symbolic(4, "a"), UnramifiedRep.symbolic(4, "b"), "X")
     # a passing report of 108 checks and a failing one with witnesses, built once
-    reports = [cli._run_verify(cli.build_parser().parse_args(["verify", "--suite", suite]))
-               for suite in ("all", "negative-control")]
+    # at the verify parser's defaults: --jobs 1 --n-max 10 --order 6 --p 2 --seed 0
+    reports = [run(suite, 1, 10, 6, 2, 0) for suite in ("all", "negative-control")]
 
     def emit_report():
         for report in reports:
