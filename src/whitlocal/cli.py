@@ -517,8 +517,10 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write(_emit_payload(result, args.emit))
         return 0
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, note = 2, f"error: {exc}\n"
     except ArithmeticError as exc:
-        print(f"error: internal check failed: {exc}", file=sys.stderr)
-        return 3
+        code, note = 3, f"error: internal check failed: {exc}\n"
+    # with stderr closed (2>&-) sys.stderr is None, and the exit code is all that is left
+    if sys.stderr is not None:
+        sys.stderr.write(note)
+    return code

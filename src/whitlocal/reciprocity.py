@@ -47,9 +47,6 @@ class ParamPair:
     def symbolic(cls, n: int) -> "ParamPair":
         return cls(LaurentPoly.var(S_VAR), LaurentPoly.var(W_VAR), n)
 
-    def __str__(self) -> str:
-        return f"(s={self.s.to_text()}, w={self.w.to_text()}; n={self.n})"
-
 
 def dual_params(pair: ParamPair) -> ParamPair:
     """Apply the parameter transform, exactly."""

@@ -1,10 +1,15 @@
 """Running checks, and the pass/fail reports they produce.
 
 A check is an ``(id, description, body)`` entry.  The body takes no
-arguments and returns ``None`` when its identity holds, or else the witness
-string that explains the failure, so a witness is formed only on the
-failing path.  ``run_checks`` runs a list of entries in order, through
-``run_check`` one at a time, into a SuiteReport.
+arguments and is a generator: it yields one ``(where, got, want)``
+comparison per equality its identity needs.  ``run_check`` is the one place
+that compares the two sides and writes a witness.  The first comparison
+with ``got != want`` fails the check and ends the body, and its witness is
+``"{where}: {got} != {want}"``, or ``"{got} != {want}"`` when ``where`` is
+empty, so the text of a polynomial is formed only on the failing path.  A
+body that runs out passes, and one that raises is an error.  ``run_checks``
+runs a list of entries in order, through ``run_check`` one at a time, into a
+SuiteReport.
 
 A SuiteReport is a named list of CheckResults.  A check carries a witness
 string exactly when it did not pass, and a millisecond timing that cli's
@@ -16,7 +21,7 @@ from __future__ import annotations
 
 import time
 from collections import namedtuple
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 PASS = "pass"
 FAIL = "fail"
@@ -43,20 +48,23 @@ class SuiteReport(namedtuple("SuiteReport", "suite checks")):
         return PASS if self.passed else FAIL
 
 
-Body = Callable[[], str | None]
+Body = Callable[[], Iterator[tuple[str, object, object]]]
 Check = tuple[str, str, Body]
 
 
 def run_check(check_id: str, description: str, fn: Body) -> CheckResult:
-    """Run one check body and wrap the outcome.
+    """Run one check body to its first unequal comparison and wrap the outcome.
 
-    The body returns None or its witness; raising is recorded as an error
-    with the exception text as witness.
+    Raising is recorded as an error with the exception text as witness.
     """
     t0 = time.perf_counter()
+    status, witness = PASS, None
     try:
-        witness = fn()
-        status = PASS if witness is None else FAIL
+        for where, got, want in fn():
+            if got != want:
+                status = FAIL
+                witness = f"{where}: {got} != {want}" if where else f"{got} != {want}"
+                break
     except Exception as exc:  # noqa: BLE001 - report, do not crash the suite
         status = ERROR
         witness = f"{type(exc).__name__}: {exc}"

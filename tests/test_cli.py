@@ -382,7 +382,11 @@ class TestExitCodes:
         monkeypatch.setattr(exactalg, "_ordered", reversed_keys)
         code, out, _ = run_cli("verify", "--suite", "involution", "--n-max", "2", capsys=capsys)
         assert code == 1
-        assert "out of order" in out
+        # the monomials of the image's s, 1/2 - 1/2*s + 1/2*w, come out reversed
+        assert json.loads(out)["checks"][0]["witness"] == (
+            "n=02/involution: image s term order: "
+            "[(('w', 1),), (('s', 1),), ()] != [(), (('s', 1),), (('w', 1),)]"
+        )
 
     def test_exponent_field_bound(self, capsys):
         code, out, _ = run_cli("whittaker", "--n", "1", "--mu", str(EXPONENT_LIMIT),

@@ -81,14 +81,12 @@ def test_unramified_shifted_l_factor_coefficient(monkeypatch):
     monkeypatch.setattr(suites, "times_l_denominator", shifted)
     report, statuses = _statuses("unramified")
     assert statuses == {"fail"}
-    assert report.checks[0].witness == (
-        "X^0: lattice sum times the L-factor denominator gives 0"
-    )
+    assert report.checks[0].witness == "X^0: lattice sum times the L-factor denominator: 0 != 1"
 
 
 @pytest.mark.parametrize("suite, witness", [
-    ("unramified", "4 lattice points, expected 3"),
-    ("weight-unramified", "25 lattice points, expected 23"),
+    ("unramified", "lattice points: 4 != 3"),
+    ("weight-unramified", "lattice points: 25 != 23"),
 ])
 def test_a_miscounted_lattice_fails(monkeypatch, suite, witness):
     # one point too many per lattice sum; the series itself is right
@@ -128,8 +126,8 @@ def test_cauchy_truncating_series_product(monkeypatch):
     report, statuses = _statuses("cauchy")
     assert statuses == {"fail"}
     witness = {c.id: c.witness for c in report.checks}
-    assert witness["n=1,m=1,order=2"] == "X^0: the denominator at unit parameters gives 0, not 1"
-    assert witness["n=3,m=3,order=2"] == "X^8: the denominator at unit parameters gives 0, not 9"
+    assert witness["n=1,m=1,order=2"] == "X^0: the denominator at unit parameters: 0 != 1"
+    assert witness["n=3,m=3,order=2"] == "X^8: the denominator at unit parameters: 0 != 9"
     assert all("the denominator at unit parameters" in w for w in witness.values())
 
 
@@ -139,12 +137,17 @@ def test_schur_plus_one_monomial(monkeypatch):
     kinds = {(c.id.split("/")[0], c.status) for c in report.checks}
     # the value at all-ones is no longer a number, so the dimension check raises
     assert kinds == {("oracle", "fail"), ("pieri", "fail"), ("dimension", "error")}
-    # the product check names the value that fails it, the first partition's
+    # the product check fails at the first partition, (), whose Schur value
+    # is now 1 + x1: the witness writes (1 + x1) * a_delta against a_delta
     oracle = {c.id: c.witness for c in report.checks if c.id.startswith("oracle/")}
-    assert oracle == {
-        f"oracle/n={n}": "lambda=(): s_lambda * a_delta != a_(lambda+delta) at s_lambda = 1 + x1"
-        for n in range(1, 5)
-    }
+    assert oracle["oracle/n=1"] == "lambda=(): s_lambda * a_delta: 1 + x1 != 1"
+    assert oracle["oracle/n=2"] == (
+        "lambda=(): s_lambda * a_delta: x1 - x1*x2 + x1^2 - x2 != x1 - x2"
+    )
+    for n in range(1, 5):
+        a_delta = symfunc.alternant(symfunc.Partition(), [f"x{i}" for i in range(1, n + 1)])
+        product = (1 + LaurentPoly.var("x1")) * a_delta
+        assert oracle[f"oracle/n={n}"] == f"lambda=(): s_lambda * a_delta: {product} != {a_delta}"
 
 
 def test_weight_unramified_modulus_fault_errors(monkeypatch):
@@ -167,7 +170,9 @@ def test_weight_unramified_perturbed_denominator_fails(monkeypatch):
     monkeypatch.setattr(zeta, "times_l_denominator", perturbed)
     report, statuses = _statuses("weight-unramified")
     assert statuses == {"fail"}
-    assert all(c.witness.startswith("value ") and c.witness != "value 1" for c in report.checks)
+    # each value is 1 plus a long tail of terms in X and Y
+    assert all(c.witness.startswith("value: 1 + X + X*Y + ") and c.witness.endswith(" != 1")
+               for c in report.checks)
 
 
 def test_weight_l_published_constant_off_by_q(monkeypatch):

@@ -4,7 +4,7 @@
 ``whitlocal verify --suite all --jobs 1 --seed 0 --emit EMIT``, and
 ``golden/verify_negative_control.json`` that of
 ``whitlocal verify --suite negative-control --emit json``, whose witnesses
-print parameter pairs.  Any change to a check id, description, status or
+write one side of each failing comparison against the other.  Any change to a check id, description, status or
 witness, or to the report layout, shows up here as a byte difference.
 
 ``golden/payloads/NAME.EMIT`` is the stdout of one command line of

@@ -2,34 +2,80 @@
 
 import contextlib
 import csv
+import inspect
 import io
 import json
 
+from whitlocal import suites
 from whitlocal.cli import main, report_to_csv, report_to_json, report_to_text
 from whitlocal.exactalg import LaurentPoly
 from whitlocal.report import CheckResult, SuiteReport, merge_reports, run_check, run_checks
 
 
+def _equal():
+    yield "x", 1, 1
+
+
+def _unequal():
+    yield "x", 2, 1
+
+
 def _sample_report():
     return run_checks("sample", [
-        ("good", "a passing check", lambda: None),
-        ("bad", "a failing check", lambda: "expected 1, got 2"),
+        ("good", "a passing check", _equal),
+        ("bad", "a failing check", _unequal),
     ])
 
 
 def test_run_check_statuses():
-    ok = run_check("a", "", lambda: None)
+    def empty():
+        yield from ()
+
+    ok = run_check("a", "", empty)
     assert ok.status == "pass" and ok.witness is None
 
-    bad = run_check("b", "", lambda: "expected 1, got 2")
-    assert bad.status == "fail" and bad.witness == "expected 1, got 2"
+    bad = run_check("b", "", _unequal)
+    assert bad.status == "fail" and bad.witness == "x: 2 != 1"
 
     def boom():
+        yield "x", 1, 1
         raise ArithmeticError("cancellation failed")
 
     err = run_check("c", "", boom)
     assert err.status == "error"
-    assert "ArithmeticError" in err.witness and "cancellation failed" in err.witness
+    assert err.witness == "ArithmeticError: cancellation failed"
+
+
+def test_the_first_unequal_comparison_fails_and_ends_the_body():
+    ran = []
+
+    def body():
+        yield "k=0", LaurentPoly.one(), 1
+        yield "k=1", LaurentPoly.var("x"), 0
+        ran.append("after")
+        raise ArithmeticError("never reached")
+
+    bad = run_check("b", "", body)
+    assert bad.status == "fail" and bad.witness == "k=1: x != 0"
+    assert ran == []
+
+
+def test_an_empty_where_gives_the_two_sides_alone():
+    def body():
+        yield "", (1, 2), (2, 1)
+
+    assert run_check("c", "", body).witness == "(1, 2) != (2, 1)"
+
+
+def test_every_suite_body_is_a_generator_function(monkeypatch):
+    bodies = []
+    monkeypatch.setattr(suites, "run_checks",
+                        lambda name, checks: bodies.extend(fn for _, _, fn in checks))
+    cfg = suites.SuiteConfig(n_max=3, order=2, p=2, seed=0)
+    for suite in [*suites.SUITES.values(), *suites.HIDDEN_SUITES.values()]:
+        suite(cfg)
+    assert len(bodies) > len(suites.SUITES)
+    assert all(inspect.isgeneratorfunction(fn) for fn in bodies)
 
 
 def test_suite_status_aggregation():
@@ -49,7 +95,7 @@ def test_run_checks_keeps_order_and_runs_every_entry():
             ran.append(name)
             if name == "raises":
                 raise ArithmeticError("no cancellation")
-            return None if ok else f"{name} failed"
+            yield name, ok, True
         return run
 
     report = run_checks("s", [(name, "", body(name, ok)) for name, ok in
@@ -57,7 +103,7 @@ def test_run_checks_keeps_order_and_runs_every_entry():
     assert ran == ["b", "raises", "a", "c"]
     assert [c.id for c in report.checks] == ["b", "raises", "a", "c"]
     assert [c.status for c in report.checks] == ["pass", "error", "fail", "pass"]
-    assert report.checks[2].witness == "a failed"
+    assert report.checks[2].witness == "a: False != True"
     assert all(type(c.millis) is int for c in report.checks)
 
 
@@ -75,7 +121,7 @@ def test_json_format():
     assert obj["status"] == "fail"
     by_id = {c["id"]: c for c in obj["checks"]}
     assert "witness" not in by_id["good"]
-    assert by_id["bad"]["witness"] == "expected 1, got 2"
+    assert by_id["bad"]["witness"] == "x: 2 != 1"
     assert "millis" not in by_id["good"]
     with_timings = json.loads(report_to_json(_sample_report(), include_timings=True))
     assert all("millis" in c for c in with_timings["checks"])
@@ -93,7 +139,7 @@ def test_csv_format():
 def test_text_format():
     text = report_to_text(_sample_report())
     assert "suite sample: fail" in text
-    assert "witness: expected 1, got 2" in text
+    assert "witness: x: 2 != 1" in text
     assert "1/2 checks passed" in text
 
 
