@@ -498,9 +498,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_vf.add_argument("--order", "-N", type=int, default=6)
     p_vf.add_argument("--p", type=int, default=2)
     p_vf.add_argument("--seed", type=int, default=0)
-    p_vf.add_argument("--jobs", type=int, default=1,
-                      help="processes for --suite all, this one included, capped at the "
-                      "number of suites; 1 (default) runs in-process")
+    p_vf.add_argument("--jobs", type=int,
+                      help="at most this many processes for --suite all, this one included; "
+                      "default and cap: one per allowed CPU and suite; 1 runs in-process")
     p_vf.add_argument("--timings", action="store_true",
                       help="include per-check milliseconds (not reproducible)")
     p_vf.set_defaults(handler=_cmd_verify)

@@ -654,7 +654,7 @@ def suite_negative_control(cfg: SuiteConfig) -> SuiteReport:
     return run_checks("negative-control", _involution_checks(2, perturbed))
 
 
-# the suites of "all", in the order the processes of --jobs N take them; the order
+# the suites of "all", in the order the processes of verify take them; the order
 # changes no output, since merge_reports sorts the checks by id.  By the
 # summed check millis of ``verify --suite all --timings --jobs 1``,
 # contragredient, schur and weight-unramified cost most, then weight-l,
@@ -699,44 +699,49 @@ def _run_share(queue: int, suites: list, cfg: SuiteConfig, cpus: list[int]) -> l
     return [suites[index[0]](cfg) for index in iter(lambda: os.read(queue, 1), b"")]
 
 
-def _run_forked(suites: list, cfg: SuiteConfig, workers: int) -> list[SuiteReport]:
-    """Run the suites in this process and in workers - 1 forked children.
+def _run_forked(suites: list, cfg: SuiteConfig, jobs: int | None) -> list[SuiteReport]:
+    """Run the suites in this process and in forked children, one process per CPU at most.
 
-    With one worker nothing forks, and this process runs every suite in order.
-    The suite indices wait in one pipe, a byte each, and every process runs
-    the suite of each index it reads until the pipe is empty, so a process
-    that ends a cheap suite takes the next.  A child pickles its reports, or
-    the exception that escaped a suite, into a pipe of its own and ends with
-    os._exit; a blocking pipe write returns only once all of it is written,
-    unless a signal with a handler (^C) comes first.  Fork is kept over spawn
-    because forked children share the parent's pages (spawned workers
-    measured a higher peak RSS than the serial run), and it is safe because
-    verify starts no thread.  An exception re-raised from a child carries
-    the parent's traceback, not the child's.
+    The processes number min(jobs or CPUs, CPUs, suites), counting this one,
+    where CPUs is the number this process may use: one per allowed CPU by
+    default, and jobs can only lower it.  With one process nothing forks, and
+    this process runs every suite in order.  The suite indices wait in one
+    pipe, a byte each, and every process runs the suite of each index it
+    reads until the pipe is empty, so a process that ends a cheap suite takes
+    the next.  A child pickles its reports, or the exception that escaped a
+    suite, into a pipe of its own and ends with os._exit; a blocking pipe
+    write returns only once all of it is written, unless a signal with a
+    handler (^C) comes first.  Fork is kept over spawn because forked
+    children share the parent's pages (spawned workers measured a higher
+    peak RSS than the serial run), and it is safe because verify starts no
+    thread.  An exception re-raised from a child carries the parent's
+    traceback, not the child's.
 
     An OSError from the pipe or the fork of a child starts no more
     children; the processes already running drain the queue, so the report
-    is the same as with one worker.
+    is the same as with one process.
 
     Left alone, the scheduler of a two-CPU virtual machine was seen to keep
-    both processes on one CPU for their whole run in most runs, so process k
-    is pinned to every workers-th allowed CPU from the k-th, and this process
-    gets all of them back afterwards.  Without the affinity call (not Linux),
-    or with fewer allowed CPUs than processes, none is pinned.  Every child
-    is killed and reaped before this returns or raises: once its report is
-    read, a child is past its last statement, so the kill only ends one that
-    still runs because this process raised.
+    both processes on one CPU for their whole run in most runs, and more
+    processes than CPUs measured slower, so process k is pinned to every
+    workers-th allowed CPU from the k-th, and this process gets all of them
+    back afterwards.  Without the affinity call (not Linux) CPUs is
+    os.cpu_count() and nothing is pinned.  Every child is killed and reaped
+    before this returns or raises: once its report is read, a child is past
+    its last statement, so the kill only ends one that still runs because
+    this process raised.
     """
+    allowed = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+    cpus = len(allowed) or os.cpu_count() or 1
+    workers = min(jobs or cpus, cpus, len(suites))
     if workers > 1:
-        # only forked children need these; one worker runs everything here
+        # only forked children need these; one process runs everything here
         import pickle
         import signal
 
     queue, feed = os.pipe()
     os.write(feed, bytes(range(len(suites))))
     os.close(feed)
-    allowed = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
-    cpu_sets = [allowed[k::workers] if len(allowed) >= workers else [] for k in range(workers)]
     pipes, pids = [], []  # the read end of each report pipe, and the child that writes it
     try:
         for k in range(1, workers):
@@ -749,7 +754,7 @@ def _run_forked(suites: list, cfg: SuiteConfig, workers: int) -> list[SuiteRepor
                         # the child never returns into the caller, nor runs a finally
                         try:
                             os.write(into, pickle.dumps(
-                                _run_share(queue, suites, cfg, cpu_sets[k])))
+                                _run_share(queue, suites, cfg, allowed[k::workers])))
                         except Exception as exc:
                             os.write(into, pickle.dumps(exc))
                         finally:
@@ -759,7 +764,7 @@ def _run_forked(suites: list, cfg: SuiteConfig, workers: int) -> list[SuiteRepor
             except OSError:
                 break
             pids.append(pid)
-        reports = _run_share(queue, suites, cfg, cpu_sets[0])
+        reports = _run_share(queue, suites, cfg, allowed[0::workers])
         for pid, pipe in zip(pids, pipes):
             got = pipe.read()
             got = pickle.loads(got) if got else ArithmeticError(f"worker {pid} sent no report")
@@ -778,15 +783,16 @@ def _run_forked(suites: list, cfg: SuiteConfig, workers: int) -> list[SuiteRepor
             os.waitpid(pid, 0)
 
 
-def run(suite: str, jobs: int, n_max: int, order: int, p: int, seed: int) -> SuiteReport:
+def run(suite: str, jobs: int | None, n_max: int, order: int, p: int, seed: int) -> SuiteReport:
     """The report of one suite, or of every suite of SUITES merged under "all".
 
     Every input is refused with a ValueError before any suite runs: jobs,
     then the SuiteConfig, then the suite name, then each bound of WORK_BOUNDS
-    that the run would meet.  The suites run in min(jobs, their number)
-    processes, so one suite, or jobs = 1, forks nothing.
+    that the run would meet.  The suites run in min(jobs or CPUs, CPUs, their
+    number) processes, one pinned per allowed CPU when jobs is None, so one
+    suite, jobs = 1 or one allowed CPU forks nothing.
     """
-    if jobs < 1:
+    if jobs is not None and jobs < 1:
         raise ValueError("--jobs must be positive")
     cfg = SuiteConfig(n_max=n_max, order=order, p=p, seed=seed)
     runnable = {**SUITES, **HIDDEN_SUITES}
@@ -797,5 +803,5 @@ def run(suite: str, jobs: int, n_max: int, order: int, p: int, seed: int) -> Sui
     for name in names:
         if name in WORK_BOUNDS:
             WORK_BOUNDS[name](cfg)
-    reports = _run_forked([runnable[name] for name in names], cfg, min(jobs, len(names)))
+    reports = _run_forked([runnable[name] for name in names], cfg, jobs)
     return merge_reports("all", reports) if suite == "all" else reports[0]

@@ -1,4 +1,4 @@
-"""tools/bench_record.py writes its provenance, one median per layer and the verify wall clock."""
+"""tools/bench_record.py writes its provenance, one median per layer and the verify wall clocks."""
 
 import importlib.util
 import shutil
@@ -39,7 +39,12 @@ def test_a_tiny_run_writes_every_key(tmp_path, monkeypatch):
     for layer in got["layers"].values():
         assert set(layer) == {"loops", "median_ms", "samples_ms"}
         assert len(layer["samples_ms"]) == 1
-    verify = got["end_to_end"]["verify_all_jobs1"]
-    assert set(verify) == {"argv", "processes", "median_s", "samples_s"}
-    assert verify["argv"] == ["verify", "--suite", "all", "--jobs", "1"]
-    assert len(verify["samples_s"]) == verify["processes"] == 1
+    # the serial run, and the default one process per allowed CPU
+    assert {key: verify["argv"] for key, verify in got["end_to_end"].items()} == {
+        "verify_all_jobs1": ["verify", "--suite", "all", "--jobs", "1"],
+        "verify_all_default": ["verify", "--suite", "all"],
+    }
+    for verify in got["end_to_end"].values():
+        assert set(verify) == {"argv", "processes", "median_s", "samples_s"}
+        assert len(verify["samples_s"]) == verify["processes"] == 1
+        assert verify["median_s"] == verify["samples_s"][0] > 0

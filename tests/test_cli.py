@@ -555,6 +555,12 @@ def _in_child(parent: int, act):
     return lambda: os.getpid() != parent and act()
 
 
+# the CPUs this process may use, which cap the processes of verify
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else os.cpu_count() or 1
+# a test that needs a forked child
+forks = pytest.mark.skipif(CPUS < 2, reason="one CPU is allowed, so verify forks nothing")
+
+
 class TestJobs:
     @pytest.fixture(autouse=True)
     def leaves_nothing_behind(self):
@@ -566,11 +572,16 @@ class TestJobs:
         if allowed is not None:
             assert os.sched_getaffinity(0) == allowed
 
-    @pytest.mark.parametrize("jobs, workers", [("2", 2), ("5", 5), ("6", 5), ("100000", 5)])
-    def test_worker_count_is_capped_by_the_suites(self, jobs, workers, monkeypatch, tmp_path,
+    # capped: min(jobs, the 5 suites), which the allowed CPUs lower further; no
+    # --jobs runs one process per allowed CPU
+    @pytest.mark.parametrize("jobs, capped",
+                             [("2", 2), ("5", 5), ("6", 5), ("100000", 5), (None, 5)])
+    def test_worker_count_is_capped_by_the_suites(self, jobs, capped, monkeypatch, tmp_path,
                                                   capsys):
+        workers = min(capped, CPUS)
         _stub_suites(monkeypatch, tmp_path, parties=workers)
-        code, out, _ = run_cli("verify", "--suite", "all", "--jobs", jobs, capsys=capsys)
+        code, out, _ = run_cli("verify", "--suite", "all", *(("--jobs", jobs) if jobs else ()),
+                               capsys=capsys)
         assert code == 0
         assert len(json.loads(out)["checks"]) == 5
         # the parent is one of the processes
@@ -590,6 +601,22 @@ class TestJobs:
         assert list(_cpus_by_process(out)) == [os.getpid()]
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+    def test_one_allowed_cpu_forks_nothing(self, monkeypatch, capsys):
+        def unrun():
+            raise AssertionError("a process was forked")
+
+        serial = run_cli("verify", "--suite", "all", "--jobs", "1", capsys=capsys)
+        cpu = min(os.sched_getaffinity(0))
+        pinned = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {cpu})
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: pinned.append(list(cpus)))
+        monkeypatch.setattr(os, "fork", unrun)
+        assert run_cli("verify", "--suite", "all", "--jobs", "2", capsys=capsys) == serial
+        assert serial[0] == 0
+        # the one process is pinned to the one CPU, and gets it back
+        assert pinned == [[cpu], [cpu]]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
     def test_workers_are_pinned_to_disjoint_cpus(self, monkeypatch, tmp_path, capsys):
         allowed = os.sched_getaffinity(0)
         workers = min(len(allowed), 5)
@@ -607,19 +634,24 @@ class TestJobs:
         assert os.sched_getaffinity(0) == allowed
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
-    def test_more_workers_than_cpus_stay_unpinned(self, monkeypatch, tmp_path, capsys):
+    def test_more_jobs_than_cpus_run_one_pinned_process_per_cpu(self, monkeypatch, tmp_path,
+                                                                capsys):
         allowed = os.sched_getaffinity(0)
-        workers = len(allowed) + 1
-        if workers > 8:
+        if len(allowed) > 8:
             pytest.skip("more processes than this test starts")
-        _stub_suites(monkeypatch, tmp_path, parties=workers, count=workers)
-        code, out, _ = run_cli("verify", "--suite", "all", "--jobs", str(workers),
-                               capsys=capsys)
+        jobs = len(allowed) + 1
+        _stub_suites(monkeypatch, tmp_path, parties=len(allowed), count=jobs)
+        code, out, _ = run_cli("verify", "--suite", "all", "--jobs", str(jobs), capsys=capsys)
         assert code == 0
-        held = _cpus_by_process(out)
-        assert len(held) == workers
-        assert all(cpus == sorted(allowed) for cpus in held.values())
+        assert len(json.loads(out)["checks"]) == jobs
+        # one process per CPU, each pinned to a CPU of its own
+        held = _cpus_by_process(out).values()
+        assert len(held) == len(allowed)
+        assert sorted(c for cpus in held for c in cpus) == sorted(allowed)
+        # and the parent has every allowed CPU back
+        assert os.sched_getaffinity(0) == allowed
 
+    @forks
     @pytest.mark.parametrize("error, code, prefix", [
         (ValueError, 2, "error: "),
         (ArithmeticError, 3, "error: internal check failed: "),
@@ -639,6 +671,7 @@ class TestJobs:
         assert run_cli("verify", "--suite", "all", "--jobs", "2", capsys=capsys) == \
             (code, "", f"{prefix}a stub failed\n")
 
+    @forks
     def test_a_worker_that_dies_without_a_report_exits_three(self, monkeypatch, tmp_path,
                                                             capsys):
         _stub_suites(monkeypatch, tmp_path, parties=2, count=2,
@@ -648,6 +681,7 @@ class TestJobs:
         assert err.startswith("error: internal check failed: ")
         assert "Traceback" not in err
 
+    @forks
     def test_a_raise_in_the_parent_ends_the_workers(self, monkeypatch, tmp_path, capsys):
         parent = os.getpid()
 
@@ -662,6 +696,7 @@ class TestJobs:
         assert time.perf_counter() - start < 60
         assert (code, err) == (2, "error: a stub failed\n")
 
+    @forks
     def test_a_report_larger_than_a_pipe_buffer_arrives_whole(self, monkeypatch, tmp_path,
                                                               capsys):
         # each report pickles to several times the 64 KiB of a Linux pipe

@@ -1,6 +1,7 @@
 """tools/unrun_statements.py lists the statements no command line ran."""
 
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
@@ -10,6 +11,7 @@ unrun_statements = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(unrun_statements)
 
 CLI = unrun_statements.PACKAGE / "cli.py"
+MAIN = unrun_statements.PACKAGE / "__main__.py"
 
 
 def line_of(path: Path, text: str) -> int:
@@ -19,6 +21,7 @@ def line_of(path: Path, text: str) -> int:
 
 def test_finder_reports_what_two_argv_left_unrun():
     before = dict(sys.modules)
+    exit_, argv = os._exit, sys.argv
     found = unrun_statements.unrun([
         ("params", "--n", "2"),
         ("params", "--n", "2", "--s", "1/0", "--w", "1"),
@@ -37,6 +40,10 @@ def test_finder_reports_what_two_argv_left_unrun():
     assert (zeta, 1) not in found
     assert (zeta, line_of(zeta, "MAX_TERMS = 10_000")) in found
     assert found == sorted(found)
+    # the exit path ran its usage error and its closed stdout, and os._exit is back
+    ran = [line_of(MAIN, "code = exc.code"), line_of(MAIN, "code, note = EX_IOERR")]
+    assert not {(MAIN, line) for line in ran} & set(found)
+    assert (os._exit, sys.argv) == (exit_, argv)
     # the package was imported afresh and the modules imported before are back
     assert {k: v for k, v in sys.modules.items() if k.startswith("whitlocal")} == \
         {k: v for k, v in before.items() if k.startswith("whitlocal")}

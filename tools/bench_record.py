@@ -14,8 +14,10 @@ The file holds:
   A sample times ``loops`` calls; the layers take their samples in turn,
   one round per repeat, and the file gives the median over ``REPEATS``
   samples, in ms per call, with the samples;
-- ``end_to_end``: the wall clock of ``verify --suite all --jobs 1``, each
-  run in a fresh interpreter, as the median over ``PROCESSES`` runs.
+- ``end_to_end``: the wall clock of ``verify --suite all --jobs 1`` and of
+  ``verify --suite all`` with no ``--jobs`` (one pinned process per allowed
+  CPU), each run in a fresh interpreter, the two taking turns, as the
+  median over ``PROCESSES`` runs of each.
 
 ``src_sha256`` is the sha256 of, for each ``.py`` file under
 ``src/whitlocal`` in sorted order, its path relative to ``src``, a NUL, its
@@ -48,7 +50,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
-VERIFY_ALL = ("verify", "--suite", "all", "--jobs", "1")
+# {key: argv} of the timed verify runs
+VERIFY_RUNS = {
+    "verify_all_jobs1": ("verify", "--suite", "all", "--jobs", "1"),
+    "verify_all_default": ("verify", "--suite", "all"),
+}
 REPEATS = 7  # samples per layer
 PROCESSES = 7  # fresh verify runs
 
@@ -89,7 +95,8 @@ def layer_workloads() -> dict[str, tuple[int, object]]:
 
     den = l_factor_denominator(UnramifiedRep.symbolic(4, "a"), UnramifiedRep.symbolic(4, "b"), "X")
     # a passing report of 108 checks and a failing one with witnesses, built once
-    # at the verify parser's defaults: --jobs 1 --n-max 10 --order 6 --p 2 --seed 0
+    # in this process (jobs 1) at the verify parser's defaults: --n-max 10
+    # --order 6 --p 2 --seed 0
     reports = [run(suite, 1, 10, 6, 2, 0) for suite in ("all", "negative-control")]
 
     def emit_report():
@@ -121,13 +128,13 @@ def sample_ms(loops: int, call) -> float:
     return (time.perf_counter() - t0) * 1e3 / loops
 
 
-def verify_wall_s(env: dict) -> float:
+def verify_wall_s(argv: tuple[str, ...], env: dict) -> float:
     t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "whitlocal", *VERIFY_ALL], env=env,
+    proc = subprocess.run([sys.executable, "-m", "whitlocal", *argv], env=env,
                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
     wall = time.perf_counter() - t0
     if proc.returncode:
-        raise SystemExit(f"error: {' '.join(VERIFY_ALL)} exited {proc.returncode}: "
+        raise SystemExit(f"error: {' '.join(argv)} exited {proc.returncode}: "
                          f"{proc.stderr.decode().strip()}")
     return wall
 
@@ -165,7 +172,11 @@ def record() -> dict:
                      "samples_ms": samples[name]}
               for name, (loops, _) in workloads.items()}
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    walls = [verify_wall_s(env) for _ in range(PROCESSES)]
+    walls: dict[str, list[float]] = {key: [] for key in VERIFY_RUNS}
+    # in turns, as the layers are sampled
+    for _ in range(PROCESSES):
+        for key, argv in VERIFY_RUNS.items():
+            walls[key].append(verify_wall_s(argv, env))
     nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return {
         **git_state(),
@@ -175,9 +186,9 @@ def record() -> dict:
         "compiled": bool(compiled),
         "repeats": REPEATS,
         "layers": layers,
-        "end_to_end": {"verify_all_jobs1": {"argv": list(VERIFY_ALL), "processes": PROCESSES,
-                                            "median_s": statistics.median(walls),
-                                            "samples_s": walls}},
+        "end_to_end": {key: {"argv": list(argv), "processes": PROCESSES,
+                             "median_s": statistics.median(walls[key]), "samples_s": walls[key]}
+                       for key, argv in VERIFY_RUNS.items()},
     }
 
 

@@ -1,9 +1,10 @@
 """List the statements of the whitlocal package that no command line runs.
 
-Runs a fixed set of command lines through ``whitlocal.cli.main`` in this
-process, under ``sys.settrace``, and prints ``file:line`` and the source of
-every statement under src/whitlocal on which no line event fired, then
-their count.  Docstrings are not statements here, and neither are
+Runs a fixed set of command lines through ``whitlocal.cli.main``, and
+``ENTRY`` below through ``whitlocal.__main__.run``, in this process, under
+``sys.settrace``, and prints ``file:line`` and the source of every
+statement under src/whitlocal on which no line event fired, then their
+count.  Docstrings are not statements here, and neither are
 ``global`` and ``nonlocal``, which compile to nothing.  A compound
 statement (``if``, ``for``, ``def`` and the like) counts as run when its
 header ran; its body counts statement by statement.  The command lines are:
@@ -11,7 +12,9 @@ header ran; its body counts statement by statement.  The command lines are:
 - every op of ``bench/workloads.catalogue()``, the served traffic;
 - ``verify --suite all --seed 1`` at ``--jobs 1`` and ``--jobs 2``;
 - ``verify --suite negative-control --timings``;
-- ``INVALID`` below: argv that each fire one input check.
+- ``INVALID`` below: argv that each fire one input check;
+- ``ENTRY`` below, through ``run``, which ends in ``os._exit``: that is
+  replaced by ``sys.exit`` while they run, and put back afterwards.
 
 The package is imported afresh under the trace, so module-level statements
 count, and the modules imported before are put back afterwards.  Only this
@@ -30,6 +33,7 @@ from __future__ import annotations
 import ast
 import contextlib
 import io
+import os
 import sys
 from pathlib import Path
 
@@ -98,6 +102,14 @@ INVALID = (
     ("zeta", "--no-such-flag"),
 )
 
+# (argv, whether stdout is open) of the runs of the package's exit path: a
+# valid command, an argparse usage error, and a valid command with stdout closed
+ENTRY = (
+    (("params", "--n", "2"), True),
+    (("params", "--n", "x"), True),
+    (("params", "--n", "2"), False),
+)
+
 
 def command_lines() -> list[tuple[str, ...]]:
     """The catalogue's argv, then EXTRA and INVALID."""
@@ -154,10 +166,10 @@ def unrun(argvs) -> list[tuple[Path, int]]:
     for name in saved:
         del sys.modules[name]
     sys.path.insert(0, str(PACKAGE.parent))
-    previous = sys.gettrace()
+    previous, exit_, argv0 = sys.gettrace(), os._exit, sys.argv
     sys.settrace(trace)
     try:
-        from whitlocal import cli
+        from whitlocal import __main__ as entry, cli
 
         for argv in argvs:
             with contextlib.redirect_stdout(io.StringIO()), \
@@ -166,8 +178,19 @@ def unrun(argvs) -> list[tuple[Path, int]]:
                     cli.main(list(argv))
                 except SystemExit:
                     pass
+        # run ends in os._exit, which would end this process too
+        os._exit = sys.exit
+        for argv, open_stdout in ENTRY:
+            sys.argv = ["whitlocal", *argv]
+            with contextlib.redirect_stdout(io.StringIO() if open_stdout else None), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    entry.run()
+                except SystemExit:
+                    pass
     finally:
         sys.settrace(previous)
+        os._exit, sys.argv = exit_, argv0
         sys.path.remove(str(PACKAGE.parent))
         for name in [k for k in sys.modules if k.split(".")[0] == "whitlocal"]:
             del sys.modules[name]
