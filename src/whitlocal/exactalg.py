@@ -79,6 +79,15 @@ slot's field, as the TruncatedSeries constructor does, and substitute
 goes through coefficients_in, at a single-term or zero value.  There is no
 parser and no evaluator.
 
+Operators.  +, - and * take a LaurentPoly, an int or a Fraction on either
+side, / takes an int or a Fraction on the right, and ** an int.  Any other
+operand of +, - or * is refused by LaurentPoly.coerce with TypeError, the one
+refusal: they never hand an operand back with NotImplemented.  Only / and ==
+do: a divisor that is not a scalar then raises Python's own TypeError, and a
+LaurentPoly compares unequal to anything but a polynomial or a scalar.  A
+TruncatedSeries multiplies a series in its own variable to its own order, or
+a LaurentPoly on its right.
+
 All values are immutable and all operations are pure: they return new
 objects and never mutate their inputs.  Serialization (text and JSON) is
 deterministic because terms are always emitted in the canonical monomial
@@ -220,17 +229,15 @@ def _ranked(keys) -> tuple[list[str], list[int], int]:
     """
     n = max(map(abs, keys), default=0).bit_length() // FIELD_BITS + 1
     bias = _bias(n - 1)
-    hi, lo = 0, -1
+    # a slot is unused when every key holds _HALF there after the bias; no
+    # biased field is 0, so that is when the OR of _HALF and them is _HALF
+    hi = bias
     for key in keys:
-        u = key + bias
-        hi |= u
-        lo &= u
-    # a slot is unused when every key holds _HALF there after the bias
+        hi |= key + bias
     used = sorted(
         (_NAMES[slot], FIELD_BITS * slot)
         for slot in range(n)
         if (hi >> (FIELD_BITS * slot) & _MASK) != _HALF
-        or (lo >> (FIELD_BITS * slot) & _MASK) != _HALF
     )
     return [name for name, _ in used], [shift for _, shift in used], bias
 
@@ -426,19 +433,16 @@ class LaurentPoly:
         return Fraction(self.terms.get(0, 0))
 
     def variables(self) -> frozenset[str]:
-        if not self.terms:
-            return frozenset()
         return frozenset(_ranked(self.terms)[0])
 
     def coefficients_in(self, name: str) -> dict[Scalar, "LaurentPoly"]:
         """Split into coefficients of powers of one variable.
 
         Returns {exponent: coefficient} where each coefficient no longer
-        mentions the variable.
+        mentions the variable.  A name not yet interned is interned, as var
+        interns it, and every term then falls under the exponent 0.
         """
-        slot = _SLOTS.get(name)
-        if slot is None:
-            return {0: self} if self.terms else {}
+        slot = _slot(name)
         bias = _bias(slot)
         shift = FIELD_BITS * slot
         buckets: dict[int, dict[int, Scalar]] = {}
@@ -450,10 +454,7 @@ class LaurentPoly:
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other) -> "LaurentPoly":
-        try:
-            other = LaurentPoly.coerce(other)
-        except TypeError:
-            return NotImplemented
+        other = LaurentPoly.coerce(other)
         if not self.terms:
             return other
         if not other.terms:
@@ -474,22 +475,14 @@ class LaurentPoly:
         return _poly({key: -c for key, c in self.terms.items()}, self._span)
 
     def __sub__(self, other) -> "LaurentPoly":
-        try:
-            other = LaurentPoly.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self + (-other)
+        return self + (-LaurentPoly.coerce(other))
 
     def __rsub__(self, other) -> "LaurentPoly":
         return LaurentPoly.coerce(other) - self
 
     def __mul__(self, other) -> "LaurentPoly":
         """The product: sum_of_products of the one pair."""
-        try:
-            other = LaurentPoly.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return sum_of_products(((self, other),))
+        return sum_of_products(((self, LaurentPoly.coerce(other)),))
 
     __rmul__ = __mul__
 
@@ -522,8 +515,7 @@ class LaurentPoly:
         if not self.is_unit():
             raise ValueError(f"powers take single-term bases, got {self.to_text()}")
         ((key, c),) = self.terms.items()
-        c = c ** k if k >= 0 else Fraction(1) / c ** -k
-        return _poly({key * k: _coeff(c)}, _power_span(key, k))
+        return _poly({key * k: _coeff(Fraction(c) ** k)}, _power_span(key, k))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -587,9 +579,6 @@ class LaurentPoly:
         return "".join(parts)
 
     __str__ = to_text
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly({self.to_text()})"
 
     def to_json_obj(self) -> list:
         return [{"coeff": str(c), "exps": {name: str(e) for name, e in exps}}
@@ -710,19 +699,6 @@ class TruncatedSeries:
         return self.coeffs[0] == LaurentPoly.one() and all(
             c.is_zero() for c in self.coeffs[1:]
         )
-
-    def __str__(self) -> str:
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            parts.append(f"({c.to_text()})*{self.var}^{k}" if k else f"({c.to_text()})")
-        if not parts:
-            parts = ["0"]
-        return " + ".join(parts) + f" + O({self.var}^{self.order + 1})"
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries({self})"
 
     def to_json_obj(self) -> dict:
         return {

@@ -144,6 +144,24 @@ def _term_order(where: str, terms):
     return where, monomials, sorted(dict.fromkeys(monomials))
 
 
+def _text(terms) -> str:
+    """The text form of a polynomial, written out again from its sorted_terms().
+
+    A term is its coefficient and its factors joined by "*": a factor is
+    name, name^e or name^(e), the last for a negative or a half exponent, and
+    a coefficient of magnitude 1 is left out when a factor follows.  The
+    terms are joined by " + " and " - ", the first carries a leading "-"
+    when negative, and no terms read "0".
+    """
+    out = ""
+    for exps, c in terms:
+        factors = [name if e == 1 else f"{name}^{e}" if isinstance(e, int) and e > 0
+                   else f"{name}^({e})" for name, e in exps]
+        term = "*".join(factors if abs(c) == 1 and factors else [str(abs(c)), *factors])
+        out += (" - " if c < 0 else " + ") + term if out else ("-" if c < 0 else "") + term
+    return out or "0"
+
+
 def _involution_checks(n: int, dual) -> list[Check]:
     # The transform at rank parameter n, over the symbols s, w: the two
     # exponent identities, the involution property, the fixed point
@@ -395,6 +413,7 @@ def suite_schur(cfg: SuiteConfig) -> SuiteReport:
             values = [LaurentPoly.var(v) for v in names]
             vandermonde = alternant(Partition(), names)
             lams = list(partitions_up_to(6, n))
+            total = LaurentPoly.zero()
             for lam in lams:
                 got = schur(lam, values)
                 # the bialternant formula s_lam = a_(lam+delta) / a_delta, multiplied through
@@ -405,7 +424,17 @@ def suite_schur(cfg: SuiteConfig) -> SuiteReport:
                 yield f"lambda={lam}: JSON terms", got.to_json_obj(), [
                     {"coeff": str(c), "exps": {name: str(e) for name, e in exps}}
                     for exps, c in terms]
+                total += got
             yield _all_partitions(lams, 6, n)
+            # every term of every value, with 1 and terms of each degree: the
+            # text form every payload prints, joined again from the terms,
+            # their order, and the terms loaded back through the constructor
+            # in reverse, so that no order is left to the order of insertion
+            terms = total.sorted_terms()
+            yield "sum of the values: text", total.to_text(), _text(terms)
+            yield _term_order("sum of the values: term order", terms)
+            yield ("sum of the values: terms loaded back in reverse",
+                   LaurentPoly(dict(reversed(terms))).sorted_terms(), terms)
 
         def check_dimension(n=n):
             # s_lam(c,...,c) = c^|lam| * dim: the value 2 weighs each pattern
@@ -723,13 +752,14 @@ def _run_forked(suites: list, cfg: SuiteConfig, jobs: int | None) -> list[SuiteR
 
     Left alone, the scheduler of a two-CPU virtual machine was seen to keep
     both processes on one CPU for their whole run in most runs, and more
-    processes than CPUs measured slower, so process k is pinned to every
-    workers-th allowed CPU from the k-th, and this process gets all of them
-    back afterwards.  Without the affinity call (not Linux) CPUs is
-    os.cpu_count() and nothing is pinned.  Every child is killed and reaped
-    before this returns or raises: once its report is read, a child is past
-    its last statement, so the kill only ends one that still runs because
-    this process raised.
+    processes than CPUs measured slower, so child k is pinned to every
+    workers-th allowed CPU from the k-th, this process to the allowed CPUs
+    that no started child holds (all of them when no fork succeeded), and it
+    gets all of them back afterwards.  Without the affinity call (not Linux)
+    CPUs is os.cpu_count() and nothing is pinned.  Every child is killed and
+    reaped before this returns or raises: once its report is read, a child is
+    past its last statement, so the kill only ends one that still runs
+    because this process raised.
     """
     allowed = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
     cpus = len(allowed) or os.cpu_count() or 1
@@ -764,7 +794,9 @@ def _run_forked(suites: list, cfg: SuiteConfig, jobs: int | None) -> list[SuiteR
             except OSError:
                 break
             pids.append(pid)
-        reports = _run_share(queue, suites, cfg, allowed[0::workers])
+        # child k holds allowed[k::workers]; this process takes the CPUs no started child holds
+        mine = [c for i, c in enumerate(allowed) if not 0 < i % workers <= len(pids)]
+        reports = _run_share(queue, suites, cfg, mine)
         for pid, pipe in zip(pids, pipes):
             got = pipe.read()
             got = pickle.loads(got) if got else ArithmeticError(f"worker {pid} sent no report")

@@ -1,6 +1,7 @@
 """Command line behavior: formats, exit codes, determinism."""
 
 import csv
+import errno
 import io
 import json
 import os
@@ -615,6 +616,21 @@ class TestJobs:
         assert serial[0] == 0
         # the one process is pinned to the one CPU, and gets it back
         assert pinned == [[cpu], [cpu]]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+    def test_a_failed_fork_leaves_the_parent_every_allowed_cpu(self, monkeypatch, capsys):
+        def no_fork():
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+        serial = run_cli("verify", "--suite", "all", "--jobs", "1", capsys=capsys)
+        pinned = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: pinned.append(list(cpus)))
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert run_cli("verify", "--suite", "all", capsys=capsys) == serial
+        # four processes were planned and none forked, so the one process
+        # runs on all four CPUs, not on the planned share of one
+        assert pinned == [[0, 1, 2, 3], [0, 1, 2, 3]]
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
     def test_workers_are_pinned_to_disjoint_cpus(self, monkeypatch, tmp_path, capsys):

@@ -96,6 +96,28 @@ class TestRingLaws:
         with pytest.raises(DivisionByZero):
             a / 0
 
+    @pytest.mark.parametrize("s", [3, Fraction(-2, 3)])
+    def test_a_scalar_operand_on_either_side(self, s):
+        p = X + 1
+        c = LaurentPoly.const(s)
+        assert p + s == s + p == p + c
+        assert p - s == p - c and s - p == c - p
+        assert p * s == s * p == p * c
+        assert p / s == p * LaurentPoly.const(1 / Fraction(s))
+        assert p == p + 0 and LaurentPoly.const(s) == s
+
+    def test_a_foreign_operand_is_refused(self):
+        # LaurentPoly.coerce refuses it for + - *; / and == leave it to Python
+        p = X + 1
+        for apply in (lambda: p + "x", lambda: "x" + p, lambda: p - "x", lambda: "x" - p,
+                      lambda: p * "x", lambda: "x" * p, lambda: p / "x", lambda: p * 1.5):
+            with pytest.raises(TypeError):
+                apply()
+        with pytest.raises(TypeError, match="cannot interpret 'x' as a Laurent polynomial"):
+            p + "x"
+        assert (p == "x") is False
+        assert (p != "x") is True
+
     def test_unit_negative_power(self):
         u = _term({"x": 2, "q": Fraction(-1, 2)}, Fraction(3, 4))
         assert u ** -1 * u == LaurentPoly.one()
@@ -239,7 +261,7 @@ class TestAgainstReference:
                  for _ in range(2)]
         a, b = (TruncatedSeries("X", [p for p, _ in side]) for side in sides)
         ra, rb = (ref.TruncatedSeries("X", [r for _, r in side]) for side in sides)
-        assert str(a * b) == str(ra * rb)
+        assert [c.to_text() for c in (a * b).coeffs] == [c.to_text() for c in (ra * rb).coeffs]
 
     @settings(max_examples=100)
     @given(st.integers(1, 3), st.data())
@@ -389,6 +411,14 @@ class TestExponentField:
         # summed bound of 3, but each field of its power is 800000000
         xyz = X * Y * LaurentPoly.var("z")
         assert (xyz ** 800000000).to_text() == "x^800000000*y^800000000*z^800000000"
+
+    def test_a_refused_field_of_q_says_it_holds_twice_the_exponent(self):
+        with pytest.raises(ExponentOutOfRange, match=r"^the exponent field of 'q' would hold "
+                           r"2147483648 \(twice its exponent\), beyond the limit 2147483647$"):
+            qpow(2 ** 30)
+        with pytest.raises(ExponentOutOfRange, match=r"^the exponent field of 'x' would hold "
+                           r"2147483648, beyond the limit 2147483647$"):
+            LaurentPoly.var("x", 2 ** 31)
 
     def test_just_outside_the_field(self):
         refused = "a field of the product may reach"
@@ -661,6 +691,13 @@ class TestTruncatedSeries:
                 s * number
             with pytest.raises(TypeError):
                 number * s
+
+    def test_is_one_reads_every_coefficient(self):
+        assert TruncatedSeries.one("x", 2).is_one()
+        for k in range(3):
+            coeffs = [LaurentPoly.one(), LaurentPoly.zero(), LaurentPoly.zero()]
+            coeffs[k] += Y
+            assert not TruncatedSeries("x", coeffs).is_one()
 
     def test_product_needs_same_variable(self):
         a = TruncatedSeries.one("x", 2)

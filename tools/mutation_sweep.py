@@ -29,9 +29,14 @@ included, so a timed-out mutant leaves no process behind to slow the next.
         --function congruence_index --function congruence_index_bruteforce \\
         -- verify --suite index
 
-The command runs once per site, so a sweep takes minutes; it is not part of
-the test suite.  ``--src`` points at the directory that holds the package,
-for example an unpacked older commit, to compare two versions.
+Each survivor's line ends with the reason tools/unrun_ledger.txt gives for
+keeping it, ``[equivalent]``, ``[gap]`` or ``[tier1:<test>]``, or with ``[not
+in the ledger]``; the ledger keys a survivor by file, function, mutation and
+the stripped text of the mutated line, not by line number, and the last line
+counts the survivors it lacks.  The command runs once per site, so a sweep
+takes minutes; it is not part of the test suite.  ``--src`` points at the
+directory that holds the package, for example an unpacked older commit, to
+compare two versions.
 """
 
 from __future__ import annotations
@@ -86,6 +91,20 @@ def mutations(tree: ast.Module, functions: set[str]):
                        partial(setattr, node, "value", node.value + 1))
 
 
+def ledger(module: str) -> dict[tuple[str, str, str], list[str]]:
+    """(function, mutation, source) -> the ledger's reasons for the module's survivors."""
+    # run as a script, this file's directory leads sys.path
+    from unrun_statements import LEDGER, read_ledger
+
+    kept: dict[tuple[str, str, str], list[str]] = {}
+    for kind, where, reason, source in read_ledger(LEDGER.read_text()):
+        path, _, site = where.partition(" ")
+        if kind == "mutant" and path == f"src/whitlocal/{module}.py":
+            function, mutation = site.split(" ", 1)
+            kept.setdefault((function, mutation, source), []).append(reason)
+    return kept
+
+
 def run(package: Path, module: Path, source: str, command: list[str],
         timeout: float | None) -> tuple[str, bytes]:
     """('survived', stdout), ('killed', stdout) on a nonzero exit, or ('timed out', b'')."""
@@ -134,7 +153,8 @@ def main() -> int:
             return 2
         timeout = max(10 * (time.perf_counter() - start), 5.0)
         print(f"time limit {timeout:.1f} s per mutant", flush=True)
-        dead = timed_out = changed = 0
+        dead = timed_out = changed = unledgered = 0
+        kept, lines = ledger(args.module), original.splitlines()
         for k in range(count):
             tree = ast.parse(original)
             name, line, what, apply = list(mutations(tree, set(args.functions)))[k]
@@ -145,9 +165,15 @@ def main() -> int:
             dead += result in ("killed", "timed out")
             timed_out += result == "timed out"
             changed += result == "changed"
-            print(f"{result:9} {name} line {line}: {what}", flush=True)
+            note = ""
+            if result in ("survived", "changed"):
+                reasons = kept.get((name, what, lines[line - 1].strip()))
+                unledgered += not reasons
+                note = f" [{reasons.pop()}]" if reasons else " [not in the ledger]"
+            print(f"{result:9} {name} line {line}: {what}{note}", flush=True)
     print(f"killed {dead} of {count} mutants ({100 * dead / max(count, 1):.0f}%), "
-          f"{timed_out} of them by the time limit; {changed} survivors changed the output")
+          f"{timed_out} of them by the time limit; {unledgered} survivors not in the ledger; "
+          f"{changed} survivors changed the output")
     return 0
 
 
