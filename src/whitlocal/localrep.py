@@ -68,10 +68,21 @@ def _validate_p(p: Union[int, str]) -> Union[int, str]:
     return p
 
 
-def _validate_box(m: int, valuations: Sequence[int]) -> list[int]:
-    """The valuations of a level-m residue box, checked."""
+def _require_size(n) -> None:
+    """Raise ValueError unless the matrix size n is an int >= 2."""
+    if not isinstance(n, int) or n < 2:
+        raise ValueError(f"matrix size must be an integer >= 2, got {n!r}")
+
+
+def require_level(m) -> None:
+    """Raise ValueError unless the level exponent m is a nonnegative int."""
     if not isinstance(m, int) or m < 0:
         raise ValueError(f"level exponent must be a nonnegative int, got {m!r}")
+
+
+def _validate_box(m: int, valuations: Sequence[int]) -> list[int]:
+    """The valuations of a level-m residue box, checked."""
+    require_level(m)
     vals = [int(v) for v in valuations]
     if any(v < 0 for v in vals):
         raise ValueError("valuations must be nonnegative")
@@ -115,16 +126,10 @@ class UnramifiedRep:
         return cls(rank, [LaurentPoly.var(f"{prefix}{i}") for i in range(1, rank + 1)])
 
     def variables(self) -> frozenset[str]:
-        out: set[str] = set()
-        for p in self.satake:
-            out.update(p.variables())
-        return frozenset(out)
+        return frozenset().union(*(p.variables() for p in self.satake))
 
     def satake_product(self) -> LaurentPoly:
-        prod = LaurentPoly.one()
-        for p in self.satake:
-            prod = prod * p
-        return prod
+        return math.prod(self.satake, start=LaurentPoly.one())
 
     def schur(self, lam) -> LaurentPoly:
         """s_lam at the Satake parameters, evaluated once per representation."""
@@ -195,11 +200,9 @@ def congruence_index(n: int, p: int, m: int) -> int:
     with more decimal digits than ``str`` prints by default raises ValueError
     before any power is formed.
     """
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"matrix size must be an integer >= 2, got {n!r}")
+    _require_size(n)
     require_prime_power(p)
-    if not isinstance(m, int) or m < 0:
-        raise ValueError(f"level exponent must be a nonnegative int, got {m!r}")
+    require_level(m)
     if m == 0:
         return 1
     # the index lies in [p^e, 2 p^e) for e = (n-1)m, so its digits are known first
@@ -222,11 +225,9 @@ def congruence_index_bruteforce(n: int, p: int, m: int) -> int:
     is primitive when some entry is nonzero mod p, and a p that is not prime
     raises ValueError.
     """
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"matrix size must be an integer >= 2, got {n!r}")
+    _require_size(n)
     require_prime(p)
-    if not isinstance(m, int) or m < 0:
-        raise ValueError(f"level exponent must be a nonnegative int, got {m!r}")
+    require_level(m)
     if m == 0:
         return 1
     _refuse_enumeration(p, m * n, f"p^(m*n) = {p}^{m * n} exceeds")
@@ -288,13 +289,11 @@ def character_sum_cyclotomic(p: int, m: int, valuations: Sequence[int]) -> tuple
     over b in (Z/q)^r in the basis 1, x, ..., x^(phi(q)-1) of Z[x]/Phi_q(x);
     q = 1 (m = 0) is the ring Z.  The sum is the product of r one-coordinate
     sums, each built from its q terms without using orthogonality, so the
-    work is O(r*q) plus the products of the nonzero coordinates.  Raises
-    EnumerationTooLarge, before any power of p is formed, when q exceeds
-    ENUMERATION_LIMIT.
+    work is O(r*q) plus the products of the nonzero coordinates.  p must be
+    a prime power.  Raises EnumerationTooLarge, before any power of p is
+    formed, when q exceeds ENUMERATION_LIMIT.
     """
-    if isinstance(p, str):
-        raise ValueError("the cyclotomic oracle needs a numeric residue cardinality")
-    _validate_p(p)
+    require_prime_power(p)
     vals = _validate_box(m, valuations)
     _refuse_enumeration(p, m, f"q = p^m = {p}^{m} residues exceed")
     if m == 0:
@@ -319,13 +318,11 @@ def character_sum_numeric(p: int, m: int, valuations: Sequence[int]) -> complex:
 
     Sums exp(2 pi i * sum_i b_i p^(v_i) / p^m) over b in (Z/p^m)^r without
     using orthogonality.  Only the ``numericOracle`` display field of the
-    ``charsum`` command reads it; no check compares it.  Raises
-    EnumerationTooLarge, before summing, when (p^m)^r exceeds
+    ``charsum`` command reads it; no check compares it.  p must be a prime
+    power.  Raises EnumerationTooLarge, before summing, when (p^m)^r exceeds
     ENUMERATION_LIMIT.
     """
-    if isinstance(p, str):
-        raise ValueError("the numeric oracle needs a numeric residue cardinality")
-    _validate_p(p)
+    require_prime_power(p)
     vals = _validate_box(m, valuations)
     _refuse_enumeration(
         p, m * len(vals), f"(p^m)^r = ({p}^{m})^{len(vals)} residue tuples exceed"

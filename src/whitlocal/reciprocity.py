@@ -125,12 +125,9 @@ def swap_last_two(size: int) -> SymbolicMatrix:
     """The order-two Weyl element exchanging the last two coordinates."""
     if size < 2:
         raise ValueError("need size >= 2 to swap the last two coordinates")
-    m = [[LaurentPoly.zero()] * size for _ in range(size)]
-    for i in range(size - 2):
-        m[i][i] = LaurentPoly.one()
-    m[size - 2][size - 1] = LaurentPoly.one()
-    m[size - 1][size - 2] = LaurentPoly.one()
-    return SymbolicMatrix(m)
+    rows = list(SymbolicMatrix.scalar(size, 1).rows)
+    rows[-2], rows[-1] = rows[-1], rows[-2]
+    return SymbolicMatrix(rows)
 
 
 def column_unipotent(size: int, col: int, names: Sequence[str]) -> SymbolicMatrix:

@@ -61,6 +61,7 @@ from .whittaker import contragredient_value, spherical_value
 from .zeta import (
     MAX_TERMS,
     check_terms,
+    l_factor_denominator,
     lattice_terms,
     local_zeta_unramified,
     times_l_denominator,
@@ -99,11 +100,14 @@ def _all_pass(checks: list[Check]) -> Body:
     return body
 
 
-def _coefficients(name: str, series, *want):
-    """Compare each coefficient of series with want, padded with 0s.
+def _coefficients(name: str, series, order: int, *want):
+    """Compare the order of series with order, then each coefficient with want, padded with 0s.
 
-    Each ``where`` reads ``X^k: name``, for the series variable X.
+    A series that stops short of the order fails here, rather than passing
+    on the coefficients it holds.  Each ``where`` reads ``order: name``,
+    then ``X^k: name`` for the series variable X.
     """
+    yield f"order: {name}", series.order, order
     for k, c in enumerate(series.coeffs):
         yield f"{series.var}^{k}: {name}", c, want[k] if k < len(want) else 0
 
@@ -230,13 +234,17 @@ def _involution_bound(cfg: SuiteConfig) -> None:
 def _weyl_checks(n: int) -> list[Check]:
     # The swap element of size n+1 conjugates the column of n-1 unipotent
     # symbols above coordinate n into the same column above coordinate n+1,
-    # and squares to the identity.
+    # and squares to the identity.  The unipotent has ones on its diagonal,
+    # which the conjugation alone would not see.
     size = n + 1
 
     def conjugation():
         names = [f"u{i}" for i in range(1, n)]
         w = swap_last_two(size)
-        yield "", w * column_unipotent(size, n, names) * w, column_unipotent(size, n + 1, names)
+        unipotent = column_unipotent(size, n, names)
+        for i in range(size):
+            yield f"diagonal entry {i + 1}", unipotent.rows[i][i], 1
+        yield "", w * unipotent * w, column_unipotent(size, n + 1, names)
 
     def square():
         w = swap_last_two(size)
@@ -336,7 +344,7 @@ def suite_unramified(cfg: SuiteConfig) -> SuiteReport:
             result = local_zeta_unramified(rep_a, rep_b, "X", order)
             yield "lattice points", result.lattice_points, _lattice_points(order, n)
             yield from _coefficients("lattice sum times the L-factor denominator",
-                                     times_l_denominator(result.series, rep_a, rep_b), 1)
+                                     times_l_denominator(result.series, rep_a, rep_b), order, 1)
 
         checks.append((
             f"ranks=({n + 1},{n}),order={order}",
@@ -356,22 +364,28 @@ _CAUCHY_RANKS = tuple(product((1, 2, 3), repeat=2))
 
 
 def suite_cauchy(cfg: SuiteConfig) -> SuiteReport:
-    # at unit parameters the denominator is (1 - X)^(nm), read to full degree:
-    # this sees a series product that drops top coefficients, which the
-    # identity below reads as its expected 0s; then
+    # at unit parameters the denominator is (1 - X)^(nm), read to full degree,
+    # as a series and as the polynomial that lfactor prints: this sees a
+    # series product that drops top coefficients, which the identity below
+    # reads as its expected 0s; then
     # sum_lam s_lam(a) s_lam(b) X^|lam| times prod_(i,j) (1 - a_i b_j X) is 1
     checks = []
     for n, m in _CAUCHY_RANKS:
         def body(n=n, m=m):
-            units = times_l_denominator(TruncatedSeries.one("X", n * m),
-                                        UnramifiedRep(n, [1] * n), UnramifiedRep(m, [1] * m))
-            yield from _coefficients("the denominator at unit parameters", units,
-                                     *((-1) ** k * comb(n * m, k) for k in range(n * m + 1)))
+            units = UnramifiedRep(n, [1] * n), UnramifiedRep(m, [1] * m)
+            binomials = [(-1) ** k * comb(n * m, k) for k in range(n * m + 1)]
+            denominator = times_l_denominator(TruncatedSeries.one("X", n * m), *units)
+            yield from _coefficients("the denominator at unit parameters", denominator, n * m,
+                                     *binomials)
+            yield ("the denominator polynomial at unit parameters",
+                   l_factor_denominator(*units, "X"),
+                   LaurentPoly({(("X", k),): c for k, c in enumerate(binomials)}))
             series = cauchy_schur_side(n, m, "X", cfg.order)
             product = times_l_denominator(
                 series, UnramifiedRep.symbolic(n, "a"), UnramifiedRep.symbolic(m, "b")
             )
-            yield from _coefficients("schur side times the L-factor denominator", product, 1)
+            yield from _coefficients("schur side times the L-factor denominator", product,
+                                     cfg.order, 1)
 
         checks.append((
             f"n={n},m={m},order={cfg.order}",
@@ -510,7 +524,8 @@ def suite_weight_l(cfg: SuiteConfig) -> SuiteReport:
     checks = []
     for n in _WEIGHT_L_LEVEL0_RANKS:
         def check_m0(n=n):
-            yield from _coefficients("weight", weight_at_l(*reps(n), 0, "Y", cfg.order).value, 1)
+            yield from _coefficients("weight", weight_at_l(*reps(n), 0, "Y", cfg.order).value,
+                                     cfg.order, 1)
 
         checks.append((
             f"level0/n={n}",
@@ -521,7 +536,8 @@ def suite_weight_l(cfg: SuiteConfig) -> SuiteReport:
     def check_closed_form_m1():
         result = weight_at_l(*reps(2), 1, "Y", 6)
         b1, b2, g1 = (LaurentPoly.var(v) for v in ("b1", "b2", "g1"))
-        yield from _coefficients("weight", result.value, 0, (b1 + b2) * g1, -(b1 * b2) * g1 ** 2)
+        yield from _coefficients("weight", result.value, 6, 0, (b1 + b2) * g1,
+                                 -(b1 * b2) * g1 ** 2)
 
     checks.append((
         "closed-form/n=2,m=1",
@@ -531,9 +547,10 @@ def suite_weight_l(cfg: SuiteConfig) -> SuiteReport:
 
     for n, m in ((2, 1), (2, 2), (3, 1), (3, 2)):
         def check_rationality(n=n, m=m):
-            coeffs = weight_order8(n, m).value.coeffs
+            value = weight_order8(n, m).value
+            yield "order", value.order, 8
             for k in range(n * m + 1, 9):
-                yield f"Y^{k}", coeffs[k], 0
+                yield f"Y^{k}", value.coeffs[k], 0
 
         def check_published_route(n=n, m=m):
             yield "constant ratio", weight_order8(n, m).paper_comparison.ratio, qpow(m)
@@ -660,7 +677,13 @@ def suite_contragredient(cfg: SuiteConfig) -> SuiteReport:
                 via_matrix = contragredient_value(rep, mu)
                 via_dual = spherical_value(dual, mu)
                 yield f"mu={mu}: matrix path vs dual path", via_matrix, via_dual
-                yield _term_order(f"mu={mu}: term order", via_dual.sorted_terms())
+                terms = via_dual.sorted_terms()
+                yield _term_order(f"mu={mu}: term order", terms)
+                # every term carries delta_B^(1/2), a power of q that is often a
+                # half; at q^0 no term names q
+                power = -Fraction(sum(m * (rank + 1 - 2 * i) for i, m in enumerate(mu, 1)), 2)
+                powers = {e for exps, _ in terms for name, e in exps if name == "q"}
+                yield f"mu={mu}: powers of q", powers, {power} if power else set()
                 if mu[0] != mu[-1]:
                     # off the dominant cone
                     yield f"mu={mu[::-1]}", spherical_value(rep, mu[::-1]), 0

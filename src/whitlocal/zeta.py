@@ -59,6 +59,7 @@ from .localrep import (
     UnramifiedRep,
     congruence_index,
     contragredient,
+    require_level,
     require_prime_power,
 )
 from .symfunc import Partition, partitions_of
@@ -270,14 +271,10 @@ def weight_unramified(rep_big: UnramifiedRep, rep_mid: UnramifiedRep,
     middle representation and the rank (n, n-1) integral, and divides each
     by its L-factor by multiplying with the truncated denominator.  The value
     is the product of the two ratio series, read as polynomials in X and Y;
-    it is exactly 1 when the unramified identity holds.
+    it is exactly 1 when the unramified identity holds.  Each lattice sum
+    checks the ranks of its pair, so ranks other than (n+1, n, n-1) raise
+    RankMismatch.
     """
-    n = rep_mid.rank
-    if rep_big.rank != n + 1 or rep_small.rank != n - 1:
-        raise RankMismatch(
-            f"expected ranks (n+1, n, n-1), got "
-            f"({rep_big.rank}, {rep_mid.rank}, {rep_small.rank})"
-        )
     dual_mid = contragredient(rep_mid)
     z_s = local_zeta_unramified(rep_big, dual_mid, "X", order)
     ratio_s = times_l_denominator(z_s.series, rep_big, dual_mid)
@@ -338,8 +335,7 @@ def weight_at_q_structural(n0: int, m: int, n: int, p: int) -> WeightResult:
     """
     if not isinstance(n0, int) or n0 < 0:
         raise ValueError(f"conductor exponent must be a nonnegative int, got {n0!r}")
-    if not isinstance(m, int) or m < 0:
-        raise ValueError(f"level exponent must be a nonnegative int, got {m!r}")
+    require_level(m)
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"rank must be an integer >= 2, got {n!r}")
     require_prime_power(p)

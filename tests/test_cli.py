@@ -305,6 +305,13 @@ class TestExitCodes:
                                  capsys=capsys)
         assert code == 2
         assert err == "error: the index at n=14285, p=2, m=1 would have more than 4300 digits\n"
+        # at level 2 the exponent is 2(n-1): 2^7141 * (2^7142 - 1) has 4300 digits
+        code, out, _ = run_cli("index", "--n", "7142", "--p", "2", "--level", "2", capsys=capsys)
+        assert code == 0
+        assert len(str(json.loads(out)["index"])) == sys.int_info.default_max_str_digits
+        code, out, err = run_cli("index", "--n", "7143", "--p", "2", "--level", "2", capsys=capsys)
+        assert code == 2
+        assert err == "error: the index at n=7143, p=2, m=2 would have more than 4300 digits\n"
 
     @pytest.mark.parametrize("argv, err", [
         # ran 6.6 s and 10.9 s while --order was unbounded (2-vCPU host, Python 3.11)

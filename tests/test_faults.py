@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from whitlocal import localrep, suites, symfunc, whittaker, zeta
+from whitlocal import exactalg, localrep, reciprocity, suites, symfunc, whittaker, zeta
 from whitlocal.exactalg import LaurentPoly, TruncatedSeries, qpow
 from whitlocal.reciprocity import ParamPair, SymbolicMatrix, dual_params
 from whitlocal.suites import SUITES, SuiteConfig
@@ -59,6 +59,23 @@ def test_weyl_identity_swap(monkeypatch):
     # the identity still squares to itself, but no longer conjugates
     assert by_id == {"n=02/conjugation": "fail", "n=02/square": "pass",
                      "n=03/conjugation": "fail", "n=03/square": "pass"}
+
+
+def test_weyl_unipotent_with_twos_on_its_diagonal(monkeypatch):
+    def doubled(size, col, names):
+        rows = reciprocity.column_unipotent(size, col, names).rows
+        return SymbolicMatrix([[e + (i == j) for j, e in enumerate(row)]
+                               for i, row in enumerate(rows)])
+
+    monkeypatch.setattr(suites, "column_unipotent", doubled)
+    report, _ = _statuses("weyl")
+    # both sides of the conjugation carry the same diagonal, so only the
+    # comparison of the diagonal with ones sees it
+    by_id = {c.id: (c.status, c.witness) for c in report.checks}
+    assert by_id == {"n=02/conjugation": ("fail", "diagonal entry 1: 2 != 1"),
+                     "n=02/square": ("pass", None),
+                     "n=03/conjugation": ("fail", "diagonal entry 1: 2 != 1"),
+                     "n=03/square": ("pass", None)}
 
 
 def test_cusp_sign_flip(monkeypatch):
@@ -129,6 +146,35 @@ def test_cauchy_truncating_series_product(monkeypatch):
     assert witness["n=1,m=1,order=2"] == "X^0: the denominator at unit parameters: 0 != 1"
     assert witness["n=3,m=3,order=2"] == "X^8: the denominator at unit parameters: 0 != 9"
     assert all("the denominator at unit parameters" in w for w in witness.values())
+
+
+def test_cauchy_schur_side_short_by_one_coefficient(monkeypatch):
+    # the product with the denominator is 1 on every coefficient it holds
+    def short(n, m, var, order):
+        return symfunc.cauchy_schur_side(n, m, var, order - 1)
+
+    monkeypatch.setattr(suites, "cauchy_schur_side", short)
+    report, statuses = _statuses("cauchy")
+    assert statuses == {"fail"}
+    assert {c.witness for c in report.checks} == {
+        "order: schur side times the L-factor denominator: 1 != 2"}
+
+
+def test_cauchy_l_factor_denominator_truncated_at_r_over_s(monkeypatch):
+    # the closed form that lfactor prints, cut at degree r//s instead of r*s
+    def truncated(rep_a, rep_b, var):
+        one = TruncatedSeries.one(var, rep_a.rank // rep_b.rank)
+        return zeta._as_poly(zeta.times_l_denominator(one, rep_a, rep_b))
+
+    monkeypatch.setattr(suites, "l_factor_denominator", truncated)
+    report, _ = _statuses("cauchy")
+    # r//s = r*s exactly when s = 1
+    assert {c.id: c.status for c in report.checks} == {
+        f"n={n},m={m},order=2": "pass" if m == 1 else "fail"
+        for n in (1, 2, 3) for m in (1, 2, 3)}
+    witness = {c.id: c.witness for c in report.checks}
+    assert witness["n=2,m=2,order=2"] == (
+        "the denominator polynomial at unit parameters: 1 - 4*X != 1 - 4*X + 6*X^2 - 4*X^3 + X^4")
 
 
 def test_schur_plus_one_monomial(monkeypatch):
@@ -212,6 +258,22 @@ def test_contragredient_spherical_value_plus_one(monkeypatch):
     monkeypatch.setattr(suites, "spherical_value", _plus(whittaker.spherical_value, 1))
     _, statuses = _statuses("contragredient")
     assert statuses == {"fail"}
+
+
+def test_contragredient_half_powers_of_q_read_as_thirds(monkeypatch):
+    # both paths decode through the same _exponent, so only the powers of q
+    # that the suite works out itself see the fault
+    original = exactalg._exponent
+
+    def thirds(name, f):
+        return Fraction(f, 3) if name == "q" and f & 1 else original(name, f)
+
+    monkeypatch.setattr(exactalg, "_exponent", thirds)
+    report, _ = _statuses("contragredient")
+    by_id = {c.id: c.status for c in report.checks}
+    # at rank 3 the power of q, -(m_1 - m_3), is never a half
+    assert by_id == {"rank=2": "fail", "rank=3": "pass", "rank=4": "fail"}
+    assert all(": powers of q: " in c.witness for c in report.checks if c.status == "fail")
 
 
 # the other suites do not read n_max or order; the golden bytes cover them

@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from whitlocal import localrep
@@ -118,7 +118,8 @@ class TestCongruenceIndex:
     def test_enumeration_bound(self, monkeypatch):
         # the bound is on the p^(m*n) vectors, checked before any is enumerated
         assert 2 ** 24 == ENUMERATION_LIMIT
-        with pytest.raises(EnumerationTooLarge):
+        message = r"^p\^\(m\*n\) = 2\^25 exceeds the bound 16777216$"
+        with pytest.raises(EnumerationTooLarge, match=message):
             congruence_index_bruteforce(5, 2, 5)
         with pytest.raises(EnumerationTooLarge):
             congruence_index_bruteforce(2, 2, 10 ** 30)
@@ -158,6 +159,12 @@ class TestCongruenceIndex:
         assert congruence_index(2, 1099511627689, 0) == 1  # the largest prime below 2^40
         with pytest.raises(ValueError, match="exceeds the bound"):
             congruence_index(2, MAX_RESIDUE_CARDINALITY + 15, 1)
+
+    def test_the_bound_itself_is_admitted(self):
+        # 2^40 is a prime power, so the bound is the largest value admitted
+        localrep.require_prime_power(MAX_RESIDUE_CARDINALITY)
+        with pytest.raises(ValueError, match="exceeds the bound"):
+            localrep.require_prime_power(MAX_RESIDUE_CARDINALITY + 1)
 
     def test_trial_division_runs_once_per_value(self, capsys):
         # weight-q re-checks p in each of its 65 weight and index calls; at the
@@ -202,8 +209,10 @@ class TestCharacterSum:
     @given(
         st.sampled_from([2, 3, 4, 5, 8, 9]),
         st.integers(0, 3),
-        st.lists(st.integers(0, 4), min_size=1, max_size=3),
+        st.lists(st.integers(0, 4), max_size=3),
     )
+    # the empty box sums to the element 1, with all phi(q) coordinates
+    @example(9, 1, [])
     def test_equals_the_cyclotomic_sum(self, p, m, vals):
         oracle = character_sum_cyclotomic(p, m, vals)
         q = p ** m

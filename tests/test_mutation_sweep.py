@@ -1,6 +1,7 @@
 """tools/mutation_sweep.py tells a mutant that changes the output from one that changes nothing,
-names the function that holds each site, refuses a function name it cannot sweep, and leaves
-no process of a timed-out command running."""
+names the function that holds each site, sweeps a whole module when no function is named, exits 1
+on a survivor the ledger lacks, refuses a function name it cannot sweep, and leaves no process of a
+timed-out command running."""
 
 import ast
 import importlib.util
@@ -36,8 +37,10 @@ def test_a_mutant_that_changes_the_payload_is_reported_changed():
     proc = subprocess.run(
         [sys.executable, str(SWEEP), "--module", "whittaker", "--function", "delta_half",
          "--", "whittaker", "--n", "2", "--mu", "1,0"],
-        capture_output=True, text=True, check=True,
+        capture_output=True, text=True,
     )
+    # verify kills these mutants, so the ledger holds none of them
+    assert proc.returncode == 1
     lines = proc.stdout.splitlines()
     changed = sum(line.startswith("changed ") for line in lines)
     assert changed >= 1
@@ -48,6 +51,42 @@ def test_a_mutant_that_changes_the_payload_is_reported_changed():
         for line in mutants
     ), mutants
     assert lines[-1].endswith(f"; {changed} survivors changed the output")
+
+
+def _stand_in(tmp_path):
+    """A package whose command checks double and never calls unused."""
+    package = tmp_path / "whitlocal"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "m.py").write_text("def double(x):\n    return x * 2\n\n\n"
+                                  "def unused(x):\n    return x + 1\n")
+    (package / "__main__.py").write_text("import sys\nfrom whitlocal.m import double\n"
+                                         "sys.exit(double(3) != 6)\n")
+    return tmp_path
+
+
+def test_with_no_function_the_whole_module_is_swept_and_a_survivor_outside_the_ledger_fails(
+        tmp_path):
+    src = _stand_in(tmp_path)
+    proc = subprocess.run([sys.executable, str(SWEEP), "--src", str(src), "--module", "m",
+                           "--", "check"], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines()[1:] == [
+        "killed    double line 2: Mult -> FloorDiv",
+        "killed    double line 2: 2 -> 3",
+        "survived  unused line 6: Add -> Sub [not in the ledger]",
+        "survived  unused line 6: 1 -> 2 [not in the ledger]",
+        "killed 2 of 4 mutants (50%), 0 of them by the time limit; 2 survivors not in the "
+        "ledger; 0 survivors changed the output",
+    ]
+
+
+def test_a_sweep_with_every_mutant_killed_exits_0(tmp_path):
+    src = _stand_in(tmp_path)
+    proc = subprocess.run([sys.executable, str(SWEEP), "--src", str(src), "--module", "m",
+                           "--function", "double", "--", "check"], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-1].startswith("killed 2 of 2 mutants (100%)")
 
 
 def test_a_method_of_a_class_is_swept():

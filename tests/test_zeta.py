@@ -52,6 +52,12 @@ def _satake_pairs(r, s):
     yield "zero", UnramifiedRep(r, (0,) + rep_a.satake[1:]), contragredient(rep_b)
 
 
+def test_the_term_cap_admits_its_own_count_and_refuses_one_more():
+    zeta.check_terms("the series", [zeta.MAX_TERMS - 1, 1])
+    with pytest.raises(ValueError, match="^the series would need more than 10000 terms$"):
+        zeta.check_terms("the series", [zeta.MAX_TERMS, 1])
+
+
 class TestLFactor:
     @pytest.mark.parametrize("r, s", [(r, s) for r in range(1, 5) for s in range(1, 5)])
     def test_denominator_matches_the_factor_by_factor_product(self, r, s):

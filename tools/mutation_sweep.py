@@ -17,7 +17,8 @@ Each mutant's line names the function or ``Class.method`` that holds the
 site, so the sweeps of two versions can be matched site by site even where
 line numbers moved.  ``--function`` takes either that ``Class.method`` name,
 which selects the one method, or a bare name, which selects every function
-and method of that name.
+and method of that name; with no ``--function`` the sweep takes every
+function and method of the module.
 The limit is ten times the command's time on the unmutated module, and at
 least five seconds.  A timeout counts as a kill, so a mutant that only
 makes the command slow (say, one that loosens a size guard and then
@@ -28,12 +29,14 @@ included, so a timed-out mutant leaves no process behind to slow the next.
     python3 tools/mutation_sweep.py --module localrep \\
         --function congruence_index --function congruence_index_bruteforce \\
         -- verify --suite index
+    python3 tools/mutation_sweep.py --module zeta -- verify --suite all --jobs 1
 
 Each survivor's line ends with the reason tools/unrun_ledger.txt gives for
 keeping it, ``[equivalent]``, ``[gap]`` or ``[tier1:<test>]``, or with ``[not
 in the ledger]``; the ledger keys a survivor by file, function, mutation and
 the stripped text of the mutated line, not by line number, and the last line
-counts the survivors it lacks.  The command runs once per site, so a sweep
+counts the survivors it lacks.  The sweep exits 1 if it lacks any, else 0,
+and 2 if it cannot start.  The command runs once per site, so a sweep
 takes minutes; it is not part of the test suite.  ``--src`` points at the
 directory that holds the package, for example an unpacked older commit, to
 compare two versions.
@@ -128,18 +131,21 @@ def main() -> int:
     parser.add_argument("--src", type=Path, default=Path(__file__).parent.parent / "src",
                         help="directory holding the whitlocal package (default: ../src)")
     parser.add_argument("--module", required=True, help="module name inside whitlocal")
-    parser.add_argument("--function", action="append", required=True, dest="functions")
+    parser.add_argument("--function", action="append", dest="functions",
+                        help="a function or Class.method to sweep (default: all of them)")
     parser.add_argument("command", nargs="+", help="whitlocal arguments, after --")
     args = parser.parse_args()
 
     original = (args.src / "whitlocal" / f"{args.module}.py").read_text()
     tree = ast.parse(original)
-    unknown = set(args.functions) - {n for name, fn in definitions(tree) for n in (name, fn.name)}
+    names = {n for name, fn in definitions(tree) for n in (name, fn.name)}
+    functions = set(args.functions or names)
+    unknown = functions - names
     if unknown:
         print(f"error: {args.module} has no function or method named "
               f"{', '.join(sorted(unknown))}", file=sys.stderr)
         return 2
-    count = sum(1 for _ in mutations(tree, set(args.functions)))
+    count = sum(1 for _ in mutations(tree, functions))
     with tempfile.TemporaryDirectory() as tmp:
         package = Path(tmp) / "whitlocal"
         shutil.copytree(args.src / "whitlocal", package,
@@ -157,7 +163,7 @@ def main() -> int:
         kept, lines = ledger(args.module), original.splitlines()
         for k in range(count):
             tree = ast.parse(original)
-            name, line, what, apply = list(mutations(tree, set(args.functions)))[k]
+            name, line, what, apply = list(mutations(tree, functions))[k]
             apply()
             result, stdout = run(package, module, ast.unparse(tree), args.command, timeout)
             if result == "survived" and stdout != expected:
@@ -174,7 +180,7 @@ def main() -> int:
     print(f"killed {dead} of {count} mutants ({100 * dead / max(count, 1):.0f}%), "
           f"{timed_out} of them by the time limit; {unledgered} survivors not in the ledger; "
           f"{changed} survivors changed the output")
-    return 0
+    return 1 if unledgered else 0
 
 
 if __name__ == "__main__":
